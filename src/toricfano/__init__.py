@@ -17,8 +17,8 @@ substitution of plane parametrizations into the defining equations).
 """
 
 from .cayley import (
+    CayleyPoset,
     CayleyStructure,
-    cayley_structures_with_l_at_least,
     enumerate_cayley_structures,
     is_cayley_structure,
     leq,
@@ -71,6 +71,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CayleyPoset",
     "CayleyStructure",
     "ChartSemigroup",
     "ConnectivityGraph",
@@ -86,7 +87,6 @@ __all__ = [
     "affine_unimodular_equivalent",
     "all_set_partitions",
     "brute_force_cayley",
-    "cayley_structures_with_l_at_least",
     "chart_generators_reduced",
     "chart_is_pointed",
     "chart_is_smooth",

@@ -16,7 +16,6 @@ index the irreducible components of the scheme of k-planes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -177,33 +176,121 @@ def leq(small: CayleyStructure, big: CayleyStructure) -> bool:
     return True
 
 
-def maximal_cayley_structures(config: PointConfiguration, k: int) -> tuple[CayleyStructure, ...]:
-    """Maximal Cayley structures with at least k+1 blocks, over all faces.
 
-    Maximality is computed in the poset of all structures with at least two
-    blocks; filtering by block count afterwards is equivalent because a
-    structure can only be dominated by one with at least as many blocks.
+
+class CayleyPoset:
+    """The poset of all Cayley structures with at least two blocks on one
+    configuration, built once and shared by every question asked of it.
+
+    Each configuration holds one instance (``PointConfiguration.cayley_poset``).
+    Structures are enumerated once per face, maximality is computed once for
+    all ``k`` (a structure can only be dominated by one with at least as many
+    blocks, so the components for ``k`` are the maximal structures with
+    ``l >= k``), and the set of structures below a given one is kept once
+    computed, so intersections of components are meets read off those sets.
+    """
+
+    def __init__(self, config: PointConfiguration):
+        self.config = config
+        self._on_face: dict[tuple[int, ...], tuple[CayleyStructure, ...]] = {}
+        self._below: dict[CayleyStructure, tuple[CayleyStructure, ...]] = {}
+
+    def on_face(self, face: Face) -> tuple[CayleyStructure, ...]:
+        """The structures with at least two blocks on the face, in the order
+        of ``enumerate_cayley_structures``."""
+        if face.config != self.config:
+            raise ValueError("face belongs to a different configuration")
+        found = self._on_face.get(face.indices)
+        if found is None:
+            found = enumerate_cayley_structures(face, l_min=1)
+            self._on_face[face.indices] = found
+        return found
+
+    @cached_property
+    def _upper_covers(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """For each nonempty face, the index sets of the faces covering it
+        (containing it, one dimension higher)."""
+        faces = [f for f in self.config.faces() if f.indices]
+        return {
+            f.indices: tuple(
+                g.indices
+                for g in faces
+                if g.dim == f.dim + 1 and set(f.indices) < set(g.indices)
+            )
+            for f in faces
+        }
+
+    def maximal_among(self, structures: Sequence[CayleyStructure]) -> list[CayleyStructure]:
+        """The members not dominated by another member, in input order.
+
+        ``structures`` must be closed under restriction to faces in between:
+        whenever ``p <= q`` are members with ``q`` on a larger face, the
+        restriction of ``q`` to any face between the two is a member too.
+        The whole poset is, and so is the set of its structures with at least
+        ``k + 1`` blocks below two given structures.
+
+        A member ``p`` on face ``F`` is then non-maximal exactly when
+        ``leq(p, q)`` holds for some member ``q != p`` of one of two kinds:
+        a structure on ``F`` itself (a strict refinement, so ``q.l > p.l``),
+        or a structure on a face covering ``F`` (one dimension higher).
+
+        Proof: suppose ``p <= q`` with ``q`` on a face ``G`` strictly
+        containing ``F``.  Take any face ``F1`` covering ``F`` inside ``G``;
+        it exists because face lattices are graded.  Restrict ``q`` to
+        ``F1``.  The restriction is still a Cayley structure, because affine
+        relations on ``F1`` extend by zero to relations on ``G``.  It still
+        dominates ``p``, since every block of ``q`` meets ``F`` inside one
+        block of ``p``.  It has at least as many blocks as ``p`` (so at least
+        two), because every block of ``p`` receives one of its blocks.  It
+        differs from ``p``, because it lives on a different face.
+        """
+        by_face: dict[tuple[int, ...], list[CayleyStructure]] = {}
+        for q in structures:
+            by_face.setdefault(q.face.indices, []).append(q)
+        covers = self._upper_covers
+        kept = []
+        for p in structures:
+            rivals = [q for q in by_face[p.face.indices] if q.l > p.l]
+            for g in covers[p.face.indices]:
+                rivals.extend(by_face.get(g, ()))
+            if not any(leq(p, q) for q in rivals):
+                kept.append(p)
+        return kept
+
+    @cached_property
+    def maximal(self) -> tuple[CayleyStructure, ...]:
+        """All maximal structures, sorted by (face indices, blocks)."""
+        every = [p for face in self.config.faces() if face.indices for p in self.on_face(face)]
+        return tuple(
+            sorted(self.maximal_among(every), key=lambda s: (s.face.indices, s.blocks))
+        )
+
+    def below(self, pi: CayleyStructure) -> tuple[CayleyStructure, ...]:
+        """The structures of the poset dominated by ``pi``, in face order
+        (``pi`` itself included when it belongs to the poset)."""
+        found = self._below.get(pi)
+        if found is None:
+            inside = set(pi.face.indices)
+            found = tuple(
+                q
+                for face in self.config.faces()
+                if face.indices and inside.issuperset(face.indices)
+                for q in self.on_face(face)
+                if leq(q, pi)
+            )
+            self._below[pi] = found
+        return found
+
+
+def maximal_cayley_structures(config: PointConfiguration, k: int) -> tuple[CayleyStructure, ...]:
+    """Maximal Cayley structures with at least k+1 blocks, over all faces,
+    sorted by (face indices, blocks).
+
+    Maximality is computed once per configuration in the poset of all
+    structures with at least two blocks (see ``CayleyPoset.maximal_among``);
+    filtering by block count afterwards is equivalent because a structure can
+    only be dominated by one with at least as many blocks.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    every: list[CayleyStructure] = []
-    for face in config.faces():
-        if face.indices:
-            every.extend(enumerate_cayley_structures(face, l_min=1))
-    maximal = [
-        p for p in every if not any(q is not p and p != q and leq(p, q) for q in every)
-    ]
-    result = [p for p in maximal if p.l >= k]
-    result.sort(key=lambda s: (s.face.indices, s.blocks))
-    return tuple(result)
-
-
-def cayley_structures_with_l_at_least(
-    config: PointConfiguration, faces: Iterable[Face], l_min: int
-) -> tuple[CayleyStructure, ...]:
-    """All structures with at least l_min+1 blocks on the given faces."""
-    out: list[CayleyStructure] = []
-    for face in faces:
-        if face.indices:
-            out.extend(enumerate_cayley_structures(face, l_min=l_min))
-    return tuple(out)
+    return tuple(p for p in config.cayley_poset.maximal if p.l >= k)

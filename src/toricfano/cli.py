@@ -17,7 +17,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .cayley import CayleyStructure, enumerate_cayley_structures, is_cayley_structure
+from .cayley import CayleyStructure, is_cayley_structure
 from .components import (
     chart_is_smooth,
     chart_semigroup,
@@ -87,6 +87,17 @@ def load_input(path: str, max_points: int) -> tuple[Optional[str], dict, PointCo
         name = raw.get("name")
         if name is not None and not isinstance(name, str):
             raise CliError(EXIT_PARSE, '"name" must be a string')
+        for row in rows:
+            for x in row:
+                # bool is a subclass of int, and int() would truncate floats
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise CliError(EXIT_PARSE, f"points must be integers, got {x!r}")
+        expect = raw.get("expect", {})
+        if not isinstance(expect, dict):
+            raise CliError(EXIT_PARSE, '"expect" must be an object')
+        for key in ("component_counts", "connected"):
+            if not isinstance(expect.get(key, {}), dict):
+                raise CliError(EXIT_PARSE, f'"expect.{key}" must be an object')
     else:
         name = None
         rows = []
@@ -278,20 +289,19 @@ def _verify_checks(a: PointConfiguration, expect: dict, seed: int, trials: int) 
     ) and (not rb.vectors or is_saturated(rb.vectors, len(a.points)))
     record("relation_basis_valid", rel_ok)
 
+    poset = a.cayley_poset
     mismatch = None
     for face in a.faces():
         if len(face.indices) > BRUTE_FORCE_MAX_POINTS:
             continue
-        if set(brute_force_cayley(a, face, 1)) != set(
-            enumerate_cayley_structures(face, 1)
-        ):
+        if set(brute_force_cayley(a, face, 1)) != set(poset.on_face(face)):
             mismatch = f"face {face.indices}"
             break
     record("brute_force_matches_fast", mismatch is None, mismatch)
 
     bad_plane = None
     for face in a.faces():
-        for pi in enumerate_cayley_structures(face, 1):
+        for pi in poset.on_face(face):
             if not verify_cayley_plane(a, pi):
                 bad_plane = f"face {face.indices}, blocks {pi.blocks}"
                 break
@@ -335,7 +345,7 @@ def _verify_checks(a: PointConfiguration, expect: dict, seed: int, trials: int) 
         except (TypeError, ValueError):
             raise CliError(EXIT_PARSE, f'"expect" keys must be integers, got {key!r}')
 
-    for key, wanted in sorted((expect.get("component_counts") or {}).items()):
+    for key, wanted in sorted(expect.get("component_counts", {}).items()):
         k = expected_k(key)
         got = len(components(a, k))
         record(
@@ -343,7 +353,7 @@ def _verify_checks(a: PointConfiguration, expect: dict, seed: int, trials: int) 
             got == wanted,
             None if got == wanted else f"expected {wanted}, found {got}",
         )
-    for key, wanted in sorted((expect.get("connected") or {}).items()):
+    for key, wanted in sorted(expect.get("connected", {}).items()):
         k = expected_k(key)
         got = connectivity_graph(a, k).is_connected()
         record(
@@ -516,9 +526,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except HypothesesViolated as exc:
                 raise CliError(EXIT_HYPOTHESES, f"hypotheses violated: {exc}")
         else:
-            expect = raw.get("expect") or {}
-            if not isinstance(expect, dict):
-                raise CliError(EXIT_PARSE, '"expect" must be an object')
+            expect = raw.get("expect", {})
             report = verify_report(a, name, expect, args.seed, args.trials)
             if not report["passed"]:
                 _emit(report, args.format)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .cayley import CayleyStructure, enumerate_cayley_structures, leq, maximal_cayley_structures
+from .cayley import CayleyStructure, leq, maximal_cayley_structures
 from .intlinalg import (
     IntVector,
     cone_is_pointed,
@@ -293,7 +293,9 @@ def components_intersection(
     structures with at least ``k + 1`` blocks lying below both inputs.  The
     intersection of the two components is the union of the k-plane families
     of the returned structures; an empty tuple means the components are
-    disjoint.
+    disjoint.  The candidates are read off the configuration's Cayley poset:
+    the structures below ``pi1`` (kept once computed) that also lie below
+    ``pi2``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -302,18 +304,16 @@ def components_intersection(
             raise ValueError("structures must belong to the given configuration")
         if pi.l < k:
             raise ValueError("structures must have at least k+1 blocks")
-    common = set(pi1.face.indices) & set(pi2.face.indices)
-    found: list[CayleyStructure] = []
-    for face in a.faces():
-        if not set(face.indices) <= common:
-            continue
-        for q in enumerate_cayley_structures(face, l_min=k):
-            if leq(q, pi1) and leq(q, pi2):
-                found.append(q)
-    maximal = [
-        q for q in found if not any(q2 != q and leq(q, q2) for q2 in found)
+    poset = a.cayley_poset
+    inside = set(pi2.face.indices)
+    common = [
+        q
+        for q in poset.below(pi1)
+        if q.l >= k and inside.issuperset(q.face.indices) and leq(q, pi2)
     ]
-    return tuple(sorted(set(maximal), key=lambda q: (q.face.indices, q.blocks)))
+    return tuple(
+        sorted(poset.maximal_among(common), key=lambda q: (q.face.indices, q.blocks))
+    )
 
 
 def connectivity_graph(a: PointConfiguration, k: int) -> ConnectivityGraph:
@@ -321,17 +321,12 @@ def connectivity_graph(a: PointConfiguration, k: int) -> ConnectivityGraph:
     torus-fixed point, i.e. some empty k-simplex face inside both faces on
     which both structures are injective."""
     comps = components(a, k)
-    fixed = a.fixed_point_faces(k)
-    edges: list[tuple[str, str]] = []
-    for c1, c2 in combinations(comps, 2):
-        common = set(c1.pi.face.indices) & set(c2.pi.face.indices)
-        if any(
-            set(f.indices) <= common
-            and c1.pi.injective_on(f.indices)
-            and c2.pi.injective_on(f.indices)
-            for f in fixed
-        ):
-            edges.append(tuple(sorted((c1.id, c2.id))))
+    fixed = [{f.indices for f in c.fixed_points} for c in comps]
+    edges = [
+        tuple(sorted((c1.id, c2.id)))
+        for (c1, f1), (c2, f2) in combinations(zip(comps, fixed), 2)
+        if f1 & f2
+    ]
     return ConnectivityGraph(
         vertices=tuple(c.id for c in comps), edges=tuple(sorted(edges))
     )
@@ -344,4 +339,4 @@ def is_covered_by_k_planes(a: PointConfiguration, k: int) -> bool:
     if k < 1:
         raise ValueError("k must be at least 1")
     full = a.face_from_indices(range(len(a.points)))
-    return bool(enumerate_cayley_structures(full, l_min=k))
+    return any(p.l >= k for p in a.cayley_poset.on_face(full))

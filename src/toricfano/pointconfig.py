@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .intlinalg import (
     IntMatrix,
@@ -31,6 +31,9 @@ from .intlinalg import (
     matrix_rank,
     _kernel,
 )
+
+if TYPE_CHECKING:
+    from .cayley import CayleyPoset
 
 MAX_POINTS = 14
 MAX_DIM = 6
@@ -115,6 +118,14 @@ class PointConfiguration:
     @cached_property
     def _face_list(self) -> tuple["Face", ...]:
         return _enumerate_faces(self)
+
+    @cached_property
+    def cayley_poset(self) -> CayleyPoset:
+        """The Cayley structures of this configuration, enumerated once and
+        shared by components, intersections, the graph and coverage."""
+        from .cayley import CayleyPoset
+
+        return CayleyPoset(self)
 
     def faces(self, dim_filter: Optional[int] = None) -> tuple["Face", ...]:
         """All faces (including the configuration itself, its vertices, and

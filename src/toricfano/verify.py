@@ -150,7 +150,7 @@ def specialized_chart_plane(
     coefficient attached to the (row point, representative) pair.  Columns
     off the face are zero.
     """
-    chart = chart_semigroup(pi, sigma_tilde, sigma)
+    chart_semigroup(pi, sigma_tilde, sigma)  # validates the chart data
     face = pi.face
     t = tuple(Fraction(x) for x in torus)
     if len(t) != a.ambient_dim:
@@ -171,7 +171,6 @@ def specialized_chart_plane(
             else:
                 row[idx] = char * Fraction(coefficients[(v, rep)])
         rows.append(tuple(row))
-    del chart
     return PlaneParametrization(matrix=tuple(rows))
 
 
@@ -242,10 +241,9 @@ def verify_chart_sample(
     resulting plane.  Trial ``i`` uses its own generator seeded from
     ``seed`` and ``i``, so runs are reproducible and order-independent.
     """
-    chart = chart_semigroup(pi, sigma_tilde, sigma)
+    chart_semigroup(pi, sigma_tilde, sigma)  # validates the chart data
     s = tuple(sorted(sigma))
     outside = tuple(i for i in sorted(sigma_tilde) if i not in set(s))
-    del chart
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
 

@@ -28,7 +28,9 @@ from toricfano import (
     enumerate_cayley_structures,
     height_coordinates,
     is_cayley_structure,
+    is_covered_by_k_planes,
     is_isolated,
+    leq,
     local_ring_basis,
     maximal_cayley_structures,
     multiplicity,
@@ -45,6 +47,35 @@ from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
 TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 SEGMENT = [(0,), (1,), (3,)]
 HEXAGON_WITH_CENTER = [(0, 0), (0, 1), (0, -1), (1, 0), (1, 1), (-1, 0), (-1, -1)]
+
+
+def canonical_order(s):
+    return (s.face.indices, s.blocks)
+
+
+def all_pairs_maximal(a):
+    """Reference maximality: every structure with at least two blocks on
+    every face, compared against every other one."""
+    every = [
+        p for face in a.faces() if face.indices for p in enumerate_cayley_structures(face, 1)
+    ]
+    maximal = [p for p in every if not any(p != q and leq(p, q) for q in every)]
+    return sorted(maximal, key=canonical_order)
+
+
+def intersection_by_definition(a, pi1, pi2, k):
+    """Reference intersection: every structure with at least k+1 blocks on a
+    face inside both faces, kept when below both, then the maximal ones."""
+    common = set(pi1.face.indices) & set(pi2.face.indices)
+    found = [
+        q
+        for face in a.faces()
+        if face.indices and set(face.indices) <= common
+        for q in enumerate_cayley_structures(face, k)
+        if leq(q, pi1) and leq(q, pi2)
+    ]
+    maximal = [q for q in found if not any(q != r and leq(q, r) for r in found)]
+    return tuple(sorted(maximal, key=canonical_order))
 
 
 def canonical_transversal(pi):
@@ -270,6 +301,16 @@ def test_fano_scheme_properties(points):
             enumerate_cayley_structures(face, 1)
         )
 
+    # the shared poset agrees with the all-pairs and by-definition references
+    reference_maximal = all_pairs_maximal(a)
+    for k in range(1, a.dimension + 1):
+        pis = maximal_cayley_structures(a, k)
+        assert list(pis) == [p for p in reference_maximal if p.l >= k]
+        for pi1, pi2 in combinations(pis, 2):
+            assert components_intersection(a, pi1, pi2, k) == intersection_by_definition(
+                a, pi1, pi2, k
+            )
+
     for k in range(1, a.dimension + 1):
         smooth_everywhere = all(
             a.is_smooth_at(f) for f in a.fixed_point_faces(k)
@@ -297,3 +338,23 @@ def test_fano_scheme_properties(points):
                 assert lattice_rank(chart_generators_reduced(chart)) == comp.dimension
                 if smooth_everywhere:
                     assert chart_is_smooth(chart)
+
+
+@pytest.mark.parametrize(
+    "points", [QUARTIC, FIVE, list(birkhoff_points())], ids=["quartic", "five", "birkhoff"]
+)
+def test_equal_configurations_give_equal_results(points):
+    first, second = PointConfiguration(points), PointConfiguration(points)
+    assert first == second and first is not second
+    assert first.cayley_poset is not second.cayley_poset
+    for k in range(1, first.dimension + 2):
+        assert components(first, k) == components(second, k)
+        assert connectivity_graph(first, k) == connectivity_graph(second, k)
+        assert is_covered_by_k_planes(first, k) == is_covered_by_k_planes(second, k)
+        pis = maximal_cayley_structures(first, k)
+        assert pis == maximal_cayley_structures(second, k)
+        for pi1, pi2 in combinations(pis, 2):
+            # structures of one instance are accepted by the other
+            assert components_intersection(first, pi1, pi2, k) == components_intersection(
+                second, pi1, pi2, k
+            )

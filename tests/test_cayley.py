@@ -196,3 +196,46 @@ def test_maximal_requires_positive_k():
     config = PointConfiguration(SQUARE)
     with pytest.raises(ValueError):
         maximal_cayley_structures(config, 0)
+
+
+def test_poset_enumerates_each_face_once():
+    config = PointConfiguration(QUARTIC)
+    poset = config.cayley_poset
+    assert config.cayley_poset is poset
+    face = full_face(config)
+    assert poset.on_face(face) is poset.on_face(face)
+    assert poset.on_face(face) == enumerate_cayley_structures(face, l_min=1)
+
+
+def test_poset_rejects_face_of_other_configuration():
+    other = PointConfiguration(SQUARE)
+    with pytest.raises(ValueError):
+        PointConfiguration(QUARTIC).cayley_poset.on_face(full_face(other))
+
+
+def test_poset_below_is_the_lower_set():
+    config = PointConfiguration(QUARTIC)
+    poset = config.cayley_poset
+    vertical = CayleyStructure(full_face(config), [(0, 1), (2, 3)])
+    below = poset.below(vertical)
+    assert {(q.face.indices, q.blocks) for q in below} == {
+        ((0, 1, 2, 3), ((0, 1), (2, 3))),
+        ((0, 2), ((0,), (2,))),
+        ((1, 3), ((1,), (3,))),
+    }
+    assert poset.below(vertical) is below
+
+
+def test_maximal_among_uses_covering_faces():
+    # the vertical structure dominates the edge structures {0,2} and {1,3}
+    # from the face covering them; within one face only strict refinements
+    # dominate
+    config = PointConfiguration(QUARTIC)
+    poset = config.cayley_poset
+    every = [p for f in config.faces() if f.indices for p in poset.on_face(f)]
+    kept = poset.maximal_among(every)
+    assert sorted((p.face.indices, p.blocks) for p in kept) == [
+        ((0, 1), ((0,), (1,))),
+        ((0, 1, 2, 3), ((0, 1), (2, 3))),
+        ((2, 3), ((2,), (3,))),
+    ]

@@ -282,3 +282,36 @@ def test_fixture_points_match_expected_birkhoff(capsys):
 
     raw = json.loads((DATA / "birkhoff.json").read_text())
     assert [tuple(p) for p in raw["points"]] == list(birkhoff_points())
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[1.5, 0], [0, 1], [0, 0]],  # would be truncated to (1, 0)
+        [[1.0, 0], [0, 1], [0, 0]],
+        [[True, 0], [0, 1], [0, 0]],  # JSON booleans are not coordinates
+        [["1", 0], [0, 1], [0, 0]],
+    ],
+    ids=["fraction", "float", "boolean", "string"],
+)
+def test_non_integer_json_coordinates_rejected(capsys, tmp_path, points):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": points}))
+    code, out, err = run(capsys, "analyze", path)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "points must be integers" in err
+
+
+@pytest.mark.parametrize(
+    "expect",
+    [[], None, 3, {"component_counts": []}, {"connected": [True]}],
+    ids=["empty-list", "null", "number", "counts-list", "connected-list"],
+)
+def test_malformed_expect_rejected(capsys, tmp_path, expect):
+    path = tmp_path / "expect.json"
+    path.write_text(json.dumps({"points": [[0, 0], [0, 1], [1, 0], [1, 1]], "expect": expect}))
+    code, out, err = run(capsys, "verify", path, "--trials", "1")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "must be an object" in err

@@ -50,9 +50,8 @@ def run_case(argv):
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize("argv", [c[1] for c in CASES], ids=[c[0] for c in CASES])
-def test_report_matches_golden(argv):
-    name = next(n for n, a in CASES if a is argv)
+@pytest.mark.parametrize("name, argv", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden(name, argv):
     code, out = run_case(argv)
     assert code == EXIT_OK
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
