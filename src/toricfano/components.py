@@ -16,15 +16,7 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .cayley import CayleyStructure, leq, maximal_cayley_structures
-from .intlinalg import (
-    IntVector,
-    cone_is_pointed,
-    integer_coordinates,
-    is_nonneg_int_combination,
-    is_saturated,
-    lattice_rank,
-    matrix_rank,
-)
+from .intlinalg import IntVector, cone_is_pointed, is_free_semigroup
 from .pointconfig import Face, PointConfiguration
 
 
@@ -239,12 +231,11 @@ def chart_generators_reduced(c: ChartSemigroup) -> tuple[IntVector, ...]:
     """
     config = c.pi.config
     d = len(config.points[0])
-    basis = config.difference_basis
     out: set[IntVector] = set()
     for g in c.generators:
         if not any(g):
             continue
-        coords = integer_coordinates(basis, g[:d])
+        coords = config.difference_coordinates(g[:d])
         if coords is None:  # impossible: differences lie in the lattice
             raise AssertionError("chart generator outside the difference lattice")
         out.add(coords + g[d:])
@@ -269,19 +260,7 @@ def chart_is_smooth(c: ChartSemigroup) -> bool:
     generators spans the whole semigroup by nonnegative integer combinations
     and generates a direct summand of the ambient lattice.
     """
-    gens = chart_generators_reduced(c)
-    if not gens:
-        return True
-    r = lattice_rank(gens)
-    for subset in combinations(gens, r):
-        if matrix_rank(subset) != r:
-            continue
-        if not all(is_nonneg_int_combination(subset, g) for g in gens):
-            continue
-        if not is_saturated(subset, c.ambient_rank):
-            continue
-        return True
-    return False
+    return is_free_semigroup(chart_generators_reduced(c), c.ambient_rank)
 
 
 def components_intersection(

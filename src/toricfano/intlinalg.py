@@ -6,15 +6,15 @@ immutable tuples of tuples of ints (rows by columns), vectors are tuples.
 
 The central primitive is a row-style Hermite normal form with a tracked
 unimodular transform; kernel bases, ranks, rational rowspan membership,
-lattice saturation, and affine unimodular equivalence of point
-configurations all derive from it.
+lattice saturation, integer solving against a basis factored once, and
+affine unimodular equivalence of point configurations all derive from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from itertools import combinations, combinations_with_replacement
+from typing import Callable, Iterable, Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -180,7 +180,8 @@ def rational_solve(rows: Iterable[Sequence[int]], v: Sequence[int | Fraction]) -
     """Solve ``x . rows = v`` over the rationals; None if inconsistent.
 
     When the rows are linearly dependent an arbitrary consistent solution is
-    returned.
+    returned.  The package solves with ``integer_solver``; this ``Fraction``
+    elimination is kept as its independent reference.
     """
     rr = [list(map(Fraction, row)) for row in rows]
     target = [Fraction(x) for x in v]
@@ -218,22 +219,103 @@ def rational_solve(rows: Iterable[Sequence[int]], v: Sequence[int | Fraction]) -
     return tuple(x)
 
 
+def integer_solver(
+    basis: Iterable[Sequence[int]],
+) -> Callable[[Sequence[int]], Optional[IntVector]]:
+    """Factor linearly independent basis rows once, to solve for many vectors.
+
+    Returns a function that maps ``v`` to the integer vector ``x`` with
+    ``x . basis == v``, or to None when ``v`` is not an integer combination of
+    the rows.  With ``u * basis == h`` from the Hermite normal form,
+    ``x . basis == v`` reads ``y . h == v`` for ``y = x * u^-1``.  The rows of
+    ``h`` are echelon, so forward substitution on their pivot columns gives
+    ``y``; it is integral exactly when each pivot divides its residual entry,
+    ``v`` is in the span exactly when the final residual vanishes, and
+    ``x = y * u``.  Raises ValueError when the rows are linearly dependent.
+    """
+    rows = as_matrix(basis)
+    if not rows:
+        return lambda v: None if any(v) else ()
+    h, u = hermite_normal_form(rows)
+    if not any(h[-1]):
+        raise ValueError("basis rows are linearly dependent")
+    ncols = len(rows[0])
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+
+    def coordinates(v: Sequence[int]) -> Optional[IntVector]:
+        if len(v) != ncols:
+            raise ValueError("vector length does not match row length")
+        residual = list(v)
+        y = []
+        for row, p in zip(h, pivots):
+            q, rem = divmod(residual[p], row[p])
+            if rem:
+                return None
+            if q:
+                residual = [a - q * b for a, b in zip(residual, row)]
+            y.append(q)
+        if any(residual):
+            return None
+        return tuple(sum(c * row[j] for c, row in zip(y, u)) for j in range(len(u)))
+
+    return coordinates
+
+
 def integer_coordinates(basis: Iterable[Sequence[int]], v: Sequence[int]) -> Optional[IntVector]:
-    """Integer coordinates of ``v`` in the given basis rows, or None."""
-    sol = rational_solve(basis, v)
-    if sol is None or any(f.denominator != 1 for f in sol):
-        return None
-    return tuple(int(f) for f in sol)
+    """Integer coordinates of ``v`` in the given basis rows, or None.
+
+    The rows must be linearly independent (ValueError otherwise)."""
+    return integer_solver(basis)(v)
 
 
 def is_nonneg_int_combination(basis: Iterable[Sequence[int]], v: Sequence[int]) -> bool:
     """Whether ``v`` is a nonnegative-integer combination of the basis rows.
 
     The rows must be linearly independent so that the combination, when it
-    exists, is unique.
+    exists, is unique (ValueError otherwise).
     """
-    sol = rational_solve(basis, v)
-    return sol is not None and all(f.denominator == 1 and f >= 0 for f in sol)
+    x = integer_solver(basis)(v)
+    return x is not None and all(c >= 0 for c in x)
+
+
+def is_free_semigroup(vectors: Sequence[IntVector], ncols: int) -> bool:
+    """Whether distinct nonzero vectors generate a free semigroup on a basis
+    of a direct summand of Z^ncols.
+
+    True iff some linearly independent subset of the vectors, as large as
+    their rank, has every vector as a nonnegative integer combination and
+    generates a saturated sublattice of Z^ncols.  The empty set is free.
+
+    Only indecomposable vectors, those that are not the sum ``g + g'`` of
+    two of the vectors (``g == g'`` allowed), are tried as basis elements.
+    This loses no basis, so the answer is that of the search over all
+    subsets: if ``B`` passes, every vector has unique coordinates in
+    ``N^B`` and coordinates add.  A nonzero vector has coordinate sum at
+    least 1, so a sum of two vectors has coordinate sum at least 2, while
+    each ``b`` in ``B`` has coordinate sum exactly 1; hence no ``b`` in ``B``
+    is such a sum.  Each candidate basis is factored once and every vector
+    is solved against it.
+    """
+    if not vectors:
+        return True
+    rank = lattice_rank(vectors)
+    sums = {
+        tuple(a + b for a, b in zip(g, h))
+        for g, h in combinations_with_replacement(vectors, 2)
+    }
+    candidates = [g for g in vectors if g not in sums]
+    for subset in combinations(candidates, rank):
+        try:
+            coordinates = integer_solver(subset)
+        except ValueError:  # dependent subset
+            continue
+        if not all(
+            (x := coordinates(g)) is not None and min(x) >= 0 for g in vectors
+        ):
+            continue
+        if is_saturated(subset, ncols):
+            return True
+    return False
 
 
 def _homogenized_rows(points: Sequence[IntVector]) -> IntMatrix:

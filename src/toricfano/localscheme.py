@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .intlinalg import IntVector, integer_coordinates, lattice_basis, matrix_rank
+from .intlinalg import IntVector, integer_solver, lattice_basis, matrix_rank
 from .pointconfig import Face, PointConfiguration
 
 
@@ -164,7 +164,10 @@ def choose_w(a: PointConfiguration, sigma: "Face | Sequence[int]") -> IntVector:
     lattice and every configuration point has a nonnegative height; among
     all such points the lexicographically smallest is returned.
     """
-    face = _validated_face(a, sigma)
+    return _choose_w(a, _validated_face(a, sigma))
+
+
+def _choose_w(a: PointConfiguration, face: Face) -> IntVector:
     target = a.difference_basis
     sigma_points = set(face.points)
     candidates = []
@@ -174,8 +177,9 @@ def choose_w(a: PointConfiguration, sigma: "Face | Sequence[int]") -> IntVector:
         rows = _basis_rows(face, w)
         if lattice_basis(rows) != target:
             continue
+        coordinates = integer_solver(rows)
         if all(
-            (coords := integer_coordinates(rows, tuple(x - y for x, y in zip(u, face.points[0]))))
+            (coords := coordinates(tuple(x - y for x, y in zip(u, face.points[0]))))
             is not None
             and coords[0] >= 0
             for u in a.points
@@ -195,21 +199,31 @@ def height_coordinates(
     u: Sequence[int],
 ) -> HeightCoords:
     """The unique coordinates (h, c) of ``u`` over ``sigma`` with apex ``w``."""
-    face = _validated_face(a, sigma)
+    return _heights_over(_validated_face(a, sigma), w)(u)
+
+
+def _heights_over(face: Face, w: Sequence[int]) -> Callable[[Sequence[int]], HeightCoords]:
+    """``height_coordinates`` over a validated face, with the basis of ``w``
+    and the edges of ``face`` factored once for every point."""
     rows = _basis_rows(face, tuple(int(x) for x in w))
     if matrix_rank(rows) != len(rows):
         raise HypothesesViolated(
             "apex is affinely dependent on sigma; coordinates are not unique"
         )
-    diff = tuple(int(x) - y for x, y in zip(u, face.points[0]))
-    coords = integer_coordinates(rows, diff)
-    if coords is None:
-        raise HypothesesViolated(
-            "point has no integral height coordinates over sigma with this apex"
-        )
-    if coords[0] < 0:
-        raise HypothesesViolated("point has negative height over sigma")
-    return HeightCoords(h=coords[0], c=tuple(-x for x in coords[1:]))
+    coordinates = integer_solver(rows)
+    v0 = face.points[0]
+
+    def heights(u: Sequence[int]) -> HeightCoords:
+        coords = coordinates(tuple(int(x) - y for x, y in zip(u, v0)))
+        if coords is None:
+            raise HypothesesViolated(
+                "point has no integral height coordinates over sigma with this apex"
+            )
+        if coords[0] < 0:
+            raise HypothesesViolated("point has negative height over sigma")
+        return HeightCoords(h=coords[0], c=tuple(-x for x in coords[1:]))
+
+    return heights
 
 
 def s_u_case(hc: HeightCoords) -> int:
@@ -309,15 +323,18 @@ def local_ring_basis(
     point of ``sigma``: the intersection of the per-point standard-monomial
     sets over all configuration points outside ``sigma`` and the apex."""
     face = _validated_face(a, sigma)
-    w = choose_w(a, face)
+    return _local_ring_basis(a, face, _choose_w(a, face))
+
+
+def _local_ring_basis(a: PointConfiguration, face: Face, w: IntVector) -> MonomialSet:
     k = face.dim
+    heights = _heights_over(face, w)
     excluded = set(face.points) | {w}
     gens: list[IntVector] = []
     for u in a.points:
         if u in excluded:
             continue
-        hc = height_coordinates(a, face, w, u)
-        gens.extend(s_u(hc, k).ideal_part)
+        gens.extend(s_u(heights(u), k).ideal_part)
     return MonomialSet.from_ideal(k + 1, gens)
 
 
@@ -358,11 +375,11 @@ def multiplicity_by_height(
     contained in none of the translated rays ``sigma + N*(w - v_i)``.
     """
     face = _validated_face(a, sigma)
-    basis = local_ring_basis(a, face)
-    if not basis.is_finite:
+    w = _choose_w(a, face)
+    if not _local_ring_basis(a, face, w).is_finite:
         raise HypothesesViolated("fixed point is not isolated")
-    w = choose_w(a, face)
-    heights = {u: height_coordinates(a, face, w, u).h for u in a.points}
+    height_of = _heights_over(face, w)
+    heights = {u: height_of(u).h for u in a.points}
     if not any(h == 1 and u != w for u, h in heights.items()):
         raise HypothesesViolated("no second configuration point at height one")
     vs = face.points

@@ -18,14 +18,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .intlinalg import (
     IntMatrix,
     IntVector,
     UnsupportedSizeError,
-    integer_coordinates,
-    is_nonneg_int_combination,
+    integer_solver,
+    is_free_semigroup,
     lattice_basis,
     lattice_rank,
     matrix_rank,
@@ -89,6 +89,12 @@ class PointConfiguration:
         p0 = self.points[0]
         diffs = [tuple(a - b for a, b in zip(p, p0)) for p in self.points[1:]]
         return lattice_basis(diffs)
+
+    @cached_property
+    def difference_coordinates(self) -> Callable[[Sequence[int]], Optional[IntVector]]:
+        """Integer coordinates in ``difference_basis``, or None off the
+        lattice; the basis is factored once per configuration."""
+        return integer_solver(self.difference_basis)
 
     def affine_dim_of(self, indices: Sequence[int]) -> int:
         """Dimension of the affine span of the given point subset."""
@@ -182,12 +188,12 @@ class PointConfiguration:
         sigma_diffs = [
             tuple(a - b for a, b in zip(self.points[i], v0)) for i in idx[1:]
         ]
-        big = self.difference_basis  # basis of the full difference lattice, rank n
+        coordinates = self.difference_coordinates  # rank-n difference lattice
         # Express sigma's edge vectors in the difference-lattice basis and
         # check the edge lattice is saturated there (torsion-free quotient).
         coords = []
         for v in sigma_diffs:
-            c = integer_coordinates(big, v)
+            c = coordinates(v)
             assert c is not None, "difference lattice must contain its generators"
             coords.append(c)
         sub = lattice_basis(coords)
@@ -203,23 +209,17 @@ class PointConfiguration:
             if i in idx:
                 continue
             diff = tuple(a - b for a, b in zip(self.points[i], v0))
-            c = integer_coordinates(big, diff)
+            c = coordinates(diff)
             assert c is not None
             img = quotient(c)
             if any(img):
                 images.append(img)
         distinct = sorted(set(images))
+        # Free on a lattice basis of Z^q: rank q, and some q-subset (a basis
+        # exactly when it is saturated in Z^q) has every image as a
+        # nonnegative integer combination.
         q = n - k
-        if lattice_rank(distinct) != q:
-            return False
-        # Free on a lattice basis: some q-subset is a basis of Z^q with every
-        # image a nonnegative integer combination of it.
-        for basis in itertools.combinations(distinct, q):
-            if abs(_det(basis)) != 1:
-                continue
-            if all(is_nonneg_int_combination(basis, img) for img in distinct):
-                return True
-        return False
+        return lattice_rank(distinct) == q and is_free_semigroup(distinct, q)
 
 
 @dataclass(frozen=True)
@@ -255,31 +255,6 @@ class Face:
         return f"Face{self.indices}"
 
 
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    m = [list(r) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        # fraction-free: keep integral by Euclidean elimination
-        for i in range(c + 1, n):
-            while m[i][c]:
-                q = m[c][c] // m[i][c]
-                m[c] = [a - q * b for a, b in zip(m[c], m[i])]
-                m[c], m[i] = m[i], m[c]
-                sign = -sign
-        det *= m[c][c]
-    return sign * det
-
-
 def _quotient_map(sub_basis: IntMatrix, n: int):
     """Projection Z^n -> Z^(n-r) with kernel exactly the sublattice.
 
@@ -304,11 +279,11 @@ def _quotient_map(sub_basis: IntMatrix, n: int):
     kern = _kernel(tuple(sub_basis), n)  # rows orthogonal to sub_basis
     image = [tuple(sum(a * b for a, b in zip(row, unit)) for row in kern)
              for unit in _unit_vectors(n)]
-    image_basis = lattice_basis(image)
+    image_coordinates = integer_solver(lattice_basis(image))
 
     def apply(v: Sequence[int]) -> IntVector:
         raw = tuple(sum(a * b for a, b in zip(row, v)) for row in kern)
-        c = integer_coordinates(image_basis, raw)
+        c = image_coordinates(raw)
         assert c is not None
         return c
 

@@ -38,7 +38,8 @@ from toricfano import (
     verify_cayley_plane,
     verify_chart_sample,
 )
-from toricfano.intlinalg import lattice_rank
+from toricfano import pointconfig
+from toricfano.intlinalg import is_saturated, lattice_rank, matrix_rank, rational_solve
 from toricfano.verify import BRUTE_FORCE_MAX_POINTS
 
 from test_localscheme import FIVE, FOUR, STEEP, oracle_ideal
@@ -76,6 +77,26 @@ def intersection_by_definition(a, pi1, pi2, k):
     ]
     maximal = [q for q in found if not any(q != r and leq(q, r) for r in found)]
     return tuple(sorted(maximal, key=canonical_order))
+
+
+def free_by_subset_search(gens, ncols):
+    """Reference free-semigroup test with no pruning: every subset of the
+    rank's size, each generator solved over the rationals."""
+    if not gens:
+        return True
+    r = lattice_rank(gens)
+    for subset in combinations(gens, r):
+        if matrix_rank(subset) != r:
+            continue
+        solutions = [rational_solve(subset, g) for g in gens]
+        if not all(
+            x is not None and all(f.denominator == 1 and f >= 0 for f in x)
+            for x in solutions
+        ):
+            continue
+        if is_saturated(subset, ncols):
+            return True
+    return False
 
 
 def canonical_transversal(pi):
@@ -312,9 +333,12 @@ def test_fano_scheme_properties(points):
             )
 
     for k in range(1, a.dimension + 1):
-        smooth_everywhere = all(
-            a.is_smooth_at(f) for f in a.fixed_point_faces(k)
-        )
+        smooth_at = {f: a.is_smooth_at(f) for f in a.fixed_point_faces(k)}
+        # the pruned search inside is_smooth_at answers as the full search
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pointconfig, "is_free_semigroup", free_by_subset_search)
+            assert smooth_at == {f: a.is_smooth_at(f) for f in smooth_at}
+        smooth_everywhere = all(smooth_at.values())
         for comp in components(a, k):
             pi = comp.pi
             heads = canonical_transversal(pi)
@@ -335,9 +359,12 @@ def test_fano_scheme_properties(points):
                 st = extended_transversal(pi, face)
                 chart = chart_semigroup(pi, st, face.indices)
                 assert chart_is_pointed(chart)
-                assert lattice_rank(chart_generators_reduced(chart)) == comp.dimension
+                gens = chart_generators_reduced(chart)
+                assert lattice_rank(gens) == comp.dimension
+                smooth = chart_is_smooth(chart)
+                assert smooth == free_by_subset_search(gens, chart.ambient_rank)
                 if smooth_everywhere:
-                    assert chart_is_smooth(chart)
+                    assert smooth
 
 
 @pytest.mark.parametrize(

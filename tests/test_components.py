@@ -238,6 +238,24 @@ def test_chart_is_smooth_requires_direct_summand():
     assert chart_is_smooth(_manual_chart([(1, 0)]))
 
 
+def test_chart_is_smooth_hand_cases_stay_non_smooth():
+    # (2,) spans Z^1 rationally but generates 2Z: not saturated
+    config = PointConfiguration([(0,), (1,)])
+    edge = CayleyStructure(full_face(config), [[0], [1]])
+    chart = ChartSemigroup(
+        pi=edge,
+        sigma_tilde=(0, 1),
+        sigma=(0, 1),
+        generators=((2,),),
+        labels=(("gamma", 1),),
+        ambient_rank=1,
+    )
+    assert chart_generators_reduced(chart) == ((2,),)
+    assert not chart_is_smooth(chart)
+    # no generator is a sum of two others, and no pair is a free basis
+    assert not chart_is_smooth(_manual_chart([(1, 0), (1, 1), (1, 2)]))
+
+
 def test_chart_is_smooth_reduces_generators():
     chart = _manual_chart([(1, 0), (2, 0), (0, 1), (1, 1)])
     assert chart_is_smooth(chart)

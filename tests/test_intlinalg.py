@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,9 @@ from toricfano.intlinalg import (
     in_rational_rowspan,
     integer_coordinates,
     integer_kernel_basis,
+    integer_solver,
+    is_free_semigroup,
+    is_nonneg_int_combination,
     is_saturated,
     lattice_basis,
     lattice_rank,
@@ -199,6 +203,79 @@ def test_rational_solve_and_integer_coordinates():
     assert rational_solve(rows, (0, 0, 1)) is None
     assert integer_coordinates(rows, (1, 3, 1)) == (1, 1)
     assert integer_coordinates([(2, 0), (0, 1)], (1, 1)) is None
+
+
+def _random_independent_rows(rng, q, m):
+    while True:
+        rows = tuple(tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(q))
+        if matrix_rank(rows) == q:
+            return rows
+
+
+def test_integer_solver_matches_rational_solve_on_random_systems():
+    # basis = scale * base, with scale a random nonsingular q x q matrix, so
+    # that integer points of the span often have non-integral coordinates
+    rng = random.Random(20161)
+    kinds = Counter()
+    for _ in range(400):
+        m = rng.randint(1, 5)
+        q = rng.randint(1, m)
+        base = _random_independent_rows(rng, q, m)
+        scale = _random_independent_rows(rng, q, q)
+        basis = mat_mul(scale, base)
+        solve = integer_solver(basis)
+        for _ in range(4):
+            y = [rng.randint(-5, 5) for _ in range(q)]
+            v = rng.choice(
+                [
+                    mat_mul((y,), base)[0],
+                    mat_mul((y,), basis)[0],
+                    tuple(rng.randint(-9, 9) for _ in range(m)),
+                ]
+            )
+            exact = rational_solve(basis, v)
+            if exact is None:
+                kinds["inconsistent"] += 1
+                assert solve(v) is None
+            elif any(f.denominator != 1 for f in exact):
+                kinds["non-integral"] += 1
+                assert solve(v) is None
+            else:
+                kinds["integral"] += 1
+                assert solve(v) == tuple(int(f) for f in exact)
+                assert integer_coordinates(basis, v) == solve(v)
+                assert is_nonneg_int_combination(basis, v) == (min(solve(v)) >= 0)
+    assert min(kinds[k] for k in ("inconsistent", "non-integral", "integral")) >= 100
+
+
+def test_integer_solver_rejects_dependent_rows():
+    with pytest.raises(ValueError):
+        integer_solver([(1, 2), (2, 4)])
+    with pytest.raises(ValueError):
+        integer_solver([(0, 0, 0)])
+    with pytest.raises(ValueError):
+        integer_coordinates([(1, 0), (0, 1), (1, 1)], (1, 1))
+    with pytest.raises(ValueError):
+        integer_solver([(1, 0)])((1, 0, 0))  # wrong vector length
+
+
+def test_integer_solver_empty_basis():
+    solve = integer_solver([])
+    assert solve((0, 0)) == ()
+    assert solve(()) == ()
+    assert solve((0, 1)) is None
+    assert rational_solve([], (0, 1)) is None
+
+
+def test_is_free_semigroup_hand_cases():
+    assert is_free_semigroup([], 3)
+    assert is_free_semigroup([(1, 0), (0, 1)], 2)
+    # decomposable generators are never basis elements, yet still checked
+    assert is_free_semigroup([(0, 1), (1, 0), (1, 1), (2, 0)], 2)
+    assert is_free_semigroup([(0, 1), (1, -1), (1, 0)], 2)
+    assert not is_free_semigroup([(-1, 0), (0, 1), (1, 0)], 2)  # not pointed
+    assert is_free_semigroup([(1, 1, 0)], 3)  # direct summand of lower rank
+    assert not is_free_semigroup([(2, 2, 0)], 3)
 
 
 def test_affine_equivalence_identity_and_translation():
