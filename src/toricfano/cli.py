@@ -131,7 +131,7 @@ def _structure_entry(pi: CayleyStructure) -> dict:
     }
 
 
-def _component_entry(comp, a: PointConfiguration) -> dict:
+def _component_entry(comp) -> dict:
     fixed = []
     for face in comp.fixed_points:
         # extend the simplex to a transversal by adding the smallest index of
@@ -150,6 +150,15 @@ def _component_entry(comp, a: PointConfiguration) -> dict:
         "l": comp.pi.l,
         "dimension": comp.dimension,
         "fixed_points": fixed,
+    }
+
+
+def _input_entry(a: PointConfiguration) -> dict:
+    return {
+        "points": [list(p) for p in a.points],
+        "n": len(a.points),
+        "d": a.ambient_dim,
+        "dimension": a.dimension,
     }
 
 
@@ -179,12 +188,7 @@ def analysis_report(
         "schema": SCHEMA_VERSION,
         "command": "analyze",
         "name": name,
-        "input": {
-            "points": [list(p) for p in a.points],
-            "n": len(a.points),
-            "d": a.ambient_dim,
-            "dimension": a.dimension,
-        },
+        "input": _input_entry(a),
         "k_reports": [],
     }
     for k in sorted(set(ks)):
@@ -204,7 +208,7 @@ def analysis_report(
                     )
         section = {
             "k": k,
-            "components": [_component_entry(c, a) for c in comps],
+            "components": [_component_entry(c) for c in comps],
             "intersections": intersections,
             "graph": {
                 "vertices": list(graph.vertices),
@@ -250,12 +254,7 @@ def mult_report(a: PointConfiguration, name: Optional[str], sigma: Sequence[int]
         "schema": SCHEMA_VERSION,
         "command": "mult",
         "name": name,
-        "input": {
-            "points": [list(p) for p in a.points],
-            "n": len(a.points),
-            "d": a.ambient_dim,
-            "dimension": a.dimension,
-        },
+        "input": _input_entry(a),
         "sigma": sorted(int(i) for i in face.indices),
         "w_index": a.points.index(w),
         "w_point": list(w),
@@ -286,7 +285,7 @@ def _verify_checks(a: PointConfiguration, expect: dict, seed: int, trials: int) 
             sum(m * p[i] for m, p in zip(vec, a.points)) for i in range(a.ambient_dim)
         )
         for vec in rb.vectors
-    ) and (not rb.vectors or is_saturated(rb.vectors, len(a.points)))
+    ) and is_saturated(rb.vectors)
     record("relation_basis_valid", rel_ok)
 
     poset = a.cayley_poset
@@ -384,12 +383,7 @@ def verify_report(
         "schema": SCHEMA_VERSION,
         "command": "verify",
         "name": name,
-        "input": {
-            "points": [list(p) for p in a.points],
-            "n": len(a.points),
-            "d": a.ambient_dim,
-            "dimension": a.dimension,
-        },
+        "input": _input_entry(a),
         "seed": seed,
         "trials": trials,
         "checks": checks,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .cayley import CayleyStructure, leq, maximal_cayley_structures
 from .intlinalg import IntVector, cone_is_pointed, is_free_semigroup
@@ -260,7 +260,7 @@ def chart_is_smooth(c: ChartSemigroup) -> bool:
     generators spans the whole semigroup by nonnegative integer combinations
     and generates a direct summand of the ambient lattice.
     """
-    return is_free_semigroup(chart_generators_reduced(c), c.ambient_rank)
+    return is_free_semigroup(chart_generators_reduced(c))
 
 
 def components_intersection(

@@ -5,15 +5,18 @@ Everything here works with arbitrary-precision Python ints and
 immutable tuples of tuples of ints (rows by columns), vectors are tuples.
 
 The central primitive is a row-style Hermite normal form with a tracked
-unimodular transform; kernel bases, ranks, rational rowspan membership,
-lattice saturation, integer solving against a basis factored once, and
-affine unimodular equivalence of point configurations all derive from it.
+unimodular transform; kernel bases, ranks, rational rowspan membership, the
+test for saturated lattices (unit pivots in the form of the transposed
+basis), integer solving against a basis factored once, the free-semigroup
+test, and affine unimodular equivalence of point configurations all derive
+from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -94,14 +97,11 @@ def hermite_normal_form(m: Iterable[Sequence[int]]) -> tuple[IntMatrix, IntMatri
 
 def matrix_rank(m: Iterable[Sequence[int]]) -> int:
     """Rank over the rationals (= number of nonzero rows of the HNF)."""
-    h, _ = hermite_normal_form(m)
+    mm = as_matrix(m)
+    if not mm:
+        return 0
+    h, _ = hermite_normal_form(mm)
     return sum(1 for row in h if any(row))
-
-
-def lattice_rank(vectors: Iterable[Sequence[int]]) -> int:
-    """Rank of the lattice generated by the given integer vectors."""
-    vs = as_matrix(vectors)
-    return matrix_rank(vs) if vs else 0
 
 
 def lattice_basis(vectors: Iterable[Sequence[int]]) -> IntMatrix:
@@ -138,9 +138,7 @@ def in_rational_rowspan(m: Iterable[Sequence[int]], v: Sequence[int | Fraction])
     """Whether ``v`` lies in the span of the rows of ``m`` over the rationals."""
     mm = as_matrix(m)
     fracs = [Fraction(x) for x in v]
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // _gcd(scale, f.denominator)
+    scale = lcm(*(f.denominator for f in fracs))
     iv = tuple(int(f * scale) for f in fracs)
     if mm and len(iv) != len(mm[0]):
         raise ValueError("vector length does not match matrix columns")
@@ -149,31 +147,18 @@ def in_rational_rowspan(m: Iterable[Sequence[int]], v: Sequence[int | Fraction])
     return matrix_rank(mm) == matrix_rank(mm + (iv,))
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def saturation(vectors: Iterable[Sequence[int]], ncols: Optional[int] = None) -> IntMatrix:
-    """Canonical basis of (rational span of vectors) intersect Z^ncols."""
-    vs = as_matrix(vectors)
-    if ncols is None:
-        if not vs:
-            raise ValueError("ncols required for an empty generating set")
-        ncols = len(vs[0])
-    orth = _kernel(vs, ncols)
-    return lattice_basis(_kernel(orth, ncols)) if orth else lattice_basis(identity_matrix(ncols))
-
-
-def is_saturated(vectors: Iterable[Sequence[int]], ncols: Optional[int] = None) -> bool:
-    """Whether the lattice generated by the vectors is saturated in Z^ncols.
+def is_saturated(vectors: Iterable[Sequence[int]]) -> bool:
+    """Whether the lattice generated by the vectors is saturated.
 
     Saturated means every integer point of the rational span already lies in
-    the lattice; equivalently the lattice is a direct summand of Z^ncols.
+    the lattice; equivalently the lattice is a direct summand of Z^n.  For a
+    basis ``B`` of rank ``r`` and ``u * B^T == h``, the gcd of the maximal
+    minors of ``B`` is that of ``h`` (``u`` is unimodular), the product of the
+    pivots ``h[i][i]``; it is 1 exactly for a direct summand.
     """
-    vs = as_matrix(vectors)
-    return lattice_basis(vs) == saturation(vs, ncols)
+    basis = lattice_basis(vectors)
+    h, _ = hermite_normal_form(transpose(basis))
+    return all(h[i][i] == 1 for i in range(len(basis)))
 
 
 def rational_solve(rows: Iterable[Sequence[int]], v: Sequence[int | Fraction]) -> Optional[RatVector]:
@@ -261,30 +246,13 @@ def integer_solver(
     return coordinates
 
 
-def integer_coordinates(basis: Iterable[Sequence[int]], v: Sequence[int]) -> Optional[IntVector]:
-    """Integer coordinates of ``v`` in the given basis rows, or None.
-
-    The rows must be linearly independent (ValueError otherwise)."""
-    return integer_solver(basis)(v)
-
-
-def is_nonneg_int_combination(basis: Iterable[Sequence[int]], v: Sequence[int]) -> bool:
-    """Whether ``v`` is a nonnegative-integer combination of the basis rows.
-
-    The rows must be linearly independent so that the combination, when it
-    exists, is unique (ValueError otherwise).
-    """
-    x = integer_solver(basis)(v)
-    return x is not None and all(c >= 0 for c in x)
-
-
-def is_free_semigroup(vectors: Sequence[IntVector], ncols: int) -> bool:
+def is_free_semigroup(vectors: Sequence[IntVector]) -> bool:
     """Whether distinct nonzero vectors generate a free semigroup on a basis
-    of a direct summand of Z^ncols.
+    of a direct summand of Z^n.
 
     True iff some linearly independent subset of the vectors, as large as
     their rank, has every vector as a nonnegative integer combination and
-    generates a saturated sublattice of Z^ncols.  The empty set is free.
+    generates a saturated sublattice of Z^n.  The empty set is free.
 
     Only indecomposable vectors, those that are not the sum ``g + g'`` of
     two of the vectors (``g == g'`` allowed), are tried as basis elements.
@@ -298,7 +266,7 @@ def is_free_semigroup(vectors: Sequence[IntVector], ncols: int) -> bool:
     """
     if not vectors:
         return True
-    rank = lattice_rank(vectors)
+    rank = matrix_rank(vectors)
     sums = {
         tuple(a + b for a, b in zip(g, h))
         for g, h in combinations_with_replacement(vectors, 2)
@@ -313,7 +281,7 @@ def is_free_semigroup(vectors: Sequence[IntVector], ncols: int) -> bool:
             (x := coordinates(g)) is not None and min(x) >= 0 for g in vectors
         ):
             continue
-        if is_saturated(subset, ncols):
+        if is_saturated(subset):
             return True
     return False
 

@@ -24,10 +24,10 @@ from .intlinalg import (
     IntMatrix,
     IntVector,
     UnsupportedSizeError,
+    hermite_normal_form,
     integer_solver,
     is_free_semigroup,
     lattice_basis,
-    lattice_rank,
     matrix_rank,
     _kernel,
 )
@@ -105,7 +105,7 @@ class PointConfiguration:
         diffs = [
             tuple(a - b for a, b in zip(self.points[i], p0)) for i in idx[1:]
         ]
-        return lattice_rank(diffs)
+        return matrix_rank(diffs)
 
     def is_empty_simplex(self, indices: Sequence[int]) -> bool:
         """Whether the subset consists of affinely independent points.
@@ -185,41 +185,35 @@ class PointConfiguration:
         k = len(idx) - 1
         n = self.dimension
         v0 = self.points[idx[0]]
-        sigma_diffs = [
-            tuple(a - b for a, b in zip(self.points[i], v0)) for i in idx[1:]
-        ]
-        coordinates = self.difference_coordinates  # rank-n difference lattice
-        # Express sigma's edge vectors in the difference-lattice basis and
-        # check the edge lattice is saturated there (torsion-free quotient).
-        coords = []
-        for v in sigma_diffs:
-            c = coordinates(v)
+
+        def coordinates(i: int) -> IntVector:
+            # (point i - v0) in the basis of the rank-n difference lattice
+            c = self.difference_coordinates(
+                tuple(a - b for a, b in zip(self.points[i], v0))
+            )
             assert c is not None, "difference lattice must contain its generators"
-            coords.append(c)
-        sub = lattice_basis(coords)
-        if len(sub) != k:
+            return c
+
+        # One HNF u * E^T = h of the k independent edge coordinates E: the
+        # edges span a direct summand of Z^n iff the k pivots of h are 1, and
+        # then v -> u[k:] . v maps Z^n onto Z^(n-k) with kernel exactly the
+        # edge lattice (u is unimodular and u[k:] . E^T = 0).  E^T is built
+        # column by column so that a vertex (k = 0) still gives n rows.
+        edges = [coordinates(i) for i in idx[1:]]
+        h, u = hermite_normal_form(tuple(tuple(e[j] for e in edges) for j in range(n)))
+        if any(h[i][i] != 1 for i in range(k)):
             return False
-        # Saturation of the rank-k sublattice inside Z^n: the quotient map
-        # below is only defined when sub is part of a basis.
-        quotient = _quotient_map(sub, n)
-        if quotient is None:
-            return False
-        images = []
-        for i in range(len(self.points)):
-            if i in idx:
-                continue
-            diff = tuple(a - b for a, b in zip(self.points[i], v0))
-            c = coordinates(diff)
-            assert c is not None
-            img = quotient(c)
-            if any(img):
-                images.append(img)
-        distinct = sorted(set(images))
-        # Free on a lattice basis of Z^q: rank q, and some q-subset (a basis
-        # exactly when it is saturated in Z^q) has every image as a
-        # nonnegative integer combination.
-        q = n - k
-        return lattice_rank(distinct) == q and is_free_semigroup(distinct, q)
+        # The images of the other points are nonzero: a point off the face
+        # sigma is off its affine span.
+        images = set()
+        for i in set(range(len(self.points))) - set(idx):
+            c = coordinates(i)
+            images.add(tuple(sum(a * b for a, b in zip(row, c)) for row in u[k:]))
+        distinct = sorted(images)
+        # Free on a lattice basis of Z^(n-k): rank n-k, and some subset of
+        # that size (a basis exactly when it is saturated) has every image as
+        # a nonnegative integer combination.
+        return matrix_rank(distinct) == n - k and is_free_semigroup(distinct)
 
 
 @dataclass(frozen=True)
@@ -253,45 +247,6 @@ class Face:
 
     def __repr__(self) -> str:
         return f"Face{self.indices}"
-
-
-def _quotient_map(sub_basis: IntMatrix, n: int):
-    """Projection Z^n -> Z^(n-r) with kernel exactly the sublattice.
-
-    Returns None when the sublattice is not saturated (the quotient has
-    torsion, so no such projection exists).
-    """
-    r = len(sub_basis)
-    # Complete to a basis of Z^n iff the sublattice is a direct summand:
-    # the kernel K of sub_basis (as a map) has rank n - r and sub + K's
-    # dual... Direct approach: saturated iff some (n-r) unit vectors extend
-    # sub_basis to a determinant +-1 matrix; more robustly, use the
-    # HNF-canonical saturation test and build coordinates from the kernel.
-    from .intlinalg import saturation
-
-    if lattice_basis(sub_basis) != saturation(sub_basis, n):
-        return None
-    # Coordinates in the quotient: pair with a basis of the orthogonal
-    # complement's ... simplest sound construction: choose K = kernel of the
-    # matrix with rows sub_basis; then v -> (K . v) identifies Z^n / sub with
-    # a finite-index subgroup of Z^(n-r), and for saturated sub the map
-    # K . v is surjective onto K . Z^n whose lattice we rebase to Z^(n-r).
-    kern = _kernel(tuple(sub_basis), n)  # rows orthogonal to sub_basis
-    image = [tuple(sum(a * b for a, b in zip(row, unit)) for row in kern)
-             for unit in _unit_vectors(n)]
-    image_coordinates = integer_solver(lattice_basis(image))
-
-    def apply(v: Sequence[int]) -> IntVector:
-        raw = tuple(sum(a * b for a, b in zip(row, v)) for row in kern)
-        c = image_coordinates(raw)
-        assert c is not None
-        return c
-
-    return apply
-
-
-def _unit_vectors(n: int) -> list[IntVector]:
-    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
 def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:

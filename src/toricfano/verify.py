@@ -12,9 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from itertools import product
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from typing import Mapping, Sequence
 
 from .cayley import CayleyStructure
 from .components import chart_semigroup
@@ -60,10 +59,8 @@ class PlaneParametrization:
 def _rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     cleared = []
     for row in rows:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        cleared.append(tuple(int(x * lcm) for x in row))
+        scale = lcm(*(x.denominator for x in row))
+        cleared.append(tuple(int(x * scale) for x in row))
     return matrix_rank(cleared)
 
 

@@ -39,9 +39,10 @@ from toricfano import (
     verify_chart_sample,
 )
 from toricfano import pointconfig
-from toricfano.intlinalg import is_saturated, lattice_rank, matrix_rank, rational_solve
+from toricfano.intlinalg import matrix_rank, rational_solve
 from toricfano.verify import BRUTE_FORCE_MAX_POINTS
 
+from test_intlinalg import det, saturated_by_minors
 from test_localscheme import FIVE, FOUR, STEEP, oracle_ideal
 from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
 
@@ -79,12 +80,13 @@ def intersection_by_definition(a, pi1, pi2, k):
     return tuple(sorted(maximal, key=canonical_order))
 
 
-def free_by_subset_search(gens, ncols):
+def free_by_subset_search(gens):
     """Reference free-semigroup test with no pruning: every subset of the
-    rank's size, each generator solved over the rationals."""
+    rank's size, each generator solved over the rationals, saturation by
+    the gcd of maximal minors."""
     if not gens:
         return True
-    r = lattice_rank(gens)
+    r = matrix_rank(gens)
     for subset in combinations(gens, r):
         if matrix_rank(subset) != r:
             continue
@@ -94,7 +96,30 @@ def free_by_subset_search(gens, ncols):
             for x in solutions
         ):
             continue
-        if is_saturated(subset, ncols):
+        if saturated_by_minors(subset):
+            return True
+    return False
+
+
+def smooth_by_basis_completion(a, face):
+    """Reference smoothness at an empty-simplex face: some n-k differences
+    of points off the face complete its k edges to a basis of the
+    difference lattice (|det| = 1 in coordinates of that lattice), and every
+    other difference has nonnegative coordinates on those n-k."""
+    basis = a.difference_basis
+    v0 = a.points[face.indices[0]]
+
+    def coordinates(i):
+        return rational_solve(basis, tuple(p - q for p, q in zip(a.points[i], v0)))
+
+    edges = [coordinates(i) for i in face.indices[1:]]
+    others = [coordinates(i) for i in range(len(a)) if i not in face.indices]
+    k = len(edges)
+    for chosen in combinations(others, len(basis) - k):
+        rows = edges + list(chosen)
+        if abs(det(rows)) == 1 and all(
+            min(rational_solve(rows, c)[k:], default=0) >= 0 for c in others
+        ):
             return True
     return False
 
@@ -348,7 +373,7 @@ def test_fano_scheme_properties(points):
             for size in sorted({k + 1, pi.l + 1}):
                 chart = chart_semigroup(pi, heads, heads[:size])
                 expected = pi.face.dim - pi.l + size * (pi.l - size + 1)
-                assert lattice_rank(chart_generators_reduced(chart)) == expected
+                assert matrix_rank(chart_generators_reduced(chart)) == expected
                 assert verify_chart_sample(
                     a, pi, heads, heads[:size], trials=25, seed=0
                 )
@@ -360,11 +385,24 @@ def test_fano_scheme_properties(points):
                 chart = chart_semigroup(pi, st, face.indices)
                 assert chart_is_pointed(chart)
                 gens = chart_generators_reduced(chart)
-                assert lattice_rank(gens) == comp.dimension
+                assert matrix_rank(gens) == comp.dimension
                 smooth = chart_is_smooth(chart)
-                assert smooth == free_by_subset_search(gens, chart.ambient_rank)
+                assert smooth == free_by_subset_search(gens)
                 if smooth_everywhere:
                     assert smooth
+
+
+def test_is_smooth_at_matches_basis_completion_reference():
+    kinds = Counter()
+    configurations = [pts for _, pts in FIXTURES] + random_configurations(150, seed=7919)
+    for points in configurations:
+        a = PointConfiguration(points)
+        for k in range(a.dimension + 1):
+            for face in a.fixed_point_faces(k):
+                smooth = a.is_smooth_at(face)
+                assert smooth == smooth_by_basis_completion(a, face), (points, face)
+                kinds[smooth] += 1
+    assert kinds[True] >= 100 and kinds[False] >= 100, kinds
 
 
 @pytest.mark.parametrize(

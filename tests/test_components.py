@@ -20,7 +20,7 @@ from toricfano.components import (
     connectivity_graph,
     is_covered_by_k_planes,
 )
-from toricfano.intlinalg import affine_unimodular_equivalent, lattice_rank
+from toricfano.intlinalg import affine_unimodular_equivalent, matrix_rank
 from toricfano.pointconfig import PointConfiguration
 
 from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
@@ -164,7 +164,7 @@ def test_chart_semigroup_birkhoff_projection():
     # one generator is the sum of the other two: a free rank-2 chart
     g0, g4, g5 = (expected[("gamma", i)] for i in (0, 4, 5))
     assert g0 == tuple(a + b for a, b in zip(g4, g5))
-    assert lattice_rank(chart.generators) == component_dimension(pi, 2) == 2
+    assert matrix_rank(chart.generators) == component_dimension(pi, 2) == 2
     assert chart_is_smooth(chart)
 
 
@@ -179,7 +179,7 @@ def test_chart_semigroup_with_extra_coordinates():
         (0,) * 9 + tuple(1 if i == j else 0 for j in range(3)) for i in range(3)
     )
     assert nonzero == units
-    assert lattice_rank(chart.generators) == component_dimension(pi, 2) == 3
+    assert matrix_rank(chart.generators) == component_dimension(pi, 2) == 3
     assert chart_is_smooth(chart)
     labels = {lab for lab, g in zip(chart.labels, chart.generators) if any(g)}
     assert labels == {("gamma2", 1, 5), ("gamma2", 2, 5), ("gamma2", 4, 5)}
@@ -313,7 +313,7 @@ def test_dimension_matches_chart_rank():
             assert comp.pi.l == 1
             for fp in comp.fixed_points:
                 chart = chart_semigroup(comp.pi, fp.indices, fp.indices)
-                assert lattice_rank(chart.generators) == comp.dimension
+                assert matrix_rank(chart.generators) == comp.dimension
 
 
 def test_is_covered_by_k_planes():

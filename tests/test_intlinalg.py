@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,17 +15,13 @@ from toricfano.intlinalg import (
     cone_is_pointed,
     hermite_normal_form,
     in_rational_rowspan,
-    integer_coordinates,
     integer_kernel_basis,
     integer_solver,
     is_free_semigroup,
-    is_nonneg_int_combination,
     is_saturated,
     lattice_basis,
-    lattice_rank,
     matrix_rank,
     rational_solve,
-    saturation,
     transpose,
 )
 
@@ -132,7 +129,7 @@ def test_kernel_is_saturated_and_annihilates():
     basis = integer_kernel_basis(m)
     for v in basis:
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
-    assert is_saturated(basis, 3)
+    assert is_saturated(basis)
     assert len(basis) == 3 - matrix_rank(m)
 
 
@@ -150,7 +147,7 @@ def test_kernel_properties_random(rows):
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
     assert len(basis) == 4 - matrix_rank(rows)
     if basis:
-        assert is_saturated(basis, 4)
+        assert is_saturated(basis)
 
 
 def test_rowspan_unit_square_cases():
@@ -170,11 +167,11 @@ def test_rowspan_accepts_rational_combinations():
     assert not in_rational_rowspan([[1, 1]], (1, 0))
 
 
-def test_lattice_rank():
-    assert lattice_rank([(1, 0), (0, 1), (1, 1)]) == 2
-    assert lattice_rank([(2, 4), (1, 2)]) == 1
-    assert lattice_rank([]) == 0
-    assert lattice_rank([(0, 0, 0)]) == 0
+def test_matrix_rank_of_lattice_generators():
+    assert matrix_rank([(1, 0), (0, 1), (1, 1)]) == 2
+    assert matrix_rank([(2, 4), (1, 2)]) == 1
+    assert matrix_rank([]) == 0
+    assert matrix_rank([(0, 0, 0)]) == 0
 
 
 def test_lattice_basis_canonical():
@@ -183,26 +180,73 @@ def test_lattice_basis_canonical():
     assert b1 == b2 == ((1, 1), (0, 2))
 
 
+def saturated_by_minors(vectors):
+    """Reference saturation test: the gcd of the maximal minors of a basis
+    of the lattice is 1 (the empty basis has the single minor 1)."""
+    basis = lattice_basis(vectors)
+    g = 0
+    for cols in itertools.combinations(range(len(basis[0]) if basis else 0), len(basis)):
+        minor = det([[row[c] for c in cols] for row in basis])
+        assert minor.denominator == 1
+        g = math.gcd(g, int(minor))
+    return g == 1
+
+
+def assert_saturation(vectors, saturated):
+    """``saturated`` is the saturation of the lattice of ``vectors``: a
+    saturated lattice of the same rank that contains every vector."""
+    assert is_saturated(saturated)
+    assert matrix_rank(saturated) == matrix_rank(vectors)
+    solve = integer_solver(saturated)
+    assert all(solve(v) is not None for v in vectors)
+
+
 def test_saturation():
-    assert saturation([(2, 0)]) == ((1, 0),)
-    assert saturation([(2, 2)]) == ((1, 1),)
-    assert is_saturated([(1, 1)], 2)
-    assert not is_saturated([(2, 2)], 2)
+    assert_saturation([(2, 0)], ((1, 0),))
+    assert_saturation([(2, 2)], ((1, 1),))
+    assert is_saturated([(1, 1)])
+    assert not is_saturated([(2, 2)])
     # (2,0) and (1,1) generate the index-2 sublattice {x = y mod 2}
-    assert not is_saturated([(2, 0), (1, 1)], 2)
+    assert not is_saturated([(2, 0), (1, 1)])
     assert lattice_basis([(2, 0), (1, 1)]) == ((1, 1), (0, 2))
-    assert saturation([(2, 0), (1, 1)]) == ((1, 0), (0, 1))
+    assert_saturation([(2, 0), (1, 1)], ((1, 0), (0, 1)))
+    assert is_saturated([])
+    assert is_saturated([(0, 0, 0)])
 
 
-def test_rational_solve_and_integer_coordinates():
+def test_is_saturated_matches_gcd_of_maximal_minors():
+    # products with a random square matrix make index > 1 common
+    rng = random.Random(4409)
+    kinds = Counter()
+    for i in range(1100):
+        m = rng.randint(1, 5)
+        q = 0 if i % 25 == 0 else rng.randint(1, m)
+        base = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(q)]
+        if base and rng.random() < 0.6:
+            scale = [tuple(rng.randint(-2, 2) for _ in range(q)) for _ in range(q)]
+            base = list(mat_mul(scale, base))
+        # multiples of members make the set dependent without changing it
+        vectors = base + [
+            tuple(rng.randint(-1, 1) * x for x in rng.choice(base))
+            for _ in range(rng.randint(0, 2) if base else 0)
+        ]
+        expected = saturated_by_minors(vectors)
+        assert is_saturated(vectors) == expected, vectors
+        kinds["saturated" if expected else "not saturated"] += 1
+        kinds["dependent"] += matrix_rank(vectors) < len(vectors)
+        kinds["empty"] += not vectors
+    assert min(kinds.values()) >= 30, kinds
+
+
+def test_rational_solve_and_integer_solver():
     rows = [(1, 2, 0), (0, 1, 1)]
     x = rational_solve(rows, (1, 3, 1))
     assert x is not None
     combo = tuple(sum(f * r[i] for f, r in zip(x, rows)) for i in range(3))
     assert combo == (1, 3, 1)
     assert rational_solve(rows, (0, 0, 1)) is None
-    assert integer_coordinates(rows, (1, 3, 1)) == (1, 1)
-    assert integer_coordinates([(2, 0), (0, 1)], (1, 1)) is None
+    assert integer_solver(rows)((1, 3, 1)) == (1, 1)
+    assert integer_solver([(2, 0), (0, 1)])((1, 1)) is None
 
 
 def _random_independent_rows(rng, q, m):
@@ -243,8 +287,8 @@ def test_integer_solver_matches_rational_solve_on_random_systems():
             else:
                 kinds["integral"] += 1
                 assert solve(v) == tuple(int(f) for f in exact)
-                assert integer_coordinates(basis, v) == solve(v)
-                assert is_nonneg_int_combination(basis, v) == (min(solve(v)) >= 0)
+                assert integer_solver(basis)(v) == solve(v)
+                assert (min(solve(v)) >= 0) == all(f >= 0 for f in exact)
     assert min(kinds[k] for k in ("inconsistent", "non-integral", "integral")) >= 100
 
 
@@ -254,7 +298,7 @@ def test_integer_solver_rejects_dependent_rows():
     with pytest.raises(ValueError):
         integer_solver([(0, 0, 0)])
     with pytest.raises(ValueError):
-        integer_coordinates([(1, 0), (0, 1), (1, 1)], (1, 1))
+        integer_solver([(1, 0), (0, 1), (1, 1)])
     with pytest.raises(ValueError):
         integer_solver([(1, 0)])((1, 0, 0))  # wrong vector length
 
@@ -268,14 +312,14 @@ def test_integer_solver_empty_basis():
 
 
 def test_is_free_semigroup_hand_cases():
-    assert is_free_semigroup([], 3)
-    assert is_free_semigroup([(1, 0), (0, 1)], 2)
+    assert is_free_semigroup([])
+    assert is_free_semigroup([(1, 0), (0, 1)])
     # decomposable generators are never basis elements, yet still checked
-    assert is_free_semigroup([(0, 1), (1, 0), (1, 1), (2, 0)], 2)
-    assert is_free_semigroup([(0, 1), (1, -1), (1, 0)], 2)
-    assert not is_free_semigroup([(-1, 0), (0, 1), (1, 0)], 2)  # not pointed
-    assert is_free_semigroup([(1, 1, 0)], 3)  # direct summand of lower rank
-    assert not is_free_semigroup([(2, 2, 0)], 3)
+    assert is_free_semigroup([(0, 1), (1, 0), (1, 1), (2, 0)])
+    assert is_free_semigroup([(0, 1), (1, -1), (1, 0)])
+    assert not is_free_semigroup([(-1, 0), (0, 1), (1, 0)])  # not pointed
+    assert is_free_semigroup([(1, 1, 0)])  # direct summand of lower rank
+    assert not is_free_semigroup([(2, 2, 0)])
 
 
 def test_affine_equivalence_identity_and_translation():

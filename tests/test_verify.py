@@ -78,7 +78,7 @@ def test_relation_vectors_are_relations_and_saturated():
             ]
             assert not any(weighted)
         if rb.vectors:
-            assert is_saturated(rb.vectors, len(face.indices))
+            assert is_saturated(rb.vectors)
 
 
 def test_relation_basis_rejects_foreign_face():
