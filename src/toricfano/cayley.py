@@ -176,6 +176,24 @@ def leq(small: CayleyStructure, big: CayleyStructure) -> bool:
     return True
 
 
+def join_on(face: Face, pi1: CayleyStructure, pi2: CayleyStructure) -> CayleyStructure:
+    """The finest common coarsening of ``pi1`` and ``pi2`` on a face inside
+    both of their faces: the blocks of ``pi1`` there, merged whenever a block
+    of ``pi2`` meets several.  Its blocks are unions of blocks of the Cayley
+    structure ``pi1.restricted_to(face)``, so it is one too.  A structure on
+    the face is below ``pi1`` exactly when it coarsens
+    ``pi1.restricted_to(face)``, and likewise for ``pi2``; so the structures
+    on the face below both inputs are the coarsenings of the join.
+    """
+    if not (pi1.face.contains(face) and pi2.face.contains(face)):
+        raise ValueError("the face must lie inside both structures' faces")
+    label = {i: pi1.block_of[i] for i in face.indices}
+    for block in pi2.blocks:
+        hit = {label[i] for i in block if i in label}
+        if len(hit) > 1:
+            head = min(hit)
+            label = {i: head if b in hit else b for i, b in label.items()}
+    return CayleyStructure(face, [[i for i in label if label[i] == b] for b in set(label.values())])
 
 
 class CayleyPoset:
@@ -183,17 +201,16 @@ class CayleyPoset:
     configuration, built once and shared by every question asked of it.
 
     Each configuration holds one instance (``PointConfiguration.cayley_poset``).
-    Structures are enumerated once per face, maximality is computed once for
-    all ``k`` (a structure can only be dominated by one with at least as many
-    blocks, so the components for ``k`` are the maximal structures with
-    ``l >= k``), and the set of structures below a given one is kept once
-    computed, so intersections of components are meets read off those sets.
+    Structures are enumerated once per face and maximality is computed once
+    for all ``k`` (a structure can only be dominated by one with at least as
+    many blocks, so the components for ``k`` are the maximal structures with
+    ``l >= k``).  Maximality and intersections follow one rule: per face, keep
+    the candidates that are not restrictions of candidates on covering faces.
     """
 
     def __init__(self, config: PointConfiguration):
         self.config = config
         self._on_face: dict[tuple[int, ...], tuple[CayleyStructure, ...]] = {}
-        self._below: dict[CayleyStructure, tuple[CayleyStructure, ...]] = {}
 
     def on_face(self, face: Face) -> tuple[CayleyStructure, ...]:
         """The structures with at least two blocks on the face, in the order
@@ -220,66 +237,64 @@ class CayleyPoset:
             for f in faces
         }
 
-    def maximal_among(self, structures: Sequence[CayleyStructure]) -> list[CayleyStructure]:
-        """The members not dominated by another member, in input order.
-
-        ``structures`` must be closed under restriction to faces in between:
-        whenever ``p <= q`` are members with ``q`` on a larger face, the
-        restriction of ``q`` to any face between the two is a member too.
-        The whole poset is, and so is the set of its structures with at least
-        ``k + 1`` blocks below two given structures.
-
-        A member ``p`` on face ``F`` is then non-maximal exactly when
-        ``leq(p, q)`` holds for some member ``q != p`` of one of two kinds:
-        a structure on ``F`` itself (a strict refinement, so ``q.l > p.l``),
-        or a structure on a face covering ``F`` (one dimension higher).
-
-        Proof: suppose ``p <= q`` with ``q`` on a face ``G`` strictly
-        containing ``F``.  Take any face ``F1`` covering ``F`` inside ``G``;
-        it exists because face lattices are graded.  Restrict ``q`` to
-        ``F1``.  The restriction is still a Cayley structure, because affine
-        relations on ``F1`` extend by zero to relations on ``G``.  It still
-        dominates ``p``, since every block of ``q`` meets ``F`` inside one
-        block of ``p``.  It has at least as many blocks as ``p`` (so at least
-        two), because every block of ``p`` receives one of its blocks.  It
-        differs from ``p``, because it lives on a different face.
-        """
-        by_face: dict[tuple[int, ...], list[CayleyStructure]] = {}
-        for q in structures:
-            by_face.setdefault(q.face.indices, []).append(q)
-        covers = self._upper_covers
+    def _not_restricted_from_covers(
+        self, candidates: dict[tuple[int, ...], list[CayleyStructure]]
+    ) -> tuple[CayleyStructure, ...]:
+        """The candidates (nonempty lists keyed by face index set) that are
+        not ``q.restricted_to(F)`` for a candidate ``q`` on a face covering
+        their face ``F``, sorted by (face indices, blocks)."""
         kept = []
-        for p in structures:
-            rivals = [q for q in by_face[p.face.indices] if q.l > p.l]
-            for g in covers[p.face.indices]:
-                rivals.extend(by_face.get(g, ()))
-            if not any(leq(p, q) for q in rivals):
-                kept.append(p)
-        return kept
+        for f, here in candidates.items():
+            restrictions = {
+                q.restricted_to(here[0].face).blocks
+                for g in self._upper_covers[f]
+                for q in candidates.get(g, ())
+            }
+            kept.extend(p for p in here if p.blocks not in restrictions)
+        return tuple(sorted(kept, key=lambda s: (s.face.indices, s.blocks)))
 
     @cached_property
     def maximal(self) -> tuple[CayleyStructure, ...]:
-        """All maximal structures, sorted by (face indices, blocks)."""
-        every = [p for face in self.config.faces() if face.indices for p in self.on_face(face)]
-        return tuple(
-            sorted(self.maximal_among(every), key=lambda s: (s.face.indices, s.blocks))
-        )
+        """All maximal structures, sorted by (face indices, blocks).
 
-    def below(self, pi: CayleyStructure) -> tuple[CayleyStructure, ...]:
-        """The structures of the poset dominated by ``pi``, in face order
-        (``pi`` itself included when it belongs to the poset)."""
-        found = self._below.get(pi)
-        if found is None:
-            inside = set(pi.face.indices)
-            found = tuple(
-                q
-                for face in self.config.faces()
-                if face.indices and inside.issuperset(face.indices)
-                for q in self.on_face(face)
-                if leq(q, pi)
-            )
-            self._below[pi] = found
-        return found
+        Candidates are the finest structures on each face: any other is below
+        a strict refinement on its face.  A finest ``p`` on ``F`` below some
+        ``q != p`` is the restriction of a finest ``q1`` on a face covering
+        ``F``.  Indeed ``q`` lies on a face ``G`` strictly containing ``F``;
+        for ``F1`` covering ``F`` inside ``G`` (face lattices are graded),
+        ``q.restricted_to(F1)`` is a Cayley structure (relations on ``F1``
+        extend by zero to ``G``) above ``p``, and so is a finest ``q1``
+        refining it; ``q1.restricted_to(F)`` refines ``p``, so it is ``p``.
+        Conversely such a restriction is below ``q1 != p``.
+        """
+        finest = {
+            face.indices: [p for p in here if not any(q.l > p.l and leq(p, q) for q in here)]
+            for face in self.config.faces()
+            if face.indices and (here := self.on_face(face))
+        }
+        return self._not_restricted_from_covers(finest)
+
+    def intersection(
+        self, pi1: CayleyStructure, pi2: CayleyStructure, k: int
+    ) -> tuple[CayleyStructure, ...]:
+        """The maximal structures with at least ``k + 1`` blocks below both
+        inputs, sorted by (face indices, blocks).
+
+        By ``join_on``, a face ``G`` inside both faces has one candidate,
+        ``J_G = join_on(G, pi1, pi2)``, when ``J_G.l >= k``.  For ``F`` inside
+        ``G``, ``J_G.restricted_to(F)`` coarsens ``J_F`` (it is a common
+        coarsening on ``F``), and ``J_F <= J_G`` says that it refines
+        ``J_F``: so ``J_F <= J_G`` exactly when
+        ``J_F == J_G.restricted_to(F)``.  Then for ``F1`` covering ``F``
+        inside ``G``, ``J_F1`` refines ``J_G.restricted_to(F1)``, so
+        ``J_F1.restricted_to(F)`` refines ``J_F`` as well and equals it:
+        ``J_F1`` is a candidate above ``J_F``.  Hence the rule of ``maximal``
+        applies unchanged.
+        """
+        common = set(pi1.face.indices) & set(pi2.face.indices)
+        inside = [f for f in self.config.faces() if len(f.indices) > k and common >= set(f.indices)]
+        joins = {f.indices: [j] for f in inside if (j := join_on(f, pi1, pi2)).l >= k}
+        return self._not_restricted_from_covers(joins)
 
 
 def maximal_cayley_structures(config: PointConfiguration, k: int) -> tuple[CayleyStructure, ...]:
@@ -287,7 +302,7 @@ def maximal_cayley_structures(config: PointConfiguration, k: int) -> tuple[Cayle
     sorted by (face indices, blocks).
 
     Maximality is computed once per configuration in the poset of all
-    structures with at least two blocks (see ``CayleyPoset.maximal_among``);
+    structures with at least two blocks (see ``CayleyPoset.maximal``);
     filtering by block count afterwards is equivalent because a structure can
     only be dominated by one with at least as many blocks.
     """

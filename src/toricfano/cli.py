@@ -29,10 +29,9 @@ from .components import (
 from .intlinalg import UnsupportedSizeError, is_saturated
 from .localscheme import (
     HypothesesViolated,
-    choose_w,
-    height_coordinates,
-    local_ring_basis,
-    multiplicity_by_height,
+    _apex_and_heights,
+    _local_ring_basis,
+    _multiplicity_by_height,
     s_u_case,
 )
 from .pointconfig import PointConfiguration
@@ -65,6 +64,37 @@ class CliError(Exception):
         self.code = code
 
 
+def _is_json_int(x) -> bool:
+    # bool is a subclass of int, and int() would truncate floats
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_expect(expect) -> None:
+    """Reject a malformed ``"expect"`` block before ``verify`` runs an oracle."""
+
+    def count(v) -> bool:
+        return _is_json_int(v) and v >= 0
+
+    def per_k(valid):  # an object from k >= 1, written in decimal, to values
+        return lambda t: isinstance(t, dict) and all(
+            k.isdecimal() and k == str(int(k)) and k != "0" and valid(v) for k, v in t.items()
+        )
+
+    forms = {
+        "component_counts": ("an object from k >= 1 to nonnegative integers", per_k(count)),
+        "connected": ("an object from k >= 1 to booleans", per_k(lambda v: isinstance(v, bool))),
+        "dimension": ("a nonnegative integer", count),
+    }
+    if not isinstance(expect, dict):
+        raise CliError(EXIT_PARSE, '"expect" must be an object')
+    for key, value in expect.items():
+        if key not in forms:
+            raise CliError(EXIT_PARSE, f'"expect" has an unknown key {key!r}')
+        form, valid = forms[key]
+        if not valid(value):
+            raise CliError(EXIT_PARSE, f'"expect.{key}" must be {form}, got {value!r}')
+
+
 def load_input(path: str, max_points: int) -> tuple[Optional[str], dict, PointConfiguration]:
     """Read a configuration file; returns (name, raw object, configuration)."""
     try:
@@ -89,15 +119,9 @@ def load_input(path: str, max_points: int) -> tuple[Optional[str], dict, PointCo
             raise CliError(EXIT_PARSE, '"name" must be a string')
         for row in rows:
             for x in row:
-                # bool is a subclass of int, and int() would truncate floats
-                if not isinstance(x, int) or isinstance(x, bool):
+                if not _is_json_int(x):
                     raise CliError(EXIT_PARSE, f"points must be integers, got {x!r}")
-        expect = raw.get("expect", {})
-        if not isinstance(expect, dict):
-            raise CliError(EXIT_PARSE, '"expect" must be an object')
-        for key in ("component_counts", "connected"):
-            if not isinstance(expect.get(key, {}), dict):
-                raise CliError(EXIT_PARSE, f'"expect.{key}" must be an object')
+        _check_expect(raw.get("expect", {}))
     else:
         name = None
         rows = []
@@ -168,12 +192,12 @@ def _local_overview(a: PointConfiguration, k: int) -> list[dict]:
     for face in a.fixed_point_faces(k):
         entry: dict = {"face": list(face.indices)}
         try:
-            w = choose_w(a, face)
-            basis = local_ring_basis(a, face)
+            _, w, heights = _apex_and_heights(a, face)
         except HypothesesViolated as exc:
             entry["hypotheses_violated"] = str(exc)
             entries.append(entry)
             continue
+        basis = _local_ring_basis(face, w, heights)
         entry["w_index"] = a.points.index(w)
         entry["isolated"] = basis.is_finite
         entry["multiplicity"] = basis.cardinality()
@@ -226,15 +250,14 @@ def analysis_report(
 
 def mult_report(a: PointConfiguration, name: Optional[str], sigma: Sequence[int]) -> dict:
     """Local-structure report at one facet; raises HypothesesViolated."""
-    w = choose_w(a, sigma)  # validates the facet hypotheses
-    face = a.face_from_indices(sigma)
-    basis = local_ring_basis(a, face)
+    face, w, heights = _apex_and_heights(a, sigma)  # validates the facet hypotheses
+    basis = _local_ring_basis(face, w, heights)
     per_point = []
     excluded = set(face.points) | {w}
     for idx, u in enumerate(a.points):
         if u in excluded:
             continue
-        hc = height_coordinates(a, face, w, u)
+        hc = heights[u]
         per_point.append(
             {
                 "index": idx,
@@ -247,7 +270,7 @@ def mult_report(a: PointConfiguration, name: Optional[str], sigma: Sequence[int]
     height_note: Optional[str] = None
     if basis.is_finite:
         try:
-            by_height = multiplicity_by_height(a, face)
+            by_height = _multiplicity_by_height(face, w, heights)
         except HypothesesViolated as exc:
             height_note = str(exc)
     return {
@@ -338,36 +361,16 @@ def _verify_checks(a: PointConfiguration, expect: dict, seed: int, trials: int) 
             break
     record("chart_samples_on_variety", chart_bad is None, chart_bad)
 
-    def expected_k(key) -> int:
-        try:
-            return int(key)
-        except (TypeError, ValueError):
-            raise CliError(EXIT_PARSE, f'"expect" keys must be integers, got {key!r}')
+    def compare(cname: str, got, wanted) -> None:
+        record(cname, got == wanted, None if got == wanted else f"expected {wanted}, found {got}")
 
+    # load_input has checked the block: each key is some k >= 1 in decimal
     for key, wanted in sorted(expect.get("component_counts", {}).items()):
-        k = expected_k(key)
-        got = len(components(a, k))
-        record(
-            f"expect:component_count:k={k}",
-            got == wanted,
-            None if got == wanted else f"expected {wanted}, found {got}",
-        )
+        compare(f"expect:component_count:k={key}", len(components(a, int(key))), wanted)
     for key, wanted in sorted(expect.get("connected", {}).items()):
-        k = expected_k(key)
-        got = connectivity_graph(a, k).is_connected()
-        record(
-            f"expect:connected:k={k}",
-            got == wanted,
-            None if got == wanted else f"expected {wanted}, found {got}",
-        )
+        compare(f"expect:connected:k={key}", connectivity_graph(a, int(key)).is_connected(), wanted)
     if "dimension" in expect:
-        got = a.dimension
-        wanted = expect["dimension"]
-        record(
-            "expect:dimension",
-            got == wanted,
-            None if got == wanted else f"expected {wanted}, found {got}",
-        )
+        compare("expect:dimension", a.dimension, expect["dimension"])
     return checks
 
 
@@ -520,6 +523,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except HypothesesViolated as exc:
                 raise CliError(EXIT_HYPOTHESES, f"hypotheses violated: {exc}")
         else:
+            if args.trials < 1:
+                raise CliError(EXIT_PARSE, f"--trials must be at least 1, got {args.trials}")
             expect = raw.get("expect", {})
             report = verify_report(a, name, expect, args.seed, args.trials)
             if not report["passed"]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable
 
-from .cayley import CayleyStructure, leq, maximal_cayley_structures
+from .cayley import CayleyStructure, maximal_cayley_structures
 from .intlinalg import IntVector, cone_is_pointed, is_free_semigroup
 from .pointconfig import Face, PointConfiguration
 
@@ -272,9 +272,8 @@ def components_intersection(
     structures with at least ``k + 1`` blocks lying below both inputs.  The
     intersection of the two components is the union of the k-plane families
     of the returned structures; an empty tuple means the components are
-    disjoint.  The candidates are read off the configuration's Cayley poset:
-    the structures below ``pi1`` (kept once computed) that also lie below
-    ``pi2``.
+    disjoint.  They are read off one join per face inside both faces (see
+    ``CayleyPoset.intersection``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -283,16 +282,7 @@ def components_intersection(
             raise ValueError("structures must belong to the given configuration")
         if pi.l < k:
             raise ValueError("structures must have at least k+1 blocks")
-    poset = a.cayley_poset
-    inside = set(pi2.face.indices)
-    common = [
-        q
-        for q in poset.below(pi1)
-        if q.l >= k and inside.issuperset(q.face.indices) and leq(q, pi2)
-    ]
-    return tuple(
-        sorted(poset.maximal_among(common), key=lambda q: (q.face.indices, q.blocks))
-    )
+    return a.cayley_poset.intersection(pi1, pi2, k)
 
 
 def connectivity_graph(a: PointConfiguration, k: int) -> ConnectivityGraph:

@@ -156,7 +156,12 @@ def is_saturated(vectors: Iterable[Sequence[int]]) -> bool:
     minors of ``B`` is that of ``h`` (``u`` is unimodular), the product of the
     pivots ``h[i][i]``; it is 1 exactly for a direct summand.
     """
-    basis = lattice_basis(vectors)
+    return _unit_pivots(lattice_basis(vectors))
+
+
+def _unit_pivots(basis: Sequence[Sequence[int]]) -> bool:
+    """Whether linearly independent rows generate a saturated lattice: every
+    pivot of the Hermite normal form of their transpose is 1."""
     h, _ = hermite_normal_form(transpose(basis))
     return all(h[i][i] == 1 for i in range(len(basis)))
 
@@ -262,7 +267,8 @@ def is_free_semigroup(vectors: Sequence[IntVector]) -> bool:
     least 1, so a sum of two vectors has coordinate sum at least 2, while
     each ``b`` in ``B`` has coordinate sum exactly 1; hence no ``b`` in ``B``
     is such a sum.  Each candidate basis is factored once and every vector
-    is solved against it.
+    is solved against it; being independent, it is its own lattice basis,
+    so saturation takes one more factorization, of its transpose.
     """
     if not vectors:
         return True
@@ -281,7 +287,7 @@ def is_free_semigroup(vectors: Sequence[IntVector]) -> bool:
             (x := coordinates(g)) is not None and min(x) >= 0 for g in vectors
         ):
             continue
-        if is_saturated(subset):
+        if _unit_pivots(subset):
             return True
     return False
 

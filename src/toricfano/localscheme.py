@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
-from .intlinalg import IntVector, integer_solver, lattice_basis, matrix_rank
+from .intlinalg import IntVector, integer_solver, lattice_basis
 from .pointconfig import Face, PointConfiguration
 
 
@@ -48,6 +48,9 @@ class HeightCoords:
     @property
     def cvec(self) -> tuple[int, ...]:
         return (self.c0,) + self.c
+
+
+Heights = dict[IntVector, HeightCoords]  # every configuration point's coordinates
 
 
 @dataclass(frozen=True)
@@ -206,11 +209,12 @@ def _heights_over(face: Face, w: Sequence[int]) -> Callable[[Sequence[int]], Hei
     """``height_coordinates`` over a validated face, with the basis of ``w``
     and the edges of ``face`` factored once for every point."""
     rows = _basis_rows(face, tuple(int(x) for x in w))
-    if matrix_rank(rows) != len(rows):
+    try:
+        coordinates = integer_solver(rows)
+    except ValueError as exc:  # dependent rows
         raise HypothesesViolated(
             "apex is affinely dependent on sigma; coordinates are not unique"
-        )
-    coordinates = integer_solver(rows)
+        ) from exc
     v0 = face.points[0]
 
     def heights(u: Sequence[int]) -> HeightCoords:
@@ -322,19 +326,28 @@ def local_ring_basis(
     """Monomial basis of the local ring of the k-plane scheme at the fixed
     point of ``sigma``: the intersection of the per-point standard-monomial
     sets over all configuration points outside ``sigma`` and the apex."""
+    return _local_ring_basis(*_apex_and_heights(a, sigma))
+
+
+def _apex_and_heights(
+    a: PointConfiguration, sigma: "Face | Sequence[int]"
+) -> tuple[Face, IntVector, Heights]:
+    """The validated facet, its apex, and the height coordinates of every
+    configuration point over them: the facet is validated and the apex
+    searched for once, for all the local-structure questions at ``sigma``."""
     face = _validated_face(a, sigma)
-    return _local_ring_basis(a, face, _choose_w(a, face))
+    w = _choose_w(a, face)
+    height_of = _heights_over(face, w)
+    return face, w, {u: height_of(u) for u in a.points}
 
 
-def _local_ring_basis(a: PointConfiguration, face: Face, w: IntVector) -> MonomialSet:
+def _local_ring_basis(face: Face, w: IntVector, heights: Heights) -> MonomialSet:
     k = face.dim
-    heights = _heights_over(face, w)
     excluded = set(face.points) | {w}
     gens: list[IntVector] = []
-    for u in a.points:
-        if u in excluded:
-            continue
-        gens.extend(s_u(heights(u), k).ideal_part)
+    for u, hc in heights.items():
+        if u not in excluded:
+            gens.extend(s_u(hc, k).ideal_part)
     return MonomialSet.from_ideal(k + 1, gens)
 
 
@@ -374,18 +387,21 @@ def multiplicity_by_height(
     Returns the smallest m at which the set of points of height at most m is
     contained in none of the translated rays ``sigma + N*(w - v_i)``.
     """
-    face = _validated_face(a, sigma)
-    w = _choose_w(a, face)
-    if not _local_ring_basis(a, face, w).is_finite:
+    face, w, heights = _apex_and_heights(a, sigma)
+    if not _local_ring_basis(face, w, heights).is_finite:
         raise HypothesesViolated("fixed point is not isolated")
-    height_of = _heights_over(face, w)
-    heights = {u: height_of(u).h for u in a.points}
-    if not any(h == 1 and u != w for u, h in heights.items()):
+    return _multiplicity_by_height(face, w, heights)
+
+
+def _multiplicity_by_height(face: Face, w: IntVector, heights: Heights) -> int:
+    """``multiplicity_by_height`` at a fixed point known to be isolated."""
+    height = {u: hc.h for u, hc in heights.items()}
+    if not any(h == 1 and u != w for u, h in height.items()):
         raise HypothesesViolated("no second configuration point at height one")
     vs = face.points
     directions = [tuple(x - y for x, y in zip(w, v)) for v in vs]
-    for m in range(1, max(heights.values()) + 1):
-        layer = [u for u, h in heights.items() if h <= m]
+    for m in range(1, max(height.values()) + 1):
+        layer = [u for u, h in height.items() if h <= m]
         if not any(
             all(
                 any(

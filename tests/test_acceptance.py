@@ -392,6 +392,18 @@ def test_fano_scheme_properties(points):
                     assert smooth
 
 
+@pytest.mark.parametrize("points", [c[1] for c in CASES], ids=[c[0] for c in CASES])
+def test_graph_edge_exactly_when_intersection_nonempty(points):
+    # the graph comes from shared fixed points, the intersections from joins
+    a = PointConfiguration(points)
+    for k in range(1, a.dimension + 1):
+        comps = components(a, k)
+        edges = set(connectivity_graph(a, k).edges)
+        for c1, c2 in combinations(comps, 2):
+            meet = components_intersection(a, c1.pi, c2.pi, k)
+            assert (tuple(sorted((c1.id, c2.id))) in edges) == bool(meet), (k, c1.pi, c2.pi)
+
+
 def test_is_smooth_at_matches_basis_completion_reference():
     kinds = Counter()
     configurations = [pts for _, pts in FIXTURES] + random_configurations(150, seed=7919)

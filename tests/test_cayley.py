@@ -6,6 +6,7 @@ from toricfano.cayley import (
     CayleyStructure,
     enumerate_cayley_structures,
     is_cayley_structure,
+    join_on,
     leq,
     maximal_cayley_structures,
 )
@@ -213,29 +214,48 @@ def test_poset_rejects_face_of_other_configuration():
         PointConfiguration(QUARTIC).cayley_poset.on_face(full_face(other))
 
 
-def test_poset_below_is_the_lower_set():
+def test_poset_maximal_on_quartic():
+    # the singleton structures on the edges {0,2} and {1,3} are restrictions
+    # of the vertical structure on the face covering them; those on {0,1}
+    # and {2,3} are not, since each of these edges lies in one vertical block
     config = PointConfiguration(QUARTIC)
-    poset = config.cayley_poset
-    vertical = CayleyStructure(full_face(config), [(0, 1), (2, 3)])
-    below = poset.below(vertical)
-    assert {(q.face.indices, q.blocks) for q in below} == {
-        ((0, 1, 2, 3), ((0, 1), (2, 3))),
-        ((0, 2), ((0,), (2,))),
-        ((1, 3), ((1,), (3,))),
-    }
-    assert poset.below(vertical) is below
-
-
-def test_maximal_among_uses_covering_faces():
-    # the vertical structure dominates the edge structures {0,2} and {1,3}
-    # from the face covering them; within one face only strict refinements
-    # dominate
-    config = PointConfiguration(QUARTIC)
-    poset = config.cayley_poset
-    every = [p for f in config.faces() if f.indices for p in poset.on_face(f)]
-    kept = poset.maximal_among(every)
-    assert sorted((p.face.indices, p.blocks) for p in kept) == [
+    assert [(p.face.indices, p.blocks) for p in config.cayley_poset.maximal] == [
         ((0, 1), ((0,), (1,))),
         ((0, 1, 2, 3), ((0, 1), (2, 3))),
         ((2, 3), ((2,), (3,))),
     ]
+
+
+def test_join_merges_blocks_met_by_one_block_of_the_other():
+    config = PointConfiguration(SQUARE)
+    face = full_face(config)
+    # points: 0=(0,0) 1=(0,1) 2=(1,0) 3=(1,1)
+    by_x = CayleyStructure(face, [[0, 1], [2, 3]])
+    by_y = CayleyStructure(face, [[0, 2], [1, 3]])
+    assert join_on(face, by_x, by_y).blocks == ((0, 1, 2, 3),)
+    assert join_on(face, by_x, by_x) == by_x
+    bottom = config.face_from_indices([0, 2])
+    assert join_on(bottom, by_x, by_y).blocks == ((0, 2),)
+    assert join_on(bottom, by_x, by_x).blocks == ((0,), (2,))
+    assert join_on(bottom, by_y, by_x).blocks == ((0, 2),)
+    left = config.face_from_indices([0, 1])
+    with pytest.raises(ValueError):
+        join_on(face, CayleyStructure(left, [[0], [1]]), by_x)
+
+
+def test_join_of_birkhoff_structures_is_their_finest_common_coarsening():
+    config = PointConfiguration(birkhoff_points())
+    facet = config.faces(dim_filter=3)[0]
+    singleton = CayleyStructure(facet, [[i] for i in facet.indices])
+    for proj in enumerate_cayley_structures(full_face(config), l_min=2):
+        restricted = proj.restricted_to(facet)
+        assert join_on(facet, singleton, proj) == restricted
+        assert join_on(facet, proj, singleton) == restricted
+        common = [
+            q
+            for q in enumerate_cayley_structures(facet, l_min=0)
+            if leq(q, singleton) and leq(q, proj)
+        ]
+        # the join is the finest common lower bound on the facet
+        assert restricted in common
+        assert all(leq(q, restricted) for q in common)

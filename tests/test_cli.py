@@ -2,9 +2,11 @@
 
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 
+from toricfano import PointConfiguration, cli, localscheme
 from toricfano.cli import (
     EXIT_BAD_K,
     EXIT_HYPOTHESES,
@@ -173,6 +175,37 @@ def test_mult_non_face_sigma_exits_five(capsys):
     assert "not a face" in err
 
 
+@pytest.mark.parametrize(
+    "argv, facets",
+    [
+        (["mult", DATA / "five.json", "--sigma", "0,1"], 1),
+        (["analyze", DATA / "birkhoff.json", "--k", "3"], 9),
+    ],
+    ids=["mult-five", "analyze-birkhoff"],
+)
+def test_local_reports_validate_each_facet_and_find_its_apex_once(
+    capsys, monkeypatch, argv, facets
+):
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        PointConfiguration,
+        "is_smooth_at",
+        counted("is_smooth_at", PointConfiguration.is_smooth_at),
+    )
+    monkeypatch.setattr(localscheme, "_choose_w", counted("apex", localscheme._choose_w))
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert calls == {"is_smooth_at": facets, "apex": facets}
+
+
 def test_mult_bad_sigma_string(capsys):
     code, _, err = run(capsys, "mult", DATA / "quartic.json", "--sigma", "0;2")
     assert code == EXIT_PARSE
@@ -304,14 +337,58 @@ def test_non_integer_json_coordinates_rejected(capsys, tmp_path, points):
 
 
 @pytest.mark.parametrize(
-    "expect",
-    [[], None, 3, {"component_counts": []}, {"connected": [True]}],
-    ids=["empty-list", "null", "number", "counts-list", "connected-list"],
+    "expect, message",
+    [
+        ([], '"expect" must be an object'),
+        (None, '"expect" must be an object'),
+        (3, '"expect" must be an object'),
+        ({"component_counts": []}, '"expect.component_counts" must be an object'),
+        ({"connected": [True]}, '"expect.connected" must be an object'),
+        ({"component_counts": {"0": 2}}, '"expect.component_counts" must be an object'),
+        ({"component_counts": {"x": 2}}, '"expect.component_counts" must be an object'),
+        ({"connected": {"01": True}}, '"expect.connected" must be an object'),
+        ({"component_counts": {"1": "2"}}, '"expect.component_counts" must be an object'),
+        ({"component_counts": {"1": -1}}, '"expect.component_counts" must be an object'),
+        ({"component_counts": {"1": True}}, '"expect.component_counts" must be an object'),
+        ({"connected": {"1": 1}}, '"expect.connected" must be an object'),
+        ({"dimension": "2"}, '"expect.dimension" must be a nonnegative integer'),
+        ({"dimension": 2.0}, '"expect.dimension" must be a nonnegative integer'),
+        ({"dimensions": 2}, "unknown key 'dimensions'"),
+    ],
+    ids=[
+        "empty-list",
+        "null",
+        "number",
+        "counts-list",
+        "connected-list",
+        "zero-k",
+        "non-integer-k",
+        "padded-k",
+        "string-count",
+        "negative-count",
+        "boolean-count",
+        "integer-connected",
+        "string-dimension",
+        "float-dimension",
+        "unknown-key",
+    ],
 )
-def test_malformed_expect_rejected(capsys, tmp_path, expect):
+def test_malformed_expect_rejected(capsys, tmp_path, monkeypatch, expect, message):
+    def no_oracle(*args):
+        raise AssertionError("an oracle ran before the expect block was checked")
+
+    monkeypatch.setattr(cli, "relation_basis", no_oracle)
     path = tmp_path / "expect.json"
     path.write_text(json.dumps({"points": [[0, 0], [0, 1], [1, 0], [1, 1]], "expect": expect}))
     code, out, err = run(capsys, "verify", path, "--trials", "1")
     assert code == EXIT_PARSE
     assert out == ""
-    assert "must be an object" in err
+    assert message in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_trial(capsys, trials):
+    code, out, err = run(capsys, "verify", DATA / "square.json", "--trials", trials)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "--trials must be at least 1" in err
