@@ -3,8 +3,8 @@ relations.
 
 A Cayley structure on a face tau is a partition of tau's points into l+1
 nonempty blocks such that every affine relation among the points restricts
-to zero on each block - equivalently, each block's indicator vector lies in
-the rational rowspan of tau's homogenized coordinate matrix.  Such a
+to zero on each block - equivalently, each block's entries sum to zero in
+every row of the face's relation basis (``Face.relations``).  Such a
 partition exhibits tau as a Cayley configuration of l+1 fibers and produces
 an (l-parameter family of) l-planes on the associated toric variety.
 
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .intlinalg import IntMatrix, _kernel, in_rational_rowspan
 from .pointconfig import Face, PointConfiguration
 
 
@@ -74,27 +73,20 @@ class CayleyStructure:
         return f"CayleyStructure(face={self.face.indices}, blocks={self.blocks})"
 
 
-def _block_indicator(face: Face, block: Sequence[int]) -> tuple[int, ...]:
-    members = set(block)
-    return tuple(int(i in members) for i in face.indices)
-
-
-def _face_homogenized(face: Face) -> IntMatrix:
-    pts = face.points
-    d = face.config.ambient_dim
-    return tuple(tuple(p[i] for p in pts) for i in range(d)) + ((1,) * len(pts),)
-
-
 def is_cayley_structure(face: Face, blocks: Iterable[Sequence[int]]) -> bool:
     """Whether the given block partition of the face preserves all affine
-    relations (each block indicator lies in the rational rowspan of the
-    face's homogenized matrix)."""
+    relations: each block's entries sum to zero in every row of the face's
+    relation basis.  (A block indicator lies in the rational rowspan of the
+    face's homogenized matrix exactly when it is orthogonal to the relations,
+    the kernel of that matrix.)"""
     canon = [tuple(sorted(b)) for b in blocks]
     flat = sorted(i for b in canon for i in b)
     if flat != list(face.indices) or any(not b for b in canon):
         raise ValueError("blocks must partition the face's index set")
-    m = _face_homogenized(face)
-    return all(in_rational_rowspan(m, _block_indicator(face, b)) for b in canon)
+    position = {i: p for p, i in enumerate(face.indices)}
+    return all(
+        sum(row[position[i]] for i in block) == 0 for row in face.relations for block in canon
+    )
 
 
 def enumerate_cayley_structures(face: Face, l_min: int = 1) -> tuple[CayleyStructure, ...]:
@@ -102,9 +94,12 @@ def enumerate_cayley_structures(face: Face, l_min: int = 1) -> tuple[CayleyStruc
 
     Depth-first search over partitions in restricted-growth order (a point
     joins an existing block or opens a new one, so blocks come out sorted by
-    minimum), pruning a partial assignment as soon as a block's partial
-    indicator leaves the rowspan of the assigned prefix - any relation
-    supported on assigned points already constrains the final block sums.
+    minimum), pruning a partial assignment as soon as a relation supported on
+    the assigned points gives some block a nonzero sum - that sum is already
+    final.  The rows of ``face.relations`` ending before position t span the
+    relations supported on the first t points, and rows ending earlier were
+    checked before point t - 1 was placed, which leaves their sums unchanged;
+    so placing point t - 1 needs only the rows that end there.
     """
     if l_min < 0:
         raise ValueError("l_min must be nonnegative")
@@ -112,24 +107,17 @@ def enumerate_cayley_structures(face: Face, l_min: int = 1) -> tuple[CayleyStruc
     t_total = len(idx)
     if t_total == 0:
         return ()
-    pts = face.points
-    d = face.config.ambient_dim
-
-    def prefix_kernel(t: int) -> IntMatrix:
-        rows = tuple(tuple(p[i] for p in pts[:t]) for i in range(d)) + ((1,) * t,)
-        return _kernel(rows, t)
-
-    kernels = [prefix_kernel(t) for t in range(1, t_total + 1)]
+    ending_at: list[list[tuple[int, ...]]] = [[] for _ in idx]
+    for row in face.relations:
+        ending_at[max(p for p, x in enumerate(row) if x)].append(row)
 
     found: list[CayleyStructure] = []
     blocks: list[list[int]] = []
 
     def compatible(t: int) -> bool:
-        for lam in kernels[t - 1]:
-            for block in blocks:
-                if sum(lam[p] for p in block) != 0:
-                    return False
-        return True
+        return all(
+            sum(row[p] for p in block) == 0 for row in ending_at[t - 1] for block in blocks
+        )
 
     def assign(t: int) -> None:
         if t == t_total:
@@ -223,20 +211,6 @@ class CayleyPoset:
             self._on_face[face.indices] = found
         return found
 
-    @cached_property
-    def _upper_covers(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """For each nonempty face, the index sets of the faces covering it
-        (containing it, one dimension higher)."""
-        faces = [f for f in self.config.faces() if f.indices]
-        return {
-            f.indices: tuple(
-                g.indices
-                for g in faces
-                if g.dim == f.dim + 1 and set(f.indices) < set(g.indices)
-            )
-            for f in faces
-        }
-
     def _not_restricted_from_covers(
         self, candidates: dict[tuple[int, ...], list[CayleyStructure]]
     ) -> tuple[CayleyStructure, ...]:
@@ -244,10 +218,10 @@ class CayleyPoset:
         not ``q.restricted_to(F)`` for a candidate ``q`` on a face covering
         their face ``F``, sorted by (face indices, blocks)."""
         kept = []
-        for f, here in candidates.items():
+        for here in candidates.values():
             restrictions = {
                 q.restricted_to(here[0].face).blocks
-                for g in self._upper_covers[f]
+                for g in here[0].face.covers
                 for q in candidates.get(g, ())
             }
             kept.extend(p for p in here if p.blocks not in restrictions)

@@ -216,7 +216,7 @@ def analysis_report(
         "k_reports": [],
     }
     for k in sorted(set(ks)):
-        comps = sorted(components(a, k), key=lambda c: (c.pi.face.indices, c.pi.blocks))
+        comps = components(a, k)
         graph = connectivity_graph(a, k)
         pieces = graph.connected_components()
         intersections = []

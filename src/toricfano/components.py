@@ -154,7 +154,7 @@ def component_fixed_points(pi: CayleyStructure, k: int) -> tuple[Face, ...]:
 def components(a: PointConfiguration, k: int) -> tuple[FanoComponent, ...]:
     """All irreducible components of the scheme of k-planes on the toric
     variety of ``a``, one per maximal Cayley structure with at least ``k + 1``
-    blocks, in a deterministic order."""
+    blocks, sorted by the structure's (face indices, blocks)."""
     if k < 1:
         raise ValueError("k must be at least 1")
     return tuple(

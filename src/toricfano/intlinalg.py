@@ -5,7 +5,7 @@ Everything here works with arbitrary-precision Python ints and
 immutable tuples of tuples of ints (rows by columns), vectors are tuples.
 
 The central primitive is a row-style Hermite normal form with a tracked
-unimodular transform; kernel bases, ranks, rational rowspan membership, the
+unimodular transform; kernel bases, ranks, affine relation lattices, the
 test for saturated lattices (unit pivots in the form of the transposed
 basis), integer solving against a basis factored once, the free-semigroup
 test, and affine unimodular equivalence of point configurations all derive
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -132,19 +131,6 @@ def integer_kernel_basis(m: Iterable[Sequence[int]]) -> IntMatrix:
     if not mm:
         raise ValueError("kernel of an empty matrix is undefined; no column count")
     return _kernel(mm, len(mm[0]))
-
-
-def in_rational_rowspan(m: Iterable[Sequence[int]], v: Sequence[int | Fraction]) -> bool:
-    """Whether ``v`` lies in the span of the rows of ``m`` over the rationals."""
-    mm = as_matrix(m)
-    fracs = [Fraction(x) for x in v]
-    scale = lcm(*(f.denominator for f in fracs))
-    iv = tuple(int(f * scale) for f in fracs)
-    if mm and len(iv) != len(mm[0]):
-        raise ValueError("vector length does not match matrix columns")
-    if not any(iv):
-        return True
-    return matrix_rank(mm) == matrix_rank(mm + (iv,))
 
 
 def is_saturated(vectors: Iterable[Sequence[int]]) -> bool:

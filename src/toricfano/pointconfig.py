@@ -24,12 +24,14 @@ from .intlinalg import (
     IntMatrix,
     IntVector,
     UnsupportedSizeError,
+    _homogenized_rows,
+    _kernel,
+    affine_relation_lattice,
     hermite_normal_form,
     integer_solver,
     is_free_semigroup,
     lattice_basis,
     matrix_rank,
-    _kernel,
 )
 
 if TYPE_CHECKING:
@@ -71,10 +73,7 @@ class PointConfiguration:
         one row per coordinate plus a final all-ones row)."""
         if not self.points:
             raise ValueError("empty configuration has no homogenized matrix")
-        d = self.ambient_dim
-        return tuple(tuple(p[i] for p in self.points) for i in range(d)) + (
-            (1,) * len(self.points),
-        )
+        return _homogenized_rows(self.points)
 
     @cached_property
     def dimension(self) -> int:
@@ -126,6 +125,10 @@ class PointConfiguration:
         return _enumerate_faces(self)
 
     @cached_property
+    def _face_by_indices(self) -> dict[tuple[int, ...], "Face"]:
+        return {f.indices: f for f in self._face_list}
+
+    @cached_property
     def cayley_poset(self) -> CayleyPoset:
         """The Cayley structures of this configuration, enumerated once and
         shared by components, intersections, the graph and coverage."""
@@ -147,14 +150,13 @@ class PointConfiguration:
     def face_from_indices(self, indices: Sequence[int]) -> "Face":
         """The face with exactly this index set; raises if it is not a face."""
         key = tuple(sorted(set(indices)))
-        for f in self._face_list:
-            if f.indices == key:
-                return f
-        raise ValueError(f"indices {key} do not form a face")
+        face = self._face_by_indices.get(key)
+        if face is None:
+            raise ValueError(f"indices {key} do not form a face")
+        return face
 
     def is_face(self, indices: Sequence[int]) -> bool:
-        key = tuple(sorted(set(indices)))
-        return any(f.indices == key for f in self._face_list)
+        return tuple(sorted(set(indices))) in self._face_by_indices
 
     def fixed_point_faces(self, k: int) -> tuple["Face", ...]:
         """Faces that are empty k-simplices (k+1 points, affine dimension k).
@@ -209,11 +211,8 @@ class PointConfiguration:
         for i in set(range(len(self.points))) - set(idx):
             c = coordinates(i)
             images.add(tuple(sum(a * b for a, b in zip(row, c)) for row in u[k:]))
-        distinct = sorted(images)
-        # Free on a lattice basis of Z^(n-k): rank n-k, and some subset of
-        # that size (a basis exactly when it is saturated) has every image as
-        # a nonnegative integer combination.
-        return matrix_rank(distinct) == n - k and is_free_semigroup(distinct)
+        # Rank n-k: the differences generate Z^n and u[k:] maps it onto Z^(n-k).
+        return is_free_semigroup(sorted(images))
 
 
 @dataclass(frozen=True)
@@ -222,16 +221,27 @@ class Face:
 
     The witness functional satisfies witness . p == offset for points on the
     face and witness . p > offset for all other points of the configuration.
+    ``covers`` holds the index sets of the faces covering this one
+    (containing it, one dimension higher).
     """
 
     config: PointConfiguration
     indices: tuple[int, ...]
     witness: IntVector
     offset: int
+    covers: tuple[tuple[int, ...], ...]
 
     @cached_property
     def dim(self) -> int:
         return self.config.affine_dim_of(self.indices)
+
+    @cached_property
+    def relations(self) -> IntMatrix:
+        """Basis of the affine relations among the face's points, each row
+        indexed like ``indices``, echelon by last nonzero entry: the rows
+        ending before position t span the relations supported on the first
+        t points."""
+        return tuple(row[::-1] for row in reversed(affine_relation_lattice(self.points[::-1])))
 
     @property
     def points(self) -> tuple[IntVector, ...]:
@@ -250,12 +260,15 @@ class Face:
 
 
 def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
-    """Full face list via supporting hyperplanes of the convex hull.
+    """Full face list via supporting hyperplanes of the convex hull, with
+    each face's covers.
 
     Facet candidates come from the affine hulls of n affinely independent
-    points; every lower face is an intersection of facets, so closing the
-    facet set under intersection (plus the configuration itself and the
-    empty face) yields the whole face lattice.
+    points.  Every face is the intersection of the facets containing it, and
+    the faces that a face F covers are exactly the inclusion-maximal proper
+    intersections of F with a facet.  So walking down from the configuration
+    itself and intersecting each new face with the facets only reaches every
+    face and records its covers on the way; witnesses add.
     """
     pts = config.points
     npts = len(pts)
@@ -272,11 +285,7 @@ def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
         )
     n = config.dimension
 
-    faces: dict[tuple[int, ...], tuple[IntVector, int]] = {}
-    all_idx = tuple(range(npts))
-    faces[all_idx] = ((0,) * d, 0)
-
-    # facets
+    facets: dict[tuple[int, ...], tuple[IntVector, int]] = {}
     for subset in itertools.combinations(range(npts), n):
         if n and config.affine_dim_of(subset) != n - 1:
             continue
@@ -297,30 +306,38 @@ def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
                 continue
             face_idx = tuple(i for i, h in enumerate(heights) if h == 0)
             c = sum(a * b for a, b in zip(w, s0))
-            faces.setdefault(face_idx, (w, c))
+            facets.setdefault(face_idx, (w, c))
             break
 
-    # close under intersection; witnesses add
-    work = list(faces.items())
-    while work:
-        next_work = []
-        items = list(faces.items())
-        for idx1, (w1, c1) in work:
-            for idx2, (w2, c2) in items:
-                common = tuple(i for i in idx1 if i in set(idx2))
-                if common not in faces:
-                    w = tuple(a + b for a, b in zip(w1, w2))
-                    faces[common] = (w, c1 + c2)
-                    next_work.append((common, faces[common]))
-        work = next_work
+    all_idx = tuple(range(npts))
+    faces: dict[tuple[int, ...], tuple[IntVector, int]] = {all_idx: ((0,) * d, 0)}
+    covers: dict[tuple[int, ...], list[tuple[int, ...]]] = {all_idx: []}
+    work = [all_idx]
+    for upper in work:  # grows as new faces are found
+        w1, c1 = faces[upper]
+        members = set(upper)
+        meets = {}
+        for facet, (w2, c2) in facets.items():
+            common = tuple(i for i in facet if i in members)
+            if common != upper and common not in meets:
+                meets[common] = (tuple(a + b for a, b in zip(w1, w2)), c1 + c2)
+        for lower, witness in meets.items():
+            if any(set(lower) < set(other) for other in meets):
+                continue  # not a facet of upper
+            if lower not in faces:
+                faces[lower] = witness
+                covers[lower] = []
+                work.append(lower)
+            covers[lower].append(upper)
 
     if () not in faces:
-        # empty face: any positive functional minus 1 below every value; the
-        # zero functional with offset -1 works since 0 > -1 for every point
+        # a single point has no facets; the zero functional with offset -1
+        # cuts out the empty face since 0 > -1 for every point
         faces[()] = ((0,) * d, -1)
+        covers[()] = [all_idx]
 
     result = [
-        Face(config, idx, w, c) for idx, (w, c) in faces.items()
+        Face(config, idx, w, c, tuple(covers[idx])) for idx, (w, c) in faces.items()
     ]
     result.sort(key=lambda f: (len(f.indices), f.indices))
     return tuple(result)

@@ -277,7 +277,8 @@ def brute_force_cayley(
     Every partition of the face's points into at least ``l_min + 1`` blocks
     is tested directly against the relation basis: a partition qualifies
     exactly when every block's entries sum to zero in every basis relation.
-    No rowspan computation and no pruning — this is the slow oracle.
+    No pruning, and its own relation basis rather than ``Face.relations`` —
+    this is the slow oracle.
     """
     face = _as_face(a, tau)
     if len(face.indices) > BRUTE_FORCE_MAX_POINTS:

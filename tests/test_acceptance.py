@@ -39,8 +39,8 @@ from toricfano import (
     verify_chart_sample,
 )
 from toricfano import pointconfig
-from toricfano.intlinalg import matrix_rank, rational_solve
-from toricfano.verify import BRUTE_FORCE_MAX_POINTS
+from toricfano.intlinalg import _kernel, matrix_rank, rational_solve
+from toricfano.verify import BRUTE_FORCE_MAX_POINTS, all_set_partitions, relation_basis
 
 from test_intlinalg import det, saturated_by_minors
 from test_localscheme import FIVE, FOUR, STEEP, oracle_ideal
@@ -122,6 +122,60 @@ def smooth_by_basis_completion(a, face):
         ):
             return True
     return False
+
+
+def faces_by_pairwise_closure(a):
+    """Reference face lattice (index set -> (witness, offset)): facets from
+    every n-subset of affinely independent points, then the closure under
+    pairwise intersection of all faces, witnesses added."""
+    pts, d, n = a.points, a.ambient_dim, a.dimension
+
+    def dot(w, p):
+        return sum(x * y for x, y in zip(w, p))
+
+    faces = {tuple(range(len(pts))): ((0,) * d, 0)}
+    for subset in combinations(range(len(pts)), n):
+        if n and a.affine_dim_of(subset) != n - 1:
+            continue
+        s0 = pts[subset[0]] if subset else pts[0]
+        diffs = tuple(tuple(x - y for x, y in zip(pts[i], s0)) for i in subset[1:])
+        for w in _kernel(diffs, d):
+            heights = [dot(w, p) - dot(w, s0) for p in pts]
+            if not any(heights) or (min(heights) < 0 < max(heights)):
+                continue
+            if min(heights) < 0:
+                w, heights = tuple(-x for x in w), [-h for h in heights]
+            faces.setdefault(tuple(i for i, h in enumerate(heights) if h == 0), (w, dot(w, s0)))
+            break
+    work = list(faces.items())
+    while work:
+        next_work = []
+        items = list(faces.items())
+        for idx1, (w1, c1) in work:
+            for idx2, (w2, c2) in items:
+                common = tuple(i for i in idx1 if i in set(idx2))
+                if common not in faces:
+                    faces[common] = (tuple(x + y for x, y in zip(w1, w2)), c1 + c2)
+                    next_work.append((common, faces[common]))
+        work = next_work
+    faces.setdefault((), ((0,) * d, -1))
+    return faces
+
+
+def cuts_out(a, indices, witness, offset):
+    """Whether the functional attains ``offset`` exactly on the index set
+    and exceeds it at every other point."""
+    values = [sum(x * y for x, y in zip(witness, p)) for p in a.points]
+    on = set(indices)
+    return all(v == offset if i in on else v > offset for i, v in enumerate(values))
+
+
+def cayley_by_block_sums(a, face, blocks):
+    """Reference Cayley test: every block sums to zero in every vector of
+    the oracle's own relation basis."""
+    relations = relation_basis(a, face).vectors
+    position = {i: p for p, i in enumerate(face.indices)}
+    return all(sum(vec[position[i]] for i in block) == 0 for vec in relations for block in blocks)
 
 
 def canonical_transversal(pi):
@@ -402,6 +456,42 @@ def test_graph_edge_exactly_when_intersection_nonempty(points):
         for c1, c2 in combinations(comps, 2):
             meet = components_intersection(a, c1.pi, c2.pi, k)
             assert (tuple(sorted((c1.id, c2.id))) in edges) == bool(meet), (k, c1.pi, c2.pi)
+
+
+def test_face_lattice_matches_pairwise_closure_reference():
+    # faces closed against facets only, with their recorded covers, against
+    # the closure of all faces under intersection and covers by definition
+    configurations = [pts for _, pts in CASES] + random_configurations(150, seed=7919)
+    covered = 0
+    for points in configurations:
+        a = PointConfiguration(points)
+        reference = faces_by_pairwise_closure(a)
+        assert {f.indices for f in a.faces()} == set(reference), points
+        dims = {idx: a.affine_dim_of(idx) for idx in reference}
+        for f in a.faces():
+            above = {
+                g for g in reference if dims[g] == dims[f.indices] + 1 and set(f.indices) < set(g)
+            }
+            assert sorted(f.covers) == sorted(above), (points, f)
+            assert cuts_out(a, f.indices, f.witness, f.offset), (points, f)
+            assert cuts_out(a, f.indices, *reference[f.indices]), (points, f)
+            covered += len(above)
+    assert covered >= 3000, covered
+
+
+def test_is_cayley_structure_matches_block_sums_reference():
+    # every partition of every face of at most seven points
+    partitions = Counter()
+    for _, points in CASES:
+        a = PointConfiguration(points)
+        for face in a.faces():
+            if not face.indices or len(face.indices) > 7:
+                continue
+            for part in all_set_partitions(list(face.indices)):
+                expected = cayley_by_block_sums(a, face, part)
+                assert is_cayley_structure(face, part) == expected, (points, face, part)
+                partitions[expected] += 1
+    assert partitions[True] >= 1000 and partitions[False] >= 1000, partitions
 
 
 def test_is_smooth_at_matches_basis_completion_reference():

@@ -27,6 +27,7 @@ def test_square_partitions():
     assert is_cayley_structure(face, [[0, 2], [1, 3]])  # split by y
     assert not is_cayley_structure(face, [[0, 3], [1, 2]])  # diagonals
     assert not is_cayley_structure(face, [[0], [1], [2], [3]])
+    assert not is_cayley_structure(face, [[0], [1, 2, 3]])  # a lone vertex
     assert is_cayley_structure(face, [[0, 1, 2, 3]])
 
 

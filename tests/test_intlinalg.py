@@ -14,7 +14,6 @@ from toricfano.intlinalg import (
     as_matrix,
     cone_is_pointed,
     hermite_normal_form,
-    in_rational_rowspan,
     integer_kernel_basis,
     integer_solver,
     is_free_semigroup,
@@ -148,23 +147,6 @@ def test_kernel_properties_random(rows):
     assert len(basis) == 4 - matrix_rank(rows)
     if basis:
         assert is_saturated(basis)
-
-
-def test_rowspan_unit_square_cases():
-    m = [[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 1]]
-    assert in_rational_rowspan(m, (1, 0, 1, 0))  # x-block indicator
-    assert not in_rational_rowspan(m, (1, 0, 0, 0))
-    # rational multiples stay inside the rational span
-    assert in_rational_rowspan(m, (Fraction(1, 2), 0, Fraction(1, 2), 0))
-    assert not in_rational_rowspan(m, (Fraction(1, 2), 0, 0, 0))
-    assert in_rational_rowspan(m, (0, 0, 0, 0))
-
-
-def test_rowspan_accepts_rational_combinations():
-    m = [[2, 0], [0, 3]]
-    assert in_rational_rowspan(m, (Fraction(1), Fraction(1, 3)))
-    assert in_rational_rowspan(m, (1, 1))
-    assert not in_rational_rowspan([[1, 1]], (1, 0))
 
 
 def test_matrix_rank_of_lattice_generators():
