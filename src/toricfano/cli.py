@@ -300,8 +300,8 @@ def _verify_checks(a: PointConfiguration, expect: dict, seed: int, trials: int) 
     def record(cname: str, ok: bool, detail: Optional[str] = None):
         checks.append({"name": cname, "pass": bool(ok), "detail": detail})
 
-    full = a.face_from_indices(range(len(a.points)))
-    rb = relation_basis(a, full)
+    bases = {face.indices: relation_basis(a, face) for face in a.faces()}
+    rb = bases[tuple(range(len(a.points)))]
     rel_ok = all(
         sum(vec) == 0
         and not any(
@@ -324,7 +324,7 @@ def _verify_checks(a: PointConfiguration, expect: dict, seed: int, trials: int) 
     bad_plane = None
     for face in a.faces():
         for pi in poset.on_face(face):
-            if not verify_cayley_plane(a, pi):
+            if not verify_cayley_plane(bases[face.indices], pi):
                 bad_plane = f"face {face.indices}, blocks {pi.blocks}"
                 break
         if bad_plane:
@@ -336,9 +336,8 @@ def _verify_checks(a: PointConfiguration, expect: dict, seed: int, trials: int) 
         if not face.indices or len(face.indices) > _EXHAUSTIVE_FACE_CAP:
             continue
         for part in all_set_partitions(list(face.indices)):
-            if verify_cayley_plane(a, CayleyStructure(face, part)) != is_cayley_structure(
-                face, part
-            ):
+            pi = CayleyStructure(face, part)
+            if verify_cayley_plane(bases[face.indices], pi) != is_cayley_structure(face, part):
                 sweep_bad = f"face {face.indices}, partition {part}"
                 break
         if sweep_bad:

@@ -1,7 +1,8 @@
 """Independent oracles for the fast paths of the other modules.
 
 Everything here recomputes from first principles: affine relation lattices
-of faces, formal substitution of the block-plane parametrization into the
+of faces (built once per face per run and passed to the plane and vanishing
+checks), formal substitution of the block-plane parametrization into the
 binomial relations, exact rational sampling of chart parametrizations, and
 raw set-partition enumeration of Cayley structures.  The test suite holds
 the fast implementations to agreement with these.
@@ -110,20 +111,20 @@ def _substituted_sides(
     return sides[0], sides[1]
 
 
-def verify_cayley_plane(a: PointConfiguration, pi: CayleyStructure) -> bool:
+def verify_cayley_plane(relations: RelationBasis, pi: CayleyStructure) -> bool:
     """Whether the block plane of the partition lies on the toric variety.
 
     Substitutes the plane's parametrization into each binomial relation of
-    the partition's face and demands formal equality of the two sides.
+    ``relations``, the partition's face's basis, and demands formal equality.
     Checking a basis of the face's relation lattice suffices: both side
     summaries are additive in the relation vector.  Relations of the full
     configuration with support off the face vanish identically on the
     plane — the face witness forces every such relation to touch the
     complement on both sides, where all plane coordinates are zero.
     """
-    if pi.face.config != a:
-        raise ValueError("structure belongs to a different configuration")
-    for vec in relation_basis(a, pi.face).vectors:
+    if relations.face != pi.face:
+        raise ValueError("relation basis belongs to a different face")
+    for vec in relations.vectors:
         lhs, rhs = _substituted_sides(pi, vec)
         if lhs != rhs:
             return False
@@ -148,7 +149,6 @@ def specialized_chart_plane(
     off the face are zero.
     """
     chart_semigroup(pi, sigma_tilde, sigma)  # validates the chart data
-    face = pi.face
     t = tuple(Fraction(x) for x in torus)
     if len(t) != a.ambient_dim:
         raise ValueError("torus point has the wrong dimension")
@@ -156,17 +156,16 @@ def specialized_chart_plane(
         raise ValueError("torus coordinates must be nonzero")
     s = tuple(sorted(sigma))
     rep_of_block = {pi.block_of[i]: i for i in sorted(sigma_tilde)}
+    reps = {idx: rep_of_block[pi.block_of[idx]] for idx in pi.face.indices}
+    chars = {idx: _char_value(t, a.points[idx], a.points[rep]) for idx, rep in reps.items()}
     rows = []
     for v in s:
         row = [Fraction(0)] * len(a.points)
-        for idx in face.indices:
-            rep = rep_of_block[pi.block_of[idx]]
-            char = _char_value(t, a.points[idx], a.points[rep])
-            if rep in s:
-                if rep == v:
-                    row[idx] = char
-            else:
-                row[idx] = char * Fraction(coefficients[(v, rep)])
+        for idx, rep in reps.items():
+            if rep == v:
+                row[idx] = chars[idx]
+            elif rep not in s:
+                row[idx] = chars[idx] * Fraction(coefficients[(v, rep)])
         rows.append(tuple(row))
     return PlaneParametrization(matrix=tuple(rows))
 
@@ -200,16 +199,18 @@ def _column_form(plane: PlaneParametrization, col: int) -> dict:
     }
 
 
-def relations_vanish_on(a: PointConfiguration, plane: PlaneParametrization) -> bool:
-    """Whether every binomial relation of the configuration is identically
+def relations_vanish_on(relations: RelationBasis, plane: PlaneParametrization) -> bool:
+    """Whether every relation of the full configuration's basis is identically
     zero on the plane, as a polynomial in the spanning coefficients."""
+    a = relations.face.config
+    if len(relations.face.indices) != len(a.points):
+        raise ValueError("relation basis must be the full configuration's")
     if any(len(row) != len(a.points) for row in plane.matrix):
         raise ValueError("plane matrix must have one column per point")
-    full = a.face_from_indices(range(len(a.points)))
     nrows = len(plane.matrix)
     one = {(0,) * nrows: Fraction(1)}
     forms = [_column_form(plane, col) for col in range(len(a.points))]
-    for vec in relation_basis(a, full).vectors:
+    for vec in relations.vectors:
         lhs, rhs = one, one
         for col, mult in enumerate(vec):
             for _ in range(mult if mult > 0 else -mult):
@@ -238,7 +239,9 @@ def verify_chart_sample(
     resulting plane.  Trial ``i`` uses its own generator seeded from
     ``seed`` and ``i``, so runs are reproducible and order-independent.
     """
-    chart_semigroup(pi, sigma_tilde, sigma)  # validates the chart data
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    full = relation_basis(a, range(len(a.points)))
     s = tuple(sorted(sigma))
     outside = tuple(i for i in sorted(sigma_tilde) if i not in set(s))
     for trial in range(trials):
@@ -252,7 +255,7 @@ def verify_chart_sample(
         torus = tuple(draw() for _ in range(a.ambient_dim))
         coeffs = {(v, w): draw() for v in s for w in outside}
         plane = specialized_chart_plane(a, pi, sigma_tilde, sigma, torus, coeffs)
-        if not relations_vanish_on(a, plane):
+        if not relations_vanish_on(full, plane):
             return False
     return True
 

@@ -8,7 +8,7 @@ oracles that live alongside the implementation.
 import random
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -423,7 +423,7 @@ def test_fano_scheme_properties(points):
             heads = canonical_transversal(pi)
             # the family of planes lies on the variety: formal check plus
             # random specialization of the chart parametrization
-            assert verify_cayley_plane(a, pi)
+            assert verify_cayley_plane(relation_basis(a, pi.face), pi)
             for size in sorted({k + 1, pi.l + 1}):
                 chart = chart_semigroup(pi, heads, heads[:size])
                 expected = pi.face.dim - pi.l + size * (pi.l - size + 1)
@@ -525,3 +525,42 @@ def test_equal_configurations_give_equal_results(points):
             assert components_intersection(first, pi1, pi2, k) == components_intersection(
                 second, pi1, pi2, k
             )
+
+
+# ---------------------------------------------------------------------------
+# classical families with closed-form answers
+
+
+def simplex_vertices(n):
+    """The origin and the unit vectors of Z^n."""
+    return [tuple(int(i == j) for i in range(n)) for j in range(-1, n)]
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (1, 3), (2, 2)])
+def test_segre_components_are_the_disjoint_fibre_families(m, n):
+    # Delta_m x Delta_n gives the Segre embedding of P^m x P^n: every k-plane
+    # lies in a fibre, so the components are P^m x G(k, n) for k <= n and
+    # G(k, m) x P^n for k <= m, and no two of them meet
+    a = PointConfiguration([p + q for p in simplex_vertices(m) for q in simplex_vertices(n)])
+    assert a.dimension == m + n
+    for k in range(1, m + n + 1):
+        dims = []
+        if k <= n:
+            dims.append(m + (k + 1) * (n - k))
+        if k <= m:
+            dims.append(n + (k + 1) * (m - k))
+        comps = components(a, k)
+        assert len(comps) == len(dims), k
+        assert sorted(c.dimension for c in comps) == sorted(dims), k
+        for c1, c2 in combinations(comps, 2):
+            assert components_intersection(a, c1.pi, c2.pi, k) == (), k
+        assert len(connectivity_graph(a, k).connected_components()) == len(comps), k
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2)])
+def test_veronese_contains_no_lines(d, n):
+    # the lattice points of d Delta_n, d >= 2: the Veronese variety holds no line
+    a = PointConfiguration([p for p in product(range(d + 1), repeat=n) if sum(p) <= d])
+    assert a.dimension == n
+    for k in range(1, n + 1):
+        assert components(a, k) == (), k

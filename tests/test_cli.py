@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from toricfano import PointConfiguration, cli, localscheme
+from toricfano import PointConfiguration, cli, localscheme, verify
 from toricfano.cli import (
     EXIT_BAD_K,
     EXIT_HYPOTHESES,
@@ -204,6 +204,32 @@ def test_local_reports_validate_each_facet_and_find_its_apex_once(
     code, _, _ = run(capsys, *argv)
     assert code == EXIT_OK
     assert calls == {"is_smooth_at": facets, "apex": facets}
+
+
+def test_verify_builds_each_relation_basis_once_per_run(capsys, monkeypatch):
+    # one basis per face for the run, plus the brute-force oracle's own and
+    # one full basis per chart sample call
+    bases, samples = Counter(), Counter()
+    relation_basis, verify_chart_sample = verify.relation_basis, verify.verify_chart_sample
+
+    def counted_basis(a, tau):
+        rb = relation_basis(a, tau)
+        bases[rb.face.indices] += 1
+        return rb
+
+    def counted_sample(*args, **kwargs):
+        samples["calls"] += 1
+        return verify_chart_sample(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "relation_basis", counted_basis)
+    monkeypatch.setattr(verify, "relation_basis", counted_basis)
+    monkeypatch.setattr(cli, "verify_chart_sample", counted_sample)
+    code, _, _ = run(capsys, "verify", DATA / "birkhoff.json", "--trials", "2")
+    assert code == EXIT_OK
+    full = tuple(range(6))
+    assert samples["calls"] > 0 and bases[full] <= 2 + samples["calls"]
+    assert len(bases) == 50
+    assert all(n <= 2 for face, n in bases.items() if face != full), bases
 
 
 def test_mult_bad_sigma_string(capsys):

@@ -96,26 +96,34 @@ def test_every_enumerated_structure_passes():
     for pts in (QUARTIC, SQUARE, FIVE, birkhoff_points()):
         a = config(pts)
         for face in a.faces():
+            relations = relation_basis(a, face)
             for pi in enumerate_cayley_structures(face, 1):
-                assert verify_cayley_plane(a, pi)
+                assert verify_cayley_plane(relations, pi)
 
 
 def test_quartic_horizontal_partition_fails():
     a = config(QUARTIC)
     horizontal = CayleyStructure(full_face(a), [(0, 2), (1, 3)])
-    assert not verify_cayley_plane(a, horizontal)
+    assert not verify_cayley_plane(relation_basis(a, full_face(a)), horizontal)
 
 
 def test_quartic_vertical_partition_passes():
     a = config(QUARTIC)
     vertical = CayleyStructure(full_face(a), [(0, 1), (2, 3)])
-    assert verify_cayley_plane(a, vertical)
+    assert verify_cayley_plane(relation_basis(a, full_face(a)), vertical)
 
 
 def test_birkhoff_row_projection_passes():
     a = config(birkhoff_points())
     pi = CayleyStructure(full_face(a), [(0, 3), (1, 4), (2, 5)])
-    assert verify_cayley_plane(a, pi)
+    assert verify_cayley_plane(relation_basis(a, full_face(a)), pi)
+
+
+def test_plane_check_rejects_basis_of_another_face():
+    a = config(QUARTIC)
+    vertical = CayleyStructure(full_face(a), [(0, 1), (2, 3)])
+    with pytest.raises(ValueError):
+        verify_cayley_plane(relation_basis(a, (0, 1)), vertical)
 
 
 def test_plane_check_matches_direct_criterion_exhaustively():
@@ -126,9 +134,10 @@ def test_plane_check_matches_direct_criterion_exhaustively():
         for face in a.faces():
             if not face.indices or len(face.indices) > 8:
                 continue
+            relations = relation_basis(a, face)
             for part in all_set_partitions(list(face.indices)):
                 expected = is_cayley_structure(face, part)
-                got = verify_cayley_plane(a, CayleyStructure(face, part))
+                got = verify_cayley_plane(relations, CayleyStructure(face, part))
                 assert got == expected, (pts, face.indices, part)
 
 
@@ -212,7 +221,9 @@ def test_specialized_plane_shape_and_rank():
     assert plane.matrix[0][2] == 0 and plane.matrix[1][0] == 0
     assert plane.matrix[0][1] == Fraction(5, 7)
     assert plane.matrix[1][3] == Fraction(5, 7) ** 2
-    assert relations_vanish_on(a, plane)
+    assert relations_vanish_on(relation_basis(a, full_face(a)), plane)
+    with pytest.raises(ValueError):  # the basis of a proper face does not fit
+        relations_vanish_on(relation_basis(a, (0, 1)), plane)
 
 
 def test_corrupted_chart_detected():
@@ -228,7 +239,7 @@ def test_corrupted_chart_detected():
     rows = [list(row) for row in plane.matrix]
     rows[1][3] *= 3  # perturb one character exponent's worth of value
     corrupted = PlaneParametrization(matrix=tuple(tuple(r) for r in rows))
-    assert not relations_vanish_on(a, corrupted)
+    assert not relations_vanish_on(relation_basis(a, full_face(a)), corrupted)
 
 
 def test_plane_parametrization_requires_full_rank():
@@ -244,6 +255,13 @@ def test_chart_sample_respects_chart_validation():
         verify_chart_sample(a, quartic_vertical(a), (0, 1), (0, 1), trials=1, seed=0)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_chart_sample_requires_at_least_one_trial(trials):
+    a = config(QUARTIC)
+    with pytest.raises(ValueError, match="trials"):
+        verify_chart_sample(a, quartic_vertical(a), (0, 2), (0, 2), trials=trials)
+
+
 # ---------------------------------------------------------------------------
 # symbolic cross-check of the substitution
 
@@ -254,7 +272,8 @@ def test_substitution_matches_sympy_expansion():
     for pts in (QUARTIC, FIVE):
         a = config(pts)
         face = full_face(a)
-        basis = relation_basis(a, face).vectors
+        relations = relation_basis(a, face)
+        basis = relations.vectors
         for part in all_set_partitions(list(face.indices)):
             pi = CayleyStructure(face, part)
             t = sympy.symbols(f"t0:{a.ambient_dim}", positive=True)
@@ -275,7 +294,7 @@ def test_substitution_matches_sympy_expansion():
                 == 0
                 for vec in basis
             )
-            assert verify_cayley_plane(a, pi) == symbolic_ok, (pts, part)
+            assert verify_cayley_plane(relations, pi) == symbolic_ok, (pts, part)
 
 
 # ---------------------------------------------------------------------------
