@@ -11,7 +11,8 @@ an (l-parameter family of) l-planes on the associated toric variety.
 Structures are partially ordered: a structure on a smaller face is below one
 on a larger face when the larger structure's blocks restrict into single
 blocks of the smaller one.  The maximal structures with at least k+1 blocks
-index the irreducible components of the scheme of k-planes.
+index the irreducible components of the scheme of k-planes; for them and for
+their intersections, k only filters one answer computed for all k.
 """
 
 from __future__ import annotations
@@ -189,16 +190,16 @@ class CayleyPoset:
     configuration, built once and shared by every question asked of it.
 
     Each configuration holds one instance (``PointConfiguration.cayley_poset``).
-    Structures are enumerated once per face and maximality is computed once
-    for all ``k`` (a structure can only be dominated by one with at least as
-    many blocks, so the components for ``k`` are the maximal structures with
-    ``l >= k``).  Maximality and intersections follow one rule: per face, keep
+    Structures are enumerated once per face; maximality and each pair's
+    intersection are computed once for all ``k``, which only filters by
+    ``l >= k``.  Maximality and intersections follow one rule: per face, keep
     the candidates that are not restrictions of candidates on covering faces.
     """
 
     def __init__(self, config: PointConfiguration):
         self.config = config
         self._on_face: dict[tuple[int, ...], tuple[CayleyStructure, ...]] = {}
+        self._intersection: dict[tuple, tuple[CayleyStructure, ...]] = {}
 
     def on_face(self, face: Face) -> tuple[CayleyStructure, ...]:
         """The structures with at least two blocks on the face, in the order
@@ -249,13 +250,13 @@ class CayleyPoset:
         return self._not_restricted_from_covers(finest)
 
     def intersection(
-        self, pi1: CayleyStructure, pi2: CayleyStructure, k: int
+        self, pi1: CayleyStructure, pi2: CayleyStructure
     ) -> tuple[CayleyStructure, ...]:
-        """The maximal structures with at least ``k + 1`` blocks below both
-        inputs, sorted by (face indices, blocks).
+        """The maximal structures with at least two blocks below both inputs,
+        sorted by (face indices, blocks); computed once per ordered pair.
 
         By ``join_on``, a face ``G`` inside both faces has one candidate,
-        ``J_G = join_on(G, pi1, pi2)``, when ``J_G.l >= k``.  For ``F`` inside
+        ``J_G = join_on(G, pi1, pi2)``, when ``J_G.l >= 1``.  For ``F`` inside
         ``G``, ``J_G.restricted_to(F)`` coarsens ``J_F`` (it is a common
         coarsening on ``F``), and ``J_F <= J_G`` says that it refines
         ``J_F``: so ``J_F <= J_G`` exactly when
@@ -265,10 +266,13 @@ class CayleyPoset:
         ``J_F1`` is a candidate above ``J_F``.  Hence the rule of ``maximal``
         applies unchanged.
         """
-        common = set(pi1.face.indices) & set(pi2.face.indices)
-        inside = [f for f in self.config.faces() if len(f.indices) > k and common >= set(f.indices)]
-        joins = {f.indices: [j] for f in inside if (j := join_on(f, pi1, pi2)).l >= k}
-        return self._not_restricted_from_covers(joins)
+        key = (pi1, pi2)
+        if key not in self._intersection:
+            common = set(pi1.face.indices) & set(pi2.face.indices)
+            inside = [f for f in self.config.faces() if len(f.indices) > 1 and common >= set(f.indices)]
+            joins = {f.indices: [j] for f in inside if (j := join_on(f, pi1, pi2)).l >= 1}
+            self._intersection[key] = self._not_restricted_from_covers(joins)
+        return self._intersection[key]
 
 
 def maximal_cayley_structures(config: PointConfiguration, k: int) -> tuple[CayleyStructure, ...]:

@@ -272,8 +272,10 @@ def components_intersection(
     structures with at least ``k + 1`` blocks lying below both inputs.  The
     intersection of the two components is the union of the k-plane families
     of the returned structures; an empty tuple means the components are
-    disjoint.  They are read off one join per face inside both faces (see
-    ``CayleyPoset.intersection``).
+    disjoint.  They are ``CayleyPoset.intersection`` filtered to ``l >= k``: a
+    restriction never adds blocks, so a candidate with ``l >= k`` is removed
+    only by a candidate with ``l >= k``, and filtering after the rule gives
+    the same result as filtering before it.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -282,7 +284,7 @@ def components_intersection(
             raise ValueError("structures must belong to the given configuration")
         if pi.l < k:
             raise ValueError("structures must have at least k+1 blocks")
-    return a.cayley_poset.intersection(pi1, pi2, k)
+    return tuple(q for q in a.cayley_poset.intersection(pi1, pi2) if q.l >= k)
 
 
 def connectivity_graph(a: PointConfiguration, k: int) -> ConnectivityGraph:

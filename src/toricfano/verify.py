@@ -1,11 +1,11 @@
 """Independent oracles for the fast paths of the other modules.
 
 Everything here recomputes from first principles: affine relation lattices
-of faces (built once per face per run and passed to the plane and vanishing
-checks), formal substitution of the block-plane parametrization into the
-binomial relations, exact rational sampling of chart parametrizations, and
-raw set-partition enumeration of Cayley structures.  The test suite holds
-the fast implementations to agreement with these.
+of faces (built once per face per run and passed to the plane, vanishing and
+chart-sample checks), formal substitution of the block-plane parametrization
+into the binomial relations, exact rational sampling of chart
+parametrizations, and raw set-partition enumeration of Cayley structures.
+The test suite holds the fast implementations to agreement with these.
 """
 
 from __future__ import annotations
@@ -132,7 +132,6 @@ def verify_cayley_plane(relations: RelationBasis, pi: CayleyStructure) -> bool:
 
 
 def specialized_chart_plane(
-    a: PointConfiguration,
     pi: CayleyStructure,
     sigma_tilde: Sequence[int],
     sigma: Sequence[int],
@@ -149,6 +148,7 @@ def specialized_chart_plane(
     off the face are zero.
     """
     chart_semigroup(pi, sigma_tilde, sigma)  # validates the chart data
+    a = pi.config
     t = tuple(Fraction(x) for x in torus)
     if len(t) != a.ambient_dim:
         raise ValueError("torus point has the wrong dimension")
@@ -224,7 +224,7 @@ def relations_vanish_on(relations: RelationBasis, plane: PlaneParametrization) -
 
 
 def verify_chart_sample(
-    a: PointConfiguration,
+    relations: RelationBasis,
     pi: CayleyStructure,
     sigma_tilde: Sequence[int],
     sigma: Sequence[int],
@@ -235,13 +235,14 @@ def verify_chart_sample(
 
     Draws ``trials`` pseudo-random rational specializations of the torus
     and coefficient parameters (numerators and denominators up to 97) and
-    checks every relation of the configuration vanishes identically on the
-    resulting plane.  Trial ``i`` uses its own generator seeded from
-    ``seed`` and ``i``, so runs are reproducible and order-independent.
+    checks every relation of ``relations`` (the full configuration's basis)
+    vanishes identically on the plane.  Trial ``i`` seeds its own generator
+    from ``seed`` and ``i``, so runs are reproducible and order-independent.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    full = relation_basis(a, range(len(a.points)))
+    if relations.face.config != pi.config:
+        raise ValueError("relation basis belongs to a different configuration")
     s = tuple(sorted(sigma))
     outside = tuple(i for i in sorted(sigma_tilde) if i not in set(s))
     for trial in range(trials):
@@ -252,10 +253,10 @@ def verify_chart_sample(
                 rng.randint(1, _SAMPLE_RANGE), rng.randint(1, _SAMPLE_RANGE)
             )
 
-        torus = tuple(draw() for _ in range(a.ambient_dim))
+        torus = tuple(draw() for _ in range(pi.config.ambient_dim))
         coeffs = {(v, w): draw() for v in s for w in outside}
-        plane = specialized_chart_plane(a, pi, sigma_tilde, sigma, torus, coeffs)
-        if not relations_vanish_on(full, plane):
+        plane = specialized_chart_plane(pi, sigma_tilde, sigma, torus, coeffs)
+        if not relations_vanish_on(relations, plane):
             return False
     return True
 

@@ -5,6 +5,8 @@ small cases by hand, larger ones through the brute-force and symbolic
 oracles that live alongside the implementation.
 """
 
+import json
+import pathlib
 import random
 import time
 from collections import Counter
@@ -38,7 +40,7 @@ from toricfano import (
     verify_cayley_plane,
     verify_chart_sample,
 )
-from toricfano import pointconfig
+from toricfano import cli, pointconfig
 from toricfano.intlinalg import _kernel, matrix_rank, rational_solve
 from toricfano.verify import BRUTE_FORCE_MAX_POINTS, all_set_partitions, relation_basis
 
@@ -411,6 +413,7 @@ def test_fano_scheme_properties(points):
                 a, pi1, pi2, k
             )
 
+    full = relation_basis(a, range(len(a.points)))
     for k in range(1, a.dimension + 1):
         smooth_at = {f: a.is_smooth_at(f) for f in a.fixed_point_faces(k)}
         # the pruned search inside is_smooth_at answers as the full search
@@ -428,9 +431,7 @@ def test_fano_scheme_properties(points):
                 chart = chart_semigroup(pi, heads, heads[:size])
                 expected = pi.face.dim - pi.l + size * (pi.l - size + 1)
                 assert matrix_rank(chart_generators_reduced(chart)) == expected
-                assert verify_chart_sample(
-                    a, pi, heads, heads[:size], trials=25, seed=0
-                )
+                assert verify_chart_sample(full, pi, heads, heads[:size], trials=25, seed=0)
             # fixed-point charts are pointed, have the component's dimension,
             # and are smooth whenever the configuration is smooth at every
             # empty-simplex face
@@ -525,6 +526,61 @@ def test_equal_configurations_give_equal_results(points):
             assert components_intersection(first, pi1, pi2, k) == components_intersection(
                 second, pi1, pi2, k
             )
+
+
+FIXTURES_DATA = {
+    path.stem: raw
+    for path in sorted((pathlib.Path(__file__).parent / "data").glob("*.json"))
+    if "points" in (raw := json.loads(path.read_text()))
+}
+
+
+def moved(points, seed):
+    """The points under a seeded unimodular map and translation, relabelled."""
+    rng = random.Random(seed)
+    d = len(points[0])
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(3 * d if d > 1 else 0):  # elementary row operations, small entries
+        i, j = rng.sample(range(d), 2)
+        row = [x + rng.choice((-1, 1)) * y for x, y in zip(m[i], m[j])]
+        if max(map(abs, row)) <= 2:
+            m[i] = row
+    shift = [rng.randint(-3, 3) for _ in range(d)]
+    image = [[sum(r * x for r, x in zip(row, p)) + t for row, t in zip(m, shift)] for p in points]
+    rng.shuffle(image)
+    return image
+
+
+def invariants(points, expect):
+    """Per k: component count, sorted dimensions, nonempty intersections,
+    graph pieces and coverage; and whether ``verify`` passes."""
+    a = PointConfiguration(points)
+    per_k = []
+    for k in range(1, a.dimension + 2):
+        comps = components(a, k)
+        per_k.append(
+            (
+                len(comps),
+                sorted(c.dimension for c in comps),
+                sum(
+                    bool(components_intersection(a, c1.pi, c2.pi, k))
+                    for c1, c2 in combinations(comps, 2)
+                ),
+                len(connectivity_graph(a, k).connected_components()),
+                is_covered_by_k_planes(a, k),
+            )
+        )
+    return per_k, cli.verify_report(a, None, expect, seed=0, trials=2)["passed"]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", sorted(FIXTURES_DATA))
+def test_fixture_invariants_survive_unimodular_moves_and_relabelling(name, seed):
+    raw = FIXTURES_DATA[name]
+    expect = raw.get("expect", {})
+    image = moved(raw["points"], seed)
+    assert image != raw["points"]
+    assert invariants(image, expect) == invariants(raw["points"], expect)
 
 
 # ---------------------------------------------------------------------------

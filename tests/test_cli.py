@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from toricfano import PointConfiguration, cli, localscheme, verify
+from toricfano import PointConfiguration, cayley, cli, localscheme, verify
 from toricfano.cli import (
     EXIT_BAD_K,
     EXIT_HYPOTHESES,
@@ -207,29 +207,59 @@ def test_local_reports_validate_each_facet_and_find_its_apex_once(
 
 
 def test_verify_builds_each_relation_basis_once_per_run(capsys, monkeypatch):
-    # one basis per face for the run, plus the brute-force oracle's own and
-    # one full basis per chart sample call
-    bases, samples = Counter(), Counter()
-    relation_basis, verify_chart_sample = verify.relation_basis, verify.verify_chart_sample
+    # one basis per face for the run, plus the brute-force oracle's own; the
+    # chart samples share the run's full basis
+    bases = Counter()
+    relation_basis = verify.relation_basis
 
     def counted_basis(a, tau):
         rb = relation_basis(a, tau)
         bases[rb.face.indices] += 1
         return rb
 
-    def counted_sample(*args, **kwargs):
-        samples["calls"] += 1
-        return verify_chart_sample(*args, **kwargs)
-
     monkeypatch.setattr(cli, "relation_basis", counted_basis)
     monkeypatch.setattr(verify, "relation_basis", counted_basis)
-    monkeypatch.setattr(cli, "verify_chart_sample", counted_sample)
     code, _, _ = run(capsys, "verify", DATA / "birkhoff.json", "--trials", "2")
     assert code == EXIT_OK
-    full = tuple(range(6))
-    assert samples["calls"] > 0 and bases[full] <= 2 + samples["calls"]
     assert len(bases) == 50
-    assert all(n <= 2 for face, n in bases.items() if face != full), bases
+    assert all(n <= 2 for n in bases.values()), bases
+
+
+def test_verify_samples_each_chart_once(capsys, monkeypatch):
+    # every k filters one set of charts: (pi, heads[:s]) for 2 <= s <= l + 1
+    sampled = []
+    verify_chart_sample = cli.verify_chart_sample
+
+    def recorded(relations, pi, sigma_tilde, sigma, **kwargs):
+        sampled.append((pi, tuple(sigma)))
+        return verify_chart_sample(relations, pi, sigma_tilde, sigma, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_chart_sample", recorded)
+    code, _, _ = run(capsys, "verify", DATA / "birkhoff.json", "--trials", "2")
+    assert code == EXIT_OK
+    _, _, a = cli.load_input(str(DATA / "birkhoff.json"), cli.DEFAULT_MAX_POINTS)
+    expected = {
+        (pi, tuple(b[0] for b in pi.blocks)[:s])
+        for pi in a.cayley_poset.maximal
+        for s in range(2, pi.l + 2)
+    }
+    assert len(sampled) == len(set(sampled)), Counter(sampled).most_common(3)
+    assert set(sampled) == expected
+
+
+def test_analyze_joins_each_pair_once_per_face(monkeypatch):
+    # intersections do not depend on k, which only filters them
+    joins = Counter()
+    join_on = cayley.join_on
+
+    def counted(face, pi1, pi2):
+        joins[face.indices, pi1.blocks, pi2.blocks] += 1
+        return join_on(face, pi1, pi2)
+
+    monkeypatch.setattr(cayley, "join_on", counted)
+    name, _, a = cli.load_input(str(DATA / "birkhoff.json"), cli.DEFAULT_MAX_POINTS)
+    cli.analysis_report(a, name, [1, 2, 3, 4])
+    assert joins and max(joins.values()) == 1, joins.most_common(3)
 
 
 def test_mult_bad_sigma_string(capsys):

@@ -39,6 +39,10 @@ def full_face(a):
     return a.face_from_indices(tuple(range(len(a.points))))
 
 
+def full_basis(a):
+    return relation_basis(a, full_face(a))
+
+
 # ---------------------------------------------------------------------------
 # relation bases
 
@@ -176,7 +180,7 @@ def quartic_vertical(a):
 def test_chart_sample_birkhoff_projection():
     a = config(birkhoff_points())
     pi = CayleyStructure(full_face(a), [(0, 3), (1, 4), (2, 5)])
-    assert verify_chart_sample(a, pi, (1, 2, 3), (1, 2, 3), trials=25, seed=7)
+    assert verify_chart_sample(full_basis(a), pi, (1, 2, 3), (1, 2, 3), trials=25, seed=7)
 
 
 def test_chart_sample_sub_plane_chart():
@@ -184,30 +188,29 @@ def test_chart_sample_sub_plane_chart():
     # appear and every sample must still satisfy the relation.
     a = config(birkhoff_points())
     pi = CayleyStructure(full_face(a), [(0, 3), (1, 4), (2, 5)])
-    assert verify_chart_sample(a, pi, (1, 2, 3), (1, 2), trials=10, seed=3)
-    assert verify_chart_sample(a, pi, (0, 1, 2), (0, 2), trials=10, seed=3)
+    assert verify_chart_sample(full_basis(a), pi, (1, 2, 3), (1, 2), trials=10, seed=3)
+    assert verify_chart_sample(full_basis(a), pi, (0, 1, 2), (0, 2), trials=10, seed=3)
 
 
 def test_chart_sample_torus_translates():
     a = config(QUARTIC)
-    assert verify_chart_sample(a, quartic_vertical(a), (0, 2), (0, 2), trials=10, seed=1)
+    assert verify_chart_sample(full_basis(a), quartic_vertical(a), (0, 2), (0, 2), trials=10, seed=1)
     b = config(SQUARE)
     pi = CayleyStructure(full_face(b), [(0, 1), (2, 3)])
-    assert verify_chart_sample(b, pi, (0, 2), (0, 2), trials=10, seed=1)
+    assert verify_chart_sample(full_basis(b), pi, (0, 2), (0, 2), trials=10, seed=1)
 
 
 def test_chart_sample_deterministic_per_seed():
     a = config(QUARTIC)
     pi = quartic_vertical(a)
-    first = verify_chart_sample(a, pi, (0, 2), (0, 2), trials=5, seed=11)
-    second = verify_chart_sample(a, pi, (0, 2), (0, 2), trials=5, seed=11)
+    first = verify_chart_sample(full_basis(a), pi, (0, 2), (0, 2), trials=5, seed=11)
+    second = verify_chart_sample(full_basis(a), pi, (0, 2), (0, 2), trials=5, seed=11)
     assert first is True and second is True
 
 
 def test_specialized_plane_shape_and_rank():
     a = config(QUARTIC)
     plane = specialized_chart_plane(
-        a,
         quartic_vertical(a),
         (0, 2),
         (0, 2),
@@ -229,7 +232,6 @@ def test_specialized_plane_shape_and_rank():
 def test_corrupted_chart_detected():
     a = config(QUARTIC)
     plane = specialized_chart_plane(
-        a,
         quartic_vertical(a),
         (0, 2),
         (0, 2),
@@ -252,14 +254,25 @@ def test_plane_parametrization_requires_full_rank():
 def test_chart_sample_respects_chart_validation():
     a = config(QUARTIC)
     with pytest.raises(ValueError):
-        verify_chart_sample(a, quartic_vertical(a), (0, 1), (0, 1), trials=1, seed=0)
+        verify_chart_sample(full_basis(a), quartic_vertical(a), (0, 1), (0, 1), trials=1, seed=0)
+
+
+def test_chart_sample_rejects_a_foreign_or_partial_basis():
+    a = config(birkhoff_points())
+    pi = CayleyStructure(full_face(a), [(0, 3), (1, 4), (2, 5)])
+    # the same structure over B_3 with its first coordinate doubled
+    doubled = config([(2 * p[0],) + tuple(p[1:]) for p in birkhoff_points()])
+    with pytest.raises(ValueError, match="configuration"):
+        verify_chart_sample(full_basis(doubled), pi, (1, 2, 3), (1, 2, 3), trials=1)
+    with pytest.raises(ValueError, match="full configuration"):
+        verify_chart_sample(relation_basis(a, (0, 1)), pi, (1, 2, 3), (1, 2, 3), trials=1)
 
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_chart_sample_requires_at_least_one_trial(trials):
     a = config(QUARTIC)
     with pytest.raises(ValueError, match="trials"):
-        verify_chart_sample(a, quartic_vertical(a), (0, 2), (0, 2), trials=trials)
+        verify_chart_sample(full_basis(a), quartic_vertical(a), (0, 2), (0, 2), trials=trials)
 
 
 # ---------------------------------------------------------------------------
