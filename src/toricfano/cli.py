@@ -217,7 +217,7 @@ def analysis_report(
     }
     for k in sorted(set(ks)):
         comps = components(a, k)
-        graph = connectivity_graph(a, k)
+        graph = connectivity_graph(comps)
         pieces = graph.connected_components()
         intersections = []
         for i in range(len(comps)):
@@ -362,7 +362,8 @@ def _verify_checks(a: PointConfiguration, expect: dict, seed: int, trials: int) 
     for key, wanted in sorted(expect.get("component_counts", {}).items()):
         compare(f"expect:component_count:k={key}", len(maximal_cayley_structures(a, int(key))), wanted)
     for key, wanted in sorted(expect.get("connected", {}).items()):
-        compare(f"expect:connected:k={key}", connectivity_graph(a, int(key)).is_connected(), wanted)
+        graph = connectivity_graph(components(a, int(key)))
+        compare(f"expect:connected:k={key}", graph.is_connected(), wanted)
     if "dimension" in expect:
         compare("expect:dimension", a.dimension, expect["dimension"])
     return checks

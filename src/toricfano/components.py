@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .cayley import CayleyStructure, maximal_cayley_structures
 from .intlinalg import IntVector, cone_is_pointed, is_free_semigroup
@@ -287,11 +287,10 @@ def components_intersection(
     return tuple(q for q in a.cayley_poset.intersection(pi1, pi2) if q.l >= k)
 
 
-def connectivity_graph(a: PointConfiguration, k: int) -> ConnectivityGraph:
-    """Graph on component ids; two components are adjacent iff they share a
-    torus-fixed point, i.e. some empty k-simplex face inside both faces on
-    which both structures are injective."""
-    comps = components(a, k)
+def connectivity_graph(comps: Sequence[FanoComponent]) -> ConnectivityGraph:
+    """Graph on the ids of the given components, ``components(a, k)``; two
+    are adjacent iff they share a torus-fixed point, i.e. some empty k-simplex
+    face inside both faces on which both structures are injective."""
     fixed = [{f.indices for f in c.fixed_points} for c in comps]
     edges = [
         tuple(sorted((c1.id, c2.id)))

@@ -8,6 +8,10 @@ computes height coordinates of configuration points over ``sigma``, the
 per-point standard-monomial sets, the basis of the local ring, isolation,
 and the multiplicity of an isolated fixed plane — by counting the basis and,
 independently, from the height filtration.
+
+The smoothness hypothesis is not tested apart: the search for an apex of
+height one over ``sigma`` decides it and yields every point's height
+coordinates in the same pass (``_apex_and_heights``).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
-from .intlinalg import IntVector, integer_solver, lattice_basis
+from .intlinalg import IntVector, integer_solver
 from .pointconfig import Face, PointConfiguration
 
 
@@ -128,71 +132,15 @@ def _minimal_generators(
     return tuple(sorted(minimal, key=_graded_lex))
 
 
-def _validated_face(a: PointConfiguration, sigma: "Face | Sequence[int]") -> Face:
-    if isinstance(sigma, Face):
-        face = sigma
-        if face.config != a:
-            raise HypothesesViolated("sigma belongs to a different configuration")
-    else:
-        try:
-            face = a.face_from_indices(sigma)
-        except ValueError as exc:
-            raise HypothesesViolated(f"sigma is not a face: {exc}") from exc
-    k = a.dimension - 1
-    if k < 0:
-        raise HypothesesViolated("configuration must be at least one-dimensional")
-    if face.dim != k or len(face.indices) != k + 1:
-        raise HypothesesViolated(
-            "sigma must be an empty-simplex face of dimension one less than "
-            "the configuration"
-        )
-    if not a.is_smooth_at(face):
-        raise HypothesesViolated("configuration is not smooth at sigma")
-    return face
-
-
-def _basis_rows(face: Face, w: IntVector) -> tuple[IntVector, ...]:
-    vs = face.points
-    v0 = vs[0]
-    return (tuple(a - b for a, b in zip(w, v0)),) + tuple(
-        tuple(a - b for a, b in zip(v, v0)) for v in vs[1:]
-    )
-
-
 def choose_w(a: PointConfiguration, sigma: "Face | Sequence[int]") -> IntVector:
     """The canonical apex point over the facet ``sigma``.
 
-    Returns a configuration point ``w`` such that ``w - v_0`` together with
-    the edge vectors of ``sigma`` is a lattice basis of the difference
-    lattice and every configuration point has a nonnegative height; among
-    all such points the lexicographically smallest is returned.
+    Returns the lexicographically smallest configuration point ``w`` over
+    which every configuration point has integral, nonnegative heights; then
+    ``w - v_0`` and the edges of ``sigma`` are a basis of the difference
+    lattice (see ``_apex_and_heights``).
     """
-    return _choose_w(a, _validated_face(a, sigma))
-
-
-def _choose_w(a: PointConfiguration, face: Face) -> IntVector:
-    target = a.difference_basis
-    sigma_points = set(face.points)
-    candidates = []
-    for w in a.points:
-        if w in sigma_points:
-            continue
-        rows = _basis_rows(face, w)
-        if lattice_basis(rows) != target:
-            continue
-        coordinates = integer_solver(rows)
-        if all(
-            (coords := coordinates(tuple(x - y for x, y in zip(u, face.points[0]))))
-            is not None
-            and coords[0] >= 0
-            for u in a.points
-        ):
-            candidates.append(w)
-    if not candidates:
-        raise HypothesesViolated(
-            "no configuration point at lattice height one over sigma"
-        )
-    return min(candidates)
+    return _apex_and_heights(a, sigma)[1]
 
 
 def height_coordinates(
@@ -202,20 +150,21 @@ def height_coordinates(
     u: Sequence[int],
 ) -> HeightCoords:
     """The unique coordinates (h, c) of ``u`` over ``sigma`` with apex ``w``."""
-    return _heights_over(_validated_face(a, sigma), w)(u)
+    return _heights_over(_apex_and_heights(a, sigma)[0], w)(u)
 
 
 def _heights_over(face: Face, w: Sequence[int]) -> Callable[[Sequence[int]], HeightCoords]:
-    """``height_coordinates`` over a validated face, with the basis of ``w``
+    """``height_coordinates`` over a validated facet, with the basis of ``w``
     and the edges of ``face`` factored once for every point."""
-    rows = _basis_rows(face, tuple(int(x) for x in w))
+    v0 = face.points[0]
+    rows = [tuple(int(x) - y for x, y in zip(w, v0))]
+    rows += [tuple(x - y for x, y in zip(v, v0)) for v in face.points[1:]]
     try:
         coordinates = integer_solver(rows)
     except ValueError as exc:  # dependent rows
         raise HypothesesViolated(
             "apex is affinely dependent on sigma; coordinates are not unique"
         ) from exc
-    v0 = face.points[0]
 
     def heights(u: Sequence[int]) -> HeightCoords:
         coords = coordinates(tuple(int(x) - y for x, y in zip(u, v0)))
@@ -333,12 +282,48 @@ def _apex_and_heights(
     a: PointConfiguration, sigma: "Face | Sequence[int]"
 ) -> tuple[Face, IntVector, Heights]:
     """The validated facet, its apex, and the height coordinates of every
-    configuration point over them: the facet is validated and the apex
-    searched for once, for all the local-structure questions at ``sigma``."""
-    face = _validated_face(a, sigma)
-    w = _choose_w(a, face)
-    height_of = _heights_over(face, w)
-    return face, w, {u: height_of(u) for u in a.points}
+    configuration point over them: the one test of the local-structure
+    hypotheses at ``sigma``, shared by all the questions asked there.
+
+    ``sigma`` must be an empty-simplex face of dimension one less than the
+    configuration.  The apex is the first point ``w`` off ``sigma``, in
+    lexicographic order, over which every configuration point has integral,
+    nonnegative heights; such a point exists exactly when the configuration
+    is smooth at ``sigma``.  (<=) If ``w`` passes, the rows ``(w - v_0,
+    edges)`` generate the difference lattice, so they form a basis of it; the
+    quotient by the edge lattice is then Z, the heights are the images of the
+    points there, and ``h(w) = 1``, so the semigroup of images is N.  (=>) If
+    the configuration is smooth at ``sigma``, the images of the other points
+    in that quotient form ``N*g`` with ``g = +-1``, and a point whose image
+    is ``g`` passes.
+    """
+    if isinstance(sigma, Face):
+        face = sigma
+        if face.config != a:
+            raise HypothesesViolated("sigma belongs to a different configuration")
+    else:
+        try:
+            face = a.face_from_indices(sigma)
+        except ValueError as exc:
+            raise HypothesesViolated(f"sigma is not a face: {exc}") from exc
+    k = a.dimension - 1
+    if k < 0:
+        raise HypothesesViolated("configuration must be at least one-dimensional")
+    if face.dim != k or len(face.indices) != k + 1:
+        raise HypothesesViolated(
+            "sigma must be an empty-simplex face of dimension one less than "
+            "the configuration"
+        )
+    sigma_points = set(face.points)
+    for w in sorted(a.points):
+        if w in sigma_points:
+            continue
+        try:
+            height_of = _heights_over(face, w)
+            return face, w, {u: height_of(u) for u in a.points}
+        except HypothesesViolated:
+            continue
+    raise HypothesesViolated("configuration is not smooth at sigma")
 
 
 def _local_ring_basis(face: Face, w: IntVector, heights: Heights) -> MonomialSet:

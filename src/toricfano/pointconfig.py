@@ -222,7 +222,7 @@ class Face:
     The witness functional satisfies witness . p == offset for points on the
     face and witness . p > offset for all other points of the configuration.
     ``covers`` holds the index sets of the faces covering this one
-    (containing it, one dimension higher).
+    (containing it, one dimension higher), and ``dim`` its affine dimension.
     """
 
     config: PointConfiguration
@@ -230,10 +230,7 @@ class Face:
     witness: IntVector
     offset: int
     covers: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def dim(self) -> int:
-        return self.config.affine_dim_of(self.indices)
+    dim: int
 
     @cached_property
     def relations(self) -> IntMatrix:
@@ -261,14 +258,17 @@ class Face:
 
 def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
     """Full face list via supporting hyperplanes of the convex hull, with
-    each face's covers.
+    each face's covers and dimension.
 
     Facet candidates come from the affine hulls of n affinely independent
-    points.  Every face is the intersection of the facets containing it, and
-    the faces that a face F covers are exactly the inclusion-maximal proper
-    intersections of F with a facet.  So walking down from the configuration
-    itself and intersecting each new face with the facets only reaches every
-    face and records its covers on the way; witnesses add.
+    points; n points are independent exactly when the kernel of their n - 1
+    differences has rank d - n + 1, so the kernel that yields the candidate
+    hyperplane also decides independence.  Every face is the intersection of
+    the facets containing it, and the faces that a face F covers are exactly
+    the inclusion-maximal proper intersections of F with a facet.  So walking
+    down from the configuration itself and intersecting each new face with
+    the facets only reaches every face and records its covers on the way;
+    witnesses add, and a face found below F has dimension one less than F's.
     """
     pts = config.points
     npts = len(pts)
@@ -287,13 +287,12 @@ def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
 
     facets: dict[tuple[int, ...], tuple[IntVector, int]] = {}
     for subset in itertools.combinations(range(npts), n):
-        if n and config.affine_dim_of(subset) != n - 1:
-            continue
         s0 = pts[subset[0]] if subset else pts[0]
-        diffs = tuple(
-            tuple(a - b for a, b in zip(pts[i], s0)) for i in subset[1:]
-        ) if subset else ()
-        for w in _kernel(diffs, d):
+        diffs = tuple(tuple(a - b for a, b in zip(pts[i], s0)) for i in subset[1:])
+        kernel = _kernel(diffs, d)
+        if len(kernel) != d - n + 1:
+            continue  # affinely dependent (or n = 0: a point has no facets)
+        for w in kernel:
             heights = [sum(a * b for a, b in zip(w, p)) - sum(a * b for a, b in zip(w, s0)) for p in pts]
             if not any(heights):
                 continue  # w kills the whole configuration's span
@@ -310,22 +309,23 @@ def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
             break
 
     all_idx = tuple(range(npts))
-    faces: dict[tuple[int, ...], tuple[IntVector, int]] = {all_idx: ((0,) * d, 0)}
+    # index set -> (witness, offset, dimension)
+    faces: dict[tuple[int, ...], tuple[IntVector, int, int]] = {all_idx: ((0,) * d, 0, n)}
     covers: dict[tuple[int, ...], list[tuple[int, ...]]] = {all_idx: []}
     work = [all_idx]
     for upper in work:  # grows as new faces are found
-        w1, c1 = faces[upper]
+        w1, c1, dim = faces[upper]
         members = set(upper)
         meets = {}
         for facet, (w2, c2) in facets.items():
             common = tuple(i for i in facet if i in members)
             if common != upper and common not in meets:
-                meets[common] = (tuple(a + b for a, b in zip(w1, w2)), c1 + c2)
-        for lower, witness in meets.items():
+                meets[common] = (tuple(a + b for a, b in zip(w1, w2)), c1 + c2, dim - 1)
+        for lower, entry in meets.items():
             if any(set(lower) < set(other) for other in meets):
                 continue  # not a facet of upper
             if lower not in faces:
-                faces[lower] = witness
+                faces[lower] = entry
                 covers[lower] = []
                 work.append(lower)
             covers[lower].append(upper)
@@ -333,11 +333,12 @@ def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
     if () not in faces:
         # a single point has no facets; the zero functional with offset -1
         # cuts out the empty face since 0 > -1 for every point
-        faces[()] = ((0,) * d, -1)
+        faces[()] = ((0,) * d, -1, -1)
         covers[()] = [all_idx]
 
     result = [
-        Face(config, idx, w, c, tuple(covers[idx])) for idx, (w, c) in faces.items()
+        Face(config, idx, w, c, tuple(covers[idx]), dim)
+        for idx, (w, c, dim) in faces.items()
     ]
     result.sort(key=lambda f: (len(f.indices), f.indices))
     return tuple(result)

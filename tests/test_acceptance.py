@@ -15,6 +15,7 @@ from itertools import combinations, product
 import pytest
 
 from toricfano import (
+    HypothesesViolated,
     PointConfiguration,
     affine_unimodular_equivalent,
     brute_force_cayley,
@@ -253,7 +254,7 @@ def test_permutation_matrix_k2_intersection_pattern():
         with3 = sum(1 for d in dim3 if meets[frozenset((c.id, d.id))])
         assert with2 == 3
         assert with3 == 6
-    graph = connectivity_graph(a, 2)
+    graph = connectivity_graph(components(a, 2))
     assert graph.is_connected()
     # shared fixed points and nonempty common refinements single out the
     # same pairs of components
@@ -356,7 +357,7 @@ def test_square_two_rulings_disconnected():
     comps = components(a, 1)
     assert len(comps) == 2
     assert [c.dimension for c in comps] == [1, 1]
-    assert len(connectivity_graph(a, 1).connected_components()) == 2
+    assert len(connectivity_graph(comps).connected_components()) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +454,7 @@ def test_graph_edge_exactly_when_intersection_nonempty(points):
     a = PointConfiguration(points)
     for k in range(1, a.dimension + 1):
         comps = components(a, k)
-        edges = set(connectivity_graph(a, k).edges)
+        edges = set(connectivity_graph(comps).edges)
         for c1, c2 in combinations(comps, 2):
             meet = components_intersection(a, c1.pi, c2.pi, k)
             assert (tuple(sorted((c1.id, c2.id))) in edges) == bool(meet), (k, c1.pi, c2.pi)
@@ -470,6 +471,7 @@ def test_face_lattice_matches_pairwise_closure_reference():
         assert {f.indices for f in a.faces()} == set(reference), points
         dims = {idx: a.affine_dim_of(idx) for idx in reference}
         for f in a.faces():
+            assert f.dim == dims[f.indices], (points, f)
             above = {
                 g for g in reference if dims[g] == dims[f.indices] + 1 and set(f.indices) < set(g)
             }
@@ -508,6 +510,25 @@ def test_is_smooth_at_matches_basis_completion_reference():
     assert kinds[True] >= 100 and kinds[False] >= 100, kinds
 
 
+def test_apex_exists_exactly_at_smooth_codimension_one_facets():
+    # the apex search of the local scheme is the smoothness test at a facet
+    kinds = Counter()
+    configurations = [pts for _, pts in CASES] + random_configurations(150, seed=7919)
+    for points in configurations:
+        a = PointConfiguration(points)
+        if a.dimension < 1:
+            continue
+        for face in a.fixed_point_faces(a.dimension - 1):
+            try:
+                choose_w(a, face)
+                found = True
+            except HypothesesViolated:
+                found = False
+            assert found == a.is_smooth_at(face), (points, face)
+            kinds[found] += 1
+    assert kinds[True] >= 200 and kinds[False] >= 200, kinds
+
+
 @pytest.mark.parametrize(
     "points", [QUARTIC, FIVE, list(birkhoff_points())], ids=["quartic", "five", "birkhoff"]
 )
@@ -517,7 +538,9 @@ def test_equal_configurations_give_equal_results(points):
     assert first.cayley_poset is not second.cayley_poset
     for k in range(1, first.dimension + 2):
         assert components(first, k) == components(second, k)
-        assert connectivity_graph(first, k) == connectivity_graph(second, k)
+        assert connectivity_graph(components(first, k)) == connectivity_graph(
+            components(second, k)
+        )
         assert is_covered_by_k_planes(first, k) == is_covered_by_k_planes(second, k)
         pis = maximal_cayley_structures(first, k)
         assert pis == maximal_cayley_structures(second, k)
@@ -566,7 +589,7 @@ def invariants(points, expect):
                     bool(components_intersection(a, c1.pi, c2.pi, k))
                     for c1, c2 in combinations(comps, 2)
                 ),
-                len(connectivity_graph(a, k).connected_components()),
+                len(connectivity_graph(comps).connected_components()),
                 is_covered_by_k_planes(a, k),
             )
         )
@@ -610,7 +633,7 @@ def test_segre_components_are_the_disjoint_fibre_families(m, n):
         assert sorted(c.dimension for c in comps) == sorted(dims), k
         for c1, c2 in combinations(comps, 2):
             assert components_intersection(a, c1.pi, c2.pi, k) == (), k
-        assert len(connectivity_graph(a, k).connected_components()) == len(comps), k
+        assert len(connectivity_graph(comps).connected_components()) == len(comps), k
 
 
 @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2)])

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib
 import json
 import pathlib
 from collections import Counter
@@ -69,7 +70,7 @@ def test_analyze_quartic_components_and_local_section(capsys):
     # the edge {(1,0),(1,2)} has lattice length two, so the variety is
     # singular there and the local-scheme hypotheses do not apply
     assert "isolated" not in local[(2, 3)]
-    assert "smooth" in local[(2, 3)]["hypotheses_violated"]
+    assert local[(2, 3)]["hypotheses_violated"] == "configuration is not smooth at sigma"
 
 
 def test_analyze_simplex_top_k(capsys):
@@ -175,6 +176,14 @@ def test_mult_non_face_sigma_exits_five(capsys):
     assert "not a face" in err
 
 
+def test_mult_non_smooth_sigma_exits_five(capsys):
+    # the edge {(1,0),(1,2)} of the quartic has lattice length two
+    code, out, err = run(capsys, "mult", DATA / "quartic.json", "--sigma", "2,3")
+    assert code == EXIT_HYPOTHESES
+    assert out == ""
+    assert "not smooth at sigma" in err
+
+
 @pytest.mark.parametrize(
     "argv, facets",
     [
@@ -186,6 +195,7 @@ def test_mult_non_face_sigma_exits_five(capsys):
 def test_local_reports_validate_each_facet_and_find_its_apex_once(
     capsys, monkeypatch, argv, facets
 ):
+    # the apex search is the smoothness test: no separate is_smooth_at call
     calls = Counter()
 
     def counted(name, function):
@@ -200,10 +210,30 @@ def test_local_reports_validate_each_facet_and_find_its_apex_once(
         "is_smooth_at",
         counted("is_smooth_at", PointConfiguration.is_smooth_at),
     )
-    monkeypatch.setattr(localscheme, "_choose_w", counted("apex", localscheme._choose_w))
+    apex = counted("apex", localscheme._apex_and_heights)
+    monkeypatch.setattr(localscheme, "_apex_and_heights", apex)
+    monkeypatch.setattr(cli, "_apex_and_heights", apex)
     code, _, _ = run(capsys, *argv)
     assert code == EXIT_OK
-    assert calls == {"is_smooth_at": facets, "apex": facets}
+    assert calls == {"apex": facets}
+
+
+def test_analyze_builds_the_components_once_per_k(capsys, monkeypatch):
+    # the graph joins the components the report already holds
+    calls = Counter()
+    module = importlib.import_module("toricfano.components")
+    original = module.components
+
+    def counted(a, k):
+        calls[k] += 1
+        return original(a, k)
+
+    monkeypatch.setattr(module, "components", counted)
+    monkeypatch.setattr(cli, "components", counted)
+    ks = [arg for k in range(1, 5) for arg in ("--k", str(k))]
+    code, _, _ = run(capsys, "analyze", DATA / "birkhoff.json", *ks)
+    assert code == EXIT_OK
+    assert calls == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
 def test_verify_builds_each_relation_basis_once_per_run(capsys, monkeypatch):

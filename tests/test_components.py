@@ -286,7 +286,7 @@ def test_intersection_of_square_rulings_is_empty():
 
 
 def test_connectivity_graph_square():
-    graph = connectivity_graph(PointConfiguration(SQUARE), 1)
+    graph = connectivity_graph(components(PointConfiguration(SQUARE), 1))
     assert len(graph.vertices) == 2
     assert graph.edges == ()
     assert len(graph.connected_components()) == 2
@@ -295,11 +295,11 @@ def test_connectivity_graph_square():
 
 def test_connectivity_graph_quartic():
     config = PointConfiguration(QUARTIC)
-    graph = connectivity_graph(config, 1)
+    comps = components(config, 1)
+    graph = connectivity_graph(comps)
     assert len(graph.vertices) == 3
     assert graph.edges == ()
     # cross-check the edge rule against the intersection computation
-    comps = components(config, 1)
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             inter = components_intersection(config, comps[i].pi, comps[j].pi, 1)

@@ -480,7 +480,7 @@ def test_sigma_must_be_smooth():
     # Heights 2 and 3 over the bottom edge generate a numerical semigroup
     # with a gap, so the chart at the edge's fixed point is singular.
     a = config([(0, 0), (1, 0), (0, 2), (0, 3)])
-    with pytest.raises(HypothesesViolated):
+    with pytest.raises(HypothesesViolated, match="not smooth at sigma"):
         local_ring_basis(a, (0, 1))
 
 
