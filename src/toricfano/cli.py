@@ -29,12 +29,13 @@ from .components import (
 from .intlinalg import UnsupportedSizeError, is_saturated
 from .localscheme import (
     HypothesesViolated,
-    _apex_and_heights,
-    _local_ring_basis,
-    _multiplicity_by_height,
+    choose_w,
+    height_coordinates,
+    local_ring_basis,
+    multiplicity_by_height,
     s_u_case,
 )
-from .pointconfig import PointConfiguration
+from .pointconfig import MAX_POINTS as DEFAULT_MAX_POINTS, PointConfiguration
 from .verify import (
     BRUTE_FORCE_MAX_POINTS,
     all_set_partitions,
@@ -45,7 +46,6 @@ from .verify import (
 )
 
 SCHEMA_VERSION = 1
-DEFAULT_MAX_POINTS = 14
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SIZE = 3
@@ -192,12 +192,12 @@ def _local_overview(a: PointConfiguration, k: int) -> list[dict]:
     for face in a.fixed_point_faces(k):
         entry: dict = {"face": list(face.indices)}
         try:
-            _, w, heights = _apex_and_heights(a, face)
+            w = choose_w(a, face)
         except HypothesesViolated as exc:
             entry["hypotheses_violated"] = str(exc)
             entries.append(entry)
             continue
-        basis = _local_ring_basis(face, w, heights)
+        basis = local_ring_basis(a, face)
         entry["w_index"] = a.points.index(w)
         entry["isolated"] = basis.is_finite
         entry["multiplicity"] = basis.cardinality()
@@ -250,14 +250,15 @@ def analysis_report(
 
 def mult_report(a: PointConfiguration, name: Optional[str], sigma: Sequence[int]) -> dict:
     """Local-structure report at one facet; raises HypothesesViolated."""
-    face, w, heights = _apex_and_heights(a, sigma)  # validates the facet hypotheses
-    basis = _local_ring_basis(face, w, heights)
+    w = choose_w(a, sigma)  # validates the facet hypotheses
+    face = a.face_from_indices(sigma)
+    basis = local_ring_basis(a, face)
     per_point = []
     excluded = set(face.points) | {w}
     for idx, u in enumerate(a.points):
         if u in excluded:
             continue
-        hc = heights[u]
+        hc = height_coordinates(a, face, w, u)
         per_point.append(
             {
                 "index": idx,
@@ -270,7 +271,7 @@ def mult_report(a: PointConfiguration, name: Optional[str], sigma: Sequence[int]
     height_note: Optional[str] = None
     if basis.is_finite:
         try:
-            by_height = _multiplicity_by_height(face, w, heights)
+            by_height = multiplicity_by_height(a, face)
         except HypothesesViolated as exc:
             height_note = str(exc)
     return {

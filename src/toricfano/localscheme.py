@@ -11,11 +11,14 @@ independently, from the height filtration.
 
 The smoothness hypothesis is not tested apart: the search for an apex of
 height one over ``sigma`` decides it and yields every point's height
-coordinates in the same pass (``_apex_and_heights``).
+coordinates in the same pass (``_apex_and_heights``).  It runs once per
+facet, and every public function here, the command line's only route in,
+reads its stored result.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
@@ -75,23 +78,17 @@ class MonomialSet:
     @staticmethod
     def from_ideal(nvars: int, gens: Iterable[Sequence[int]]) -> "MonomialSet":
         canon = _minimal_generators(nvars, gens)
-        finite = all(
-            any(all(g[j] == 0 for j in range(nvars) if j != i) for g in canon)
+        # the exponents of the pure powers of each variable in the ideal
+        powers = [
+            [g[i] for g in canon if not any(g[j] for j in range(nvars) if j != i)]
             for i in range(nvars)
-        )
+        ]
+        finite = all(powers)
         members: tuple[IntVector, ...] = ()
         if finite:
-            bounds = [
-                min(
-                    g[i]
-                    for g in canon
-                    if all(g[j] == 0 for j in range(nvars) if j != i)
-                )
-                for i in range(nvars)
-            ]
             found = [
                 alpha
-                for alpha in product(*(range(b) for b in bounds))
+                for alpha in product(*(range(min(p)) for p in powers))
                 if not any(_divides(g, alpha) for g in canon)
             ]
             members = tuple(sorted(found, key=_graded_lex))
@@ -150,7 +147,10 @@ def height_coordinates(
     u: Sequence[int],
 ) -> HeightCoords:
     """The unique coordinates (h, c) of ``u`` over ``sigma`` with apex ``w``."""
-    return _heights_over(_apex_and_heights(a, sigma)[0], w)(u)
+    face, apex, heights = _apex_and_heights(a, sigma)
+    if tuple(w) == apex and tuple(u) in heights:
+        return heights[tuple(u)]
+    return _heights_over(face, w)(u)
 
 
 def _heights_over(face: Face, w: Sequence[int]) -> Callable[[Sequence[int]], HeightCoords]:
@@ -181,26 +181,30 @@ def _heights_over(face: Face, w: Sequence[int]) -> Callable[[Sequence[int]], Hei
 
 def s_u_case(hc: HeightCoords) -> int:
     """Which of the six standard-monomial case patterns matches (first match)."""
+    return _match(hc)[0]
+
+
+def _match(hc: HeightCoords) -> tuple[int, int, int]:
+    """The first matching case pattern and the positions ``j`` and ``l``
+    that ``s_u`` reads (-1 where unused).  Cases 1 and 2 read only the first
+    -1 entry ``j``: if it fails case 1, two other entries are nonzero, so any
+    later -1 entry fails too, and case 2 at a later one would need c[j] >= 0."""
     c = hc.cvec
-    n = len(c)
-    for j in range(n):
-        if c[j] != -1:
-            continue
-        for l in range(n):
-            if l != j and all(c[i] == 0 for i in range(n) if i not in (j, l)):
-                return 1
-    for j in range(n):
-        if c[j] == -1 and all(0 <= c[i] < hc.h for i in range(n) if i != j):
-            return 2
-    for j in range(n):
-        if all(c[i] == 0 for i in range(n) if i != j):
-            return 3
-    positive = [i for i in range(n) if c[i] > 0]
-    if len(positive) == 2 and all(c[i] == 0 for i in range(n) if i not in positive):
-        return 4
-    if all(x >= 0 for x in c) and sum(1 for x in c if x) >= 3:
-        return 5
-    return 6
+    support = [i for i, x in enumerate(c) if x]
+    if -1 in c:
+        j = c.index(-1)
+        for l in range(len(c)):
+            if l != j and set(support) <= {j, l}:
+                return 1, j, l
+        if all(0 <= x < hc.h for i, x in enumerate(c) if i != j):
+            return 2, j, -1
+    if len(support) <= 1:
+        return 3, (support or [0])[0], -1
+    if len(support) == 2 and all(c[i] > 0 for i in support):
+        return 4, -1, -1
+    if len(support) >= 3 and min(c) >= 0:
+        return 5, -1, -1
+    return 6, -1, -1
 
 
 def _degree_slice(n: int, h: int) -> list[IntVector]:
@@ -225,32 +229,22 @@ def s_u(hc: HeightCoords, k: int) -> MonomialSet:
     n = k + 1
     h = hc.h
     c = hc.cvec
-    case = s_u_case(hc)
+    case, j, l = _match(hc)
     slice_h = _degree_slice(n, h)
 
     def shifted(i: int) -> IntVector:
         return tuple(x + (1 if t == i else 0) for t, x in enumerate(c))
 
     if case == 1:
-        j = next(i for i in range(n) if c[i] == -1)
-        l = next(
-            t
-            for t in range(n)
-            if t != j and all(c[i] == 0 for i in range(n) if i not in (j, t))
-        )
         axis_top = tuple(h if i == l else 0 for i in range(n))
         if h >= 1:
             gens = [g for g in slice_h if g != axis_top]
         else:
             gens = [tuple(1 if i == t else 0 for i in range(n)) for t in range(n) if t != l]
     elif case == 2:
-        j = next(i for i in range(n) if c[i] == -1)
         keep = shifted(j)
         gens = [g for g in slice_h if g != keep]
     elif case == 3:
-        j = next(
-            t for t in range(n) if all(c[i] == 0 for i in range(n) if i != t)
-        )
         if h >= 2:
             keep = {shifted(i) for i in range(n)}
             gens = [g for g in slice_h if g not in keep]
@@ -275,7 +269,15 @@ def local_ring_basis(
     """Monomial basis of the local ring of the k-plane scheme at the fixed
     point of ``sigma``: the intersection of the per-point standard-monomial
     sets over all configuration points outside ``sigma`` and the apex."""
-    return _local_ring_basis(*_apex_and_heights(a, sigma))
+    face, w, heights = _apex_and_heights(a, sigma)
+    outside = set(heights) - set(face.points) - {w}
+    gens = [g for u in outside for g in s_u(heights[u], face.dim).ideal_part]
+    return MonomialSet.from_ideal(face.dim + 1, gens)
+
+
+# facet -> (apex, every point's heights), or None where no apex exists; weak,
+# so it keeps no configuration alive
+_apex_searches: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _apex_and_heights(
@@ -314,26 +316,26 @@ def _apex_and_heights(
             "sigma must be an empty-simplex face of dimension one less than "
             "the configuration"
         )
+    if face not in _apex_searches:
+        _apex_searches[face] = _apex_search(face)
+    found = _apex_searches[face]
+    if found is None:
+        raise HypothesesViolated("configuration is not smooth at sigma")
+    return (face, *found)
+
+
+def _apex_search(face: Face) -> Optional[tuple[IntVector, Heights]]:
+    """``_apex_and_heights``'s search over a validated facet, or None."""
     sigma_points = set(face.points)
-    for w in sorted(a.points):
+    for w in sorted(face.config.points):
         if w in sigma_points:
             continue
         try:
             height_of = _heights_over(face, w)
-            return face, w, {u: height_of(u) for u in a.points}
+            return w, {u: height_of(u) for u in face.config.points}
         except HypothesesViolated:
             continue
-    raise HypothesesViolated("configuration is not smooth at sigma")
-
-
-def _local_ring_basis(face: Face, w: IntVector, heights: Heights) -> MonomialSet:
-    k = face.dim
-    excluded = set(face.points) | {w}
-    gens: list[IntVector] = []
-    for u, hc in heights.items():
-        if u not in excluded:
-            gens.extend(s_u(hc, k).ideal_part)
-    return MonomialSet.from_ideal(k + 1, gens)
+    return None
 
 
 def is_isolated(a: PointConfiguration, sigma: "Face | Sequence[int]") -> bool:
@@ -372,14 +374,9 @@ def multiplicity_by_height(
     Returns the smallest m at which the set of points of height at most m is
     contained in none of the translated rays ``sigma + N*(w - v_i)``.
     """
-    face, w, heights = _apex_and_heights(a, sigma)
-    if not _local_ring_basis(face, w, heights).is_finite:
+    if not local_ring_basis(a, sigma).is_finite:
         raise HypothesesViolated("fixed point is not isolated")
-    return _multiplicity_by_height(face, w, heights)
-
-
-def _multiplicity_by_height(face: Face, w: IntVector, heights: Heights) -> int:
-    """``multiplicity_by_height`` at a fixed point known to be isolated."""
+    face, w, heights = _apex_and_heights(a, sigma)
     height = {u: hc.h for u, hc in heights.items()}
     if not any(h == 1 and u != w for u, h in height.items()):
         raise HypothesesViolated("no second configuration point at height one")

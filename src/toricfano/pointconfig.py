@@ -180,9 +180,10 @@ class PointConfiguration:
         semigroup on a lattice basis.
         """
         idx = sigma.indices if isinstance(sigma, Face) else tuple(sorted(set(sigma)))
-        if not self.is_face(idx):
+        face = self._face_by_indices.get(idx)
+        if face is None:
             raise ValueError(f"{idx} is not a face")
-        if not self.is_empty_simplex(idx):
+        if not idx or face.dim != len(idx) - 1:
             raise ValueError(f"face {idx} is not an empty simplex")
         k = len(idx) - 1
         n = self.dimension

@@ -3,6 +3,7 @@
 import importlib
 import json
 import pathlib
+import weakref
 from collections import Counter
 
 import pytest
@@ -195,7 +196,8 @@ def test_mult_non_smooth_sigma_exits_five(capsys):
 def test_local_reports_validate_each_facet_and_find_its_apex_once(
     capsys, monkeypatch, argv, facets
 ):
-    # the apex search is the smoothness test: no separate is_smooth_at call
+    # the apex search is the smoothness test: no separate is_smooth_at call;
+    # the public functions the CLI calls share one search per facet
     calls = Counter()
 
     def counted(name, function):
@@ -210,12 +212,22 @@ def test_local_reports_validate_each_facet_and_find_its_apex_once(
         "is_smooth_at",
         counted("is_smooth_at", PointConfiguration.is_smooth_at),
     )
-    apex = counted("apex", localscheme._apex_and_heights)
-    monkeypatch.setattr(localscheme, "_apex_and_heights", apex)
-    monkeypatch.setattr(cli, "_apex_and_heights", apex)
+    monkeypatch.setattr(localscheme, "_apex_searches", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(
+        localscheme, "_apex_search", counted("apex", localscheme._apex_search)
+    )
     code, _, _ = run(capsys, *argv)
     assert code == EXIT_OK
     assert calls == {"apex": facets}
+    # the CLI reaches the local scheme through its public functions only
+    private = {
+        name
+        for name, value in vars(cli).items()
+        if name.startswith("_")
+        and not name.startswith("__")
+        and getattr(localscheme, name, None) is value
+    }
+    assert private == set()
 
 
 def test_analyze_builds_the_components_once_per_k(capsys, monkeypatch):

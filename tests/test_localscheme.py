@@ -10,10 +10,13 @@ Two independent oracles back the case-table implementation:
 
 import itertools
 import random
+import weakref
+from collections import Counter
 
 import pytest
 import sympy
 
+from toricfano import localscheme
 from toricfano.localscheme import (
     HeightCoords,
     HypothesesViolated,
@@ -207,6 +210,32 @@ def test_height_coordinates_quartic_top_point():
     hc = height_coordinates(a, (0, 2), (0, 1), (1, 2))
     assert (hc.h, hc.c) == (2, (-1,))
     assert hc.cvec == (2, -1)
+
+
+def test_height_coordinates_read_the_one_apex_search(monkeypatch):
+    # asking for each point's heights one call at a time searches the apex
+    # once, factoring its first candidate (0, 1), and factors nothing more
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(localscheme, "_apex_searches", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(
+        localscheme, "_apex_search", counted("search", localscheme._apex_search)
+    )
+    monkeypatch.setattr(
+        localscheme, "integer_solver", counted("factor", localscheme.integer_solver)
+    )
+    a = config(FIVE)
+    heights = [height_coordinates(a, (0, 1), (0, 1), u) for u in FIVE]
+    assert calls == {"search": 1, "factor": 1}
+    face = a.face_from_indices((0, 1))
+    assert heights == [localscheme._heights_over(face, (0, 1))(u) for u in FIVE]
 
 
 def test_height_coordinates_reject_dependent_apex():
