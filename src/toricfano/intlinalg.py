@@ -9,13 +9,15 @@ unimodular transform; kernel bases, ranks, affine relation lattices, the
 test for saturated lattices (unit pivots in the form of the transposed
 basis), integer solving against a basis factored once, the free-semigroup
 test, and affine unimodular equivalence of point configurations all derive
-from it.
+from it.  A cone's facets come from one exact double description
+(``cone_facets``), which also decides whether the cone is pointed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
+from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -344,36 +346,61 @@ def affine_unimodular_equivalent(a: Sequence[Sequence[int]], b: Sequence[Sequenc
     return extend(0)
 
 
-def cone_is_pointed(vectors: Iterable[Sequence[int]]) -> bool:
-    """Whether the rational cone spanned by the vectors contains no line.
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
-    Equivalently: the only nonnegative rational combination of the vectors
-    equal to zero is the trivial one, so the semigroup they generate has no
-    nonzero invertible element.  Exact; no linear programming.  A vanishing
-    nonnegative combination with minimal support lives on a circuit (a
-    minimally dependent subset), so it suffices to inspect the sign pattern
-    of the one-dimensional kernel of every circuit.  Before enumerating,
-    vectors with a strict entry in a coordinate where all vectors share a
-    sign are discarded: no vanishing nonnegative combination can use them.
+
+def _combine(a: int, x: Sequence[int], b: int, y: Sequence[int]) -> IntVector:
+    """The primitive integer vector along ``a * x - b * y``."""
+    z = [a * s - b * t for s, t in zip(x, y)]
+    g = gcd(*z)
+    return tuple(s // g for s in z)
+
+
+def cone_facets(vectors: Iterable[Sequence[int]]) -> tuple[IntVector, ...]:
+    """Sorted primitive integer inward normals of the facets of the vectors' cone.
+
+    They are zero outside the pivot columns of the vectors' ``lattice_basis``,
+    where the vectors span Q^r, so they are the extreme rays of the pointed
+    dual cone {y : y . v >= 0} (none for a linear space): an exact incremental
+    double description (Motzkin et al. 1953; Fukuda-Prodon 1996) from r lines.
+    A constraint that some line does not vanish on cuts it into a ray and moves
+    the other lines and rays along it onto the hyperplane; otherwise a positive
+    and a negative ray combine there when no third ray is tight wherever both are.
     """
-    vs = [v for v in sorted({tuple(v) for v in vectors}) if any(v)]
-    stripped = True
-    while stripped and vs:
-        stripped = False
-        for j in range(len(vs[0])):
-            column = [v[j] for v in vs]
-            if any(column) and (min(column) >= 0 or max(column) <= 0):
-                vs = [v for v in vs if v[j] == 0]
-                stripped = True
-                break
-    if not vs:
-        return True
-    rank = matrix_rank(vs)
-    for size in range(2, rank + 2):
-        for subset in combinations(vs, size):
-            if matrix_rank(subset) != size - 1:
-                continue
-            (relation,) = integer_kernel_basis(transpose(as_matrix(subset)))
-            if min(relation) >= 0 or max(relation) <= 0:
-                return False
-    return True
+    vs = as_matrix(vectors)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in lattice_basis(vs)]
+    lines = list(identity_matrix(len(pivots)))
+    rays: list[tuple[IntVector, int]] = []  # with the bitmask of constraints tight there
+    for i, v in enumerate(tuple(v[j] for j in pivots) for v in vs):
+        cut = next((line for line in lines if _dot(line, v)), None)
+        if cut is not None:
+            lines.remove(cut)
+            s = _dot(cut, v)
+            cut = tuple(x if s > 0 else -x for x in cut)  # into the half-space
+            lines = [_combine(abs(s), y, _dot(y, v), cut) for y in lines]
+            rays = [(_combine(abs(s), y, _dot(y, v), cut), z | 1 << i) for y, z in rays]
+            rays.append((cut, (1 << i) - 1))
+            continue
+        side = [_dot(y, v) for y, _ in rays]
+        kept = [(y, z | 1 << i if d == 0 else z) for (y, z), d in zip(rays, side) if d >= 0]
+        pairs = [(a, b) for a, b in product(range(len(rays)), repeat=2) if side[a] > 0 > side[b]]
+        for a, b in pairs:
+            both = rays[a][1] & rays[b][1]
+            if not any(z & both == both for t, (_, z) in enumerate(rays) if t not in (a, b)):
+                kept.append((_combine(side[a], rays[b][0], side[b], rays[a][0]), both | 1 << i))
+        rays = kept
+    width = len(vs[0]) if vs else 0
+    return tuple(sorted(tuple(dict(zip(pivots, y)).get(j, 0) for j in range(width)) for y, _ in rays))
+
+
+def cone_is_pointed(vectors: Iterable[Sequence[int]]) -> bool:
+    """Whether the rational cone spanned by the vectors contains no line, so
+    that their semigroup has no nonzero invertible element.  Exact; no linear
+    programming.  The cone's largest linear subspace is its smallest face,
+    where every facet is tight, and the vectors on it span it: the cone is
+    pointed exactly when no nonzero vector is tight at every facet.
+    """
+    vs = as_matrix(vectors)
+    facets = cone_facets(vs)
+    return not any(any(v) and not any(_dot(y, v) for y in facets) for v in vs)

@@ -13,7 +13,7 @@ The smoothness hypothesis is not tested apart: the search for an apex of
 height one over ``sigma`` decides it and yields every point's height
 coordinates in the same pass (``_apex_and_heights``).  It runs once per
 facet, and every public function here, the command line's only route in,
-reads its stored result.
+reads its stored result, beside which the local ring basis is kept once built.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def height_coordinates(
     u: Sequence[int],
 ) -> HeightCoords:
     """The unique coordinates (h, c) of ``u`` over ``sigma`` with apex ``w``."""
-    face, apex, heights = _apex_and_heights(a, sigma)
+    face, apex, heights, _ = _apex_and_heights(a, sigma)
     if tuple(w) == apex and tuple(u) in heights:
         return heights[tuple(u)]
     return _heights_over(face, w)(u)
@@ -226,6 +226,8 @@ def s_u(hc: HeightCoords, k: int) -> MonomialSet:
     """
     if len(hc.c) != k:
         raise ValueError(f"expected {k} offset coordinates, got {len(hc.c)}")
+    if hc.h == 0 and k >= 2:
+        raise ValueError("height 0 leaves the kept axis undefined for k >= 2")
     n = k + 1
     h = hc.h
     c = hc.cvec
@@ -269,23 +271,25 @@ def local_ring_basis(
     """Monomial basis of the local ring of the k-plane scheme at the fixed
     point of ``sigma``: the intersection of the per-point standard-monomial
     sets over all configuration points outside ``sigma`` and the apex."""
-    face, w, heights = _apex_and_heights(a, sigma)
-    outside = set(heights) - set(face.points) - {w}
-    gens = [g for u in outside for g in s_u(heights[u], face.dim).ideal_part]
-    return MonomialSet.from_ideal(face.dim + 1, gens)
+    face, w, heights, kept = _apex_and_heights(a, sigma)
+    if not kept:
+        outside = set(heights) - set(face.points) - {w}
+        gens = [g for u in outside for g in s_u(heights[u], face.dim).ideal_part]
+        kept.append(MonomialSet.from_ideal(face.dim + 1, gens))
+    return kept[0]
 
 
-# facet -> (apex, every point's heights), or None where no apex exists; weak,
-# so it keeps no configuration alive
+# facet -> (apex, every point's heights, [its local ring basis once built]),
+# or None where no apex exists; weak, so it keeps no configuration alive
 _apex_searches: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _apex_and_heights(
     a: PointConfiguration, sigma: "Face | Sequence[int]"
-) -> tuple[Face, IntVector, Heights]:
-    """The validated facet, its apex, and the height coordinates of every
-    configuration point over them: the one test of the local-structure
-    hypotheses at ``sigma``, shared by all the questions asked there.
+) -> tuple[Face, IntVector, Heights, list[MonomialSet]]:
+    """The validated facet, its apex, every point's heights over them, and
+    the list that keeps the facet's local ring basis: the one test of the
+    local-structure hypotheses at ``sigma``, shared by all questions there.
 
     ``sigma`` must be an empty-simplex face of dimension one less than the
     configuration.  The apex is the first point ``w`` off ``sigma``, in
@@ -324,7 +328,7 @@ def _apex_and_heights(
     return (face, *found)
 
 
-def _apex_search(face: Face) -> Optional[tuple[IntVector, Heights]]:
+def _apex_search(face: Face) -> Optional[tuple[IntVector, Heights, list[MonomialSet]]]:
     """``_apex_and_heights``'s search over a validated facet, or None."""
     sigma_points = set(face.points)
     for w in sorted(face.config.points):
@@ -332,7 +336,7 @@ def _apex_search(face: Face) -> Optional[tuple[IntVector, Heights]]:
             continue
         try:
             height_of = _heights_over(face, w)
-            return w, {u: height_of(u) for u in face.config.points}
+            return w, {u: height_of(u) for u in face.config.points}, []
         except HypothesesViolated:
             continue
     return None
@@ -376,7 +380,7 @@ def multiplicity_by_height(
     """
     if not local_ring_basis(a, sigma).is_finite:
         raise HypothesesViolated("fixed point is not isolated")
-    face, w, heights = _apex_and_heights(a, sigma)
+    face, w, heights, _ = _apex_and_heights(a, sigma)
     height = {u: hc.h for u, hc in heights.items()}
     if not any(h == 1 and u != w for u, h in height.items()):
         raise HypothesesViolated("no second configuration point at height one")

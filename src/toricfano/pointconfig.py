@@ -15,7 +15,6 @@ smoothness along the torus orbit closure of sigma.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
@@ -25,8 +24,8 @@ from .intlinalg import (
     IntVector,
     UnsupportedSizeError,
     _homogenized_rows,
-    _kernel,
     affine_relation_lattice,
+    cone_facets,
     hermite_normal_form,
     integer_solver,
     is_free_semigroup,
@@ -261,15 +260,15 @@ def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
     """Full face list via supporting hyperplanes of the convex hull, with
     each face's covers and dimension.
 
-    Facet candidates come from the affine hulls of n affinely independent
-    points; n points are independent exactly when the kernel of their n - 1
-    differences has rank d - n + 1, so the kernel that yields the candidate
-    hyperplane also decides independence.  Every face is the intersection of
-    the facets containing it, and the faces that a face F covers are exactly
-    the inclusion-maximal proper intersections of F with a facet.  So walking
-    down from the configuration itself and intersecting each new face with
-    the facets only reaches every face and records its covers on the way;
-    witnesses add, and a face found below F has dimension one less than F's.
+    The facets are those of the cone over the points (1, p): its inward
+    normal y from ``cone_facets`` gives the witness y[1:] and offset -y[0]
+    (a single point's one facet is the empty face, witness 0, offset -1).
+    Every face is the intersection of the facets containing it, and the
+    faces that a face F covers are exactly the inclusion-maximal proper
+    intersections of F with a facet.  So walking down from the configuration
+    itself and intersecting each new face with the facets only reaches every
+    face and records its covers on the way; witnesses add, and a face found
+    below F has dimension one less than F's.
     """
     pts = config.points
     npts = len(pts)
@@ -279,7 +278,6 @@ def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
         raise UnsupportedSizeError(
             f"face enumeration supports at most {MAX_POINTS} points, got {npts}"
         )
-    d = config.ambient_dim
     if config.dimension > MAX_DIM:
         raise UnsupportedSizeError(
             f"face enumeration supports dimension at most {MAX_DIM}"
@@ -287,31 +285,13 @@ def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
     n = config.dimension
 
     facets: dict[tuple[int, ...], tuple[IntVector, int]] = {}
-    for subset in itertools.combinations(range(npts), n):
-        s0 = pts[subset[0]] if subset else pts[0]
-        diffs = tuple(tuple(a - b for a, b in zip(pts[i], s0)) for i in subset[1:])
-        kernel = _kernel(diffs, d)
-        if len(kernel) != d - n + 1:
-            continue  # affinely dependent (or n = 0: a point has no facets)
-        for w in kernel:
-            heights = [sum(a * b for a, b in zip(w, p)) - sum(a * b for a, b in zip(w, s0)) for p in pts]
-            if not any(heights):
-                continue  # w kills the whole configuration's span
-            if all(h >= 0 for h in heights):
-                pass
-            elif all(h <= 0 for h in heights):
-                w = tuple(-a for a in w)
-                heights = [-h for h in heights]
-            else:
-                continue
-            face_idx = tuple(i for i, h in enumerate(heights) if h == 0)
-            c = sum(a * b for a, b in zip(w, s0))
-            facets.setdefault(face_idx, (w, c))
-            break
+    for y in cone_facets((1,) + p for p in pts):
+        on = tuple(i for i, p in enumerate(pts) if sum(a * b for a, b in zip(y, (1,) + p)) == 0)
+        facets[on] = (y[1:], -y[0])
 
     all_idx = tuple(range(npts))
     # index set -> (witness, offset, dimension)
-    faces: dict[tuple[int, ...], tuple[IntVector, int, int]] = {all_idx: ((0,) * d, 0, n)}
+    faces: dict[tuple[int, ...], tuple[IntVector, int, int]] = {all_idx: ((0,) * config.ambient_dim, 0, n)}
     covers: dict[tuple[int, ...], list[tuple[int, ...]]] = {all_idx: []}
     work = [all_idx]
     for upper in work:  # grows as new faces are found
@@ -330,12 +310,6 @@ def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
                 covers[lower] = []
                 work.append(lower)
             covers[lower].append(upper)
-
-    if () not in faces:
-        # a single point has no facets; the zero functional with offset -1
-        # cuts out the empty face since 0 > -1 for every point
-        faces[()] = ((0,) * d, -1, -1)
-        covers[()] = [all_idx]
 
     result = [
         Face(config, idx, w, c, tuple(covers[idx]), dim)

@@ -127,16 +127,16 @@ def smooth_by_basis_completion(a, face):
     return False
 
 
-def faces_by_pairwise_closure(a):
-    """Reference face lattice (index set -> (witness, offset)): facets from
-    every n-subset of affinely independent points, then the closure under
-    pairwise intersection of all faces, witnesses added."""
+def facets_by_subset_scan(a):
+    """Reference facets (index set -> (witness, offset)): the hyperplanes
+    through n affinely independent points with every point on one side,
+    from every n-subset of the points."""
     pts, d, n = a.points, a.ambient_dim, a.dimension
 
     def dot(w, p):
         return sum(x * y for x, y in zip(w, p))
 
-    faces = {tuple(range(len(pts))): ((0,) * d, 0)}
+    facets = {}
     for subset in combinations(range(len(pts)), n):
         if n and a.affine_dim_of(subset) != n - 1:
             continue
@@ -148,8 +148,16 @@ def faces_by_pairwise_closure(a):
                 continue
             if min(heights) < 0:
                 w, heights = tuple(-x for x in w), [-h for h in heights]
-            faces.setdefault(tuple(i for i, h in enumerate(heights) if h == 0), (w, dot(w, s0)))
+            facets.setdefault(tuple(i for i, h in enumerate(heights) if h == 0), (w, dot(w, s0)))
             break
+    return facets
+
+
+def faces_by_pairwise_closure(a):
+    """Reference face lattice (index set -> (witness, offset)): the facets of
+    the subset scan, then the closure under pairwise intersection of all
+    faces, witnesses added."""
+    faces = {tuple(range(len(a.points))): ((0,) * a.ambient_dim, 0), **facets_by_subset_scan(a)}
     work = list(faces.items())
     while work:
         next_work = []
@@ -161,7 +169,7 @@ def faces_by_pairwise_closure(a):
                     faces[common] = (tuple(x + y for x, y in zip(w1, w2)), c1 + c2)
                     next_work.append((common, faces[common]))
         work = next_work
-    faces.setdefault((), ((0,) * d, -1))
+    faces.setdefault((), ((0,) * a.ambient_dim, -1))
     return faces
 
 
@@ -480,6 +488,22 @@ def test_face_lattice_matches_pairwise_closure_reference():
             assert cuts_out(a, f.indices, *reference[f.indices]), (points, f)
             covered += len(above)
     assert covered >= 3000, covered
+
+
+def test_facets_match_subset_scan_at_the_caps():
+    # 14 points in dimension 6, the most the caps admit: the scan visits
+    # all C(14, 6) = 3,003 six-point subsets
+    rng = random.Random(3003)
+    points = set()
+    while len(points) < pointconfig.MAX_POINTS:
+        points.add(tuple(rng.randint(0, 3) for _ in range(pointconfig.MAX_DIM)))
+    a = PointConfiguration(sorted(points))
+    assert a.dimension == pointconfig.MAX_DIM
+    facets = a.faces(a.dimension - 1)
+    assert {f.indices for f in facets} == set(facets_by_subset_scan(a))
+    assert len(facets) >= 20, len(facets)
+    for f in facets:
+        assert cuts_out(a, f.indices, f.witness, f.offset), f
 
 
 def test_is_cayley_structure_matches_block_sums_reference():

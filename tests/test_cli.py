@@ -230,6 +230,24 @@ def test_local_reports_validate_each_facet_and_find_its_apex_once(
     assert private == set()
 
 
+def test_mult_builds_the_local_ring_basis_once(capsys, monkeypatch):
+    # multiplicity_by_height reads the basis mult_report built: one s_u for
+    # each of the two points of five outside sigma (0, 1) and its apex
+    calls = Counter()
+    original = localscheme.s_u
+
+    def counted(hc, k):
+        calls["s_u"] += 1
+        return original(hc, k)
+
+    monkeypatch.setattr(localscheme, "_apex_searches", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(localscheme, "s_u", counted)
+    code, report, _ = run_json(capsys, "mult", DATA / "five.json", "--sigma", "0,1")
+    assert code == EXIT_OK
+    assert report["multiplicity_by_height"] is not None
+    assert calls == {"s_u": 2}
+
+
 def test_analyze_builds_the_components_once_per_k(capsys, monkeypatch):
     # the graph joins the components the report already holds
     calls = Counter()

@@ -12,6 +12,7 @@ from toricfano.intlinalg import (
     affine_relation_lattice,
     affine_unimodular_equivalent,
     as_matrix,
+    cone_facets,
     cone_is_pointed,
     hermite_normal_form,
     integer_kernel_basis,
@@ -438,3 +439,95 @@ def test_cone_pointedness_matches_nonneg_relation_search():
                 found = True
                 break
         assert cone_is_pointed(vs) is (not found), vs
+
+
+# ---------------------------------------------------------------------------
+# cone_facets
+
+
+@pytest.mark.parametrize(
+    "vectors, expected",
+    [
+        # simplicial cone: the coordinate hyperplanes
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+        # cone over the unit square: four facets through two rays each
+        (
+            [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)],
+            ((0, 0, 1), (0, 1, 0), (1, -1, 0), (1, 0, -1)),
+        ),
+        # linear spaces have no facets: a line, the whole plane
+        ([(1, 0), (-1, 0)], ()),
+        ([(1, 0), (0, 1), (-1, -1)], ()),
+        # a half-plane: one facet, its boundary line
+        ([(1, 0), (-1, 0), (0, 1)], ((0, 1),)),
+        # rank 2 in Z^4: normals vanish off the pivot columns 0 and 1
+        ([(1, 1, 0, 0), (1, 0, 1, 0)], ((0, 1, 0, 0), (1, -1, 0, 0))),
+        # a single ray, given twice; no vectors; only the zero vector
+        ([(2, 0), (3, 0)], ((1, 0),)),
+        ([], ()),
+        ([(0, 0, 0)], ()),
+    ],
+)
+def test_cone_facets_hand_cases(vectors, expected):
+    assert cone_facets(vectors) == expected
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def primitive(values):
+    g = math.gcd(*values)
+    return tuple(x // g for x in values)
+
+
+def facet_values_by_hyperplanes(vs):
+    """Oracle: for each hyperplane through r - 1 linearly independent vectors
+    with every vector on one side (r the rank), the primitive vector of the
+    vectors' values on its inward normal."""
+    r = matrix_rank(vs)
+    found = set()
+    for subset in itertools.combinations(vs, r - 1) if r else ():
+        if matrix_rank(subset) != r - 1:
+            continue
+        # the kernel of the subset (of a zero row, for r = 1) holds a normal
+        # that some vector sees
+        kernel = integer_kernel_basis(subset or [[0] * len(vs[0])])
+        values = next(vals for w in kernel if any(vals := [dot(w, v) for v in vs]))
+        if min(values) >= 0 or max(values) <= 0:
+            found.add(primitive([abs(x) for x in values]))
+    return found
+
+
+def random_cone_vectors(rng):
+    """One to seven small integer combinations of random generators in
+    dimension 1-4; a third of the time fewer generators than the dimension,
+    so the vectors have lower rank."""
+    d = rng.randint(1, 4)
+    rank = rng.randint(1, d - 1) if d > 1 and rng.random() < 1 / 3 else d
+    gens = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rank)]
+    return [
+        tuple(sum(rng.randint(-1, 1) * g[j] for g in gens) for j in range(d))
+        for _ in range(rng.randint(1, 7))
+    ]
+
+
+def test_cone_facets_match_hyperplanes_through_independent_vectors():
+    rng = random.Random(1953)
+    shapes = Counter()
+    for _ in range(600):
+        vs = random_cone_vectors(rng)
+        facets = cone_facets(vs)
+        pivots = {next(j for j, x in enumerate(row) if x) for row in lattice_basis(vs)}
+        for y in facets:
+            assert math.gcd(*y) == 1, (vs, y)
+            assert all(x == 0 for j, x in enumerate(y) if j not in pivots), (vs, y)
+            assert min(dot(y, v) for v in vs) >= 0, (vs, y)
+        got = [primitive([dot(y, v) for v in vs]) for y in facets]
+        assert len(set(got)) == len(got), vs
+        assert set(got) == facet_values_by_hyperplanes(vs), vs
+        shapes["lower rank"] += matrix_rank(vs) < len(vs[0])
+        shapes["not pointed"] += not cone_is_pointed(vs)
+        shapes["no facets"] += not facets
+        shapes["three or more facets"] += len(facets) >= 3
+    assert min(shapes.values()) >= 50, shapes

@@ -296,6 +296,15 @@ def test_s_u_case_one_height_zero_keeps_axis():
     assert not basis.contains((0, 1))
 
 
+def test_s_u_rejects_height_zero_beyond_k_one():
+    # at height 0 case 1 keeps an axis l that only k = 1 forces; the points
+    # of height 0 are sigma's own vertices, which local_ring_basis leaves out
+    with pytest.raises(ValueError, match="height 0"):
+        s_u(HeightCoords(h=0, c=(-1, 0)), 2)
+    with pytest.raises(ValueError, match="height 0"):
+        s_u(HeightCoords(h=0, c=(0, 0, 1)), 3)
+
+
 def test_s_u_case_six_is_truncation():
     basis = s_u(HeightCoords(h=2, c=(-2,)), 1)
     assert basis.ideal_part == ((0, 2), (1, 1), (2, 0))

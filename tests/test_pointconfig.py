@@ -139,6 +139,9 @@ def test_segment_faces():
 def test_single_point_faces():
     config = PointConfiguration([(7, 8)])
     assert {f.indices for f in config.faces()} == {(), (0,)}
+    # the point's cone has one facet, the empty face: 0 > -1 at the point
+    empty = config.face_from_indices(())
+    assert (empty.witness, empty.offset, empty.dim, empty.covers) == ((0, 0), -1, -1, ((0,),))
 
 
 def test_birkhoff_face_counts():
