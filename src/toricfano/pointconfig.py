@@ -302,8 +302,9 @@ def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
             common = tuple(i for i in facet if i in members)
             if common != upper and common not in meets:
                 meets[common] = (tuple(a + b for a, b in zip(w1, w2)), c1 + c2, dim - 1)
-        for lower, entry in meets.items():
-            if any(set(lower) < set(other) for other in meets):
+        sets = [frozenset(lower) for lower in meets]
+        for (lower, entry), below in zip(meets.items(), sets):
+            if any(below < other for other in sets):
                 continue  # not a facet of upper
             if lower not in faces:
                 faces[lower] = entry

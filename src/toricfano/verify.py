@@ -2,17 +2,20 @@
 
 Everything here recomputes from first principles: affine relation lattices
 of faces (built once per face per run and passed to the plane, vanishing and
-chart-sample checks), formal substitution of the block-plane parametrization
-into the binomial relations, exact rational sampling of chart
-parametrizations, and raw set-partition enumeration of Cayley structures.
-The test suite holds the fast implementations to agreement with these.
+chart-sample checks), the block-plane parametrization substituted into the
+binomial relations, exact rational sampling of chart parametrizations
+(validated once per call) decided by unique factorization of the column
+forms, and raw set-partition enumeration of Cayley structures (each distinct
+block tested once per call).  The tests hold the fast paths to agreement with these.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -51,18 +54,17 @@ class PlaneParametrization:
     matrix: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
+        rows = tuple(
+            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in self.matrix
+        )
         object.__setattr__(self, "matrix", rows)
-        if _rational_rank(rows) != len(rows):
-            raise ValueError("plane matrix must have full row rank")
-
-
-def _rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    cleared = []
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        cleared.append(tuple(int(x * scale) for x in row))
-    return matrix_rank(cleared)
+        # Every row alone nonzero in some column gives a diagonal minor, so
+        # full rank; otherwise the HNF of the rows cleared of denominators decides.
+        nonzero = [[i for i, x in enumerate(col) if x] for col in zip(*rows, strict=True)]
+        if len({nz[0] for nz in nonzero if len(nz) == 1}) != len(rows):
+            scales = [lcm(*(x.denominator for x in row)) for row in rows]
+            if matrix_rank([[int(x * c) for x in r] for r, c in zip(rows, scales)]) != len(rows):
+                raise ValueError("plane matrix must have full row rank")
 
 
 def _as_face(a: PointConfiguration, tau: "Face | Sequence[int]") -> Face:
@@ -131,6 +133,34 @@ def verify_cayley_plane(relations: RelationBasis, pi: CayleyStructure) -> bool:
     return True
 
 
+def _chart_plane_builder(pi: CayleyStructure, sigma_tilde: Sequence[int], sigma: Sequence[int]):
+    """Validate the chart data once; the returned function builds the plane
+    at a torus point and coefficients (see ``specialized_chart_plane``)."""
+    chart_semigroup(pi, sigma_tilde, sigma)  # validates the chart data
+    a = pi.config
+    s = tuple(sorted(sigma))
+    rep_of_block = {pi.block_of[i]: i for i in sorted(sigma_tilde)}
+    reps = [(idx, rep_of_block[pi.block_of[idx]]) for idx in pi.face.indices]
+    exponents = [tuple(x - y for x, y in zip(a.points[i], a.points[rep])) for i, rep in reps]
+
+    def build(t, coefficients):
+        rows = [[Fraction(0)] * len(a.points) for _ in s]
+        for (idx, rep), exponent in zip(reps, exponents):
+            num = den = 1
+            for x, e in zip(t, exponent):
+                num *= x.numerator**e if e > 0 else x.denominator**-e
+                den *= x.denominator**e if e > 0 else x.numerator**-e
+            char = Fraction(num, den)  # the character of idx - rep at t
+            for row, v in zip(rows, s):
+                if rep == v:
+                    row[idx] = char
+                elif rep not in s:
+                    row[idx] = char * Fraction(coefficients[(v, rep)])
+        return PlaneParametrization(matrix=tuple(map(tuple, rows)))
+
+    return build
+
+
 def specialized_chart_plane(
     pi: CayleyStructure,
     sigma_tilde: Sequence[int],
@@ -147,80 +177,55 @@ def specialized_chart_plane(
     coefficient attached to the (row point, representative) pair.  Columns
     off the face are zero.
     """
-    chart_semigroup(pi, sigma_tilde, sigma)  # validates the chart data
-    a = pi.config
+    build = _chart_plane_builder(pi, sigma_tilde, sigma)
     t = tuple(Fraction(x) for x in torus)
-    if len(t) != a.ambient_dim:
+    if len(t) != pi.config.ambient_dim:
         raise ValueError("torus point has the wrong dimension")
     if any(x == 0 for x in t):
         raise ValueError("torus coordinates must be nonzero")
-    s = tuple(sorted(sigma))
-    rep_of_block = {pi.block_of[i]: i for i in sorted(sigma_tilde)}
-    reps = {idx: rep_of_block[pi.block_of[idx]] for idx in pi.face.indices}
-    chars = {idx: _char_value(t, a.points[idx], a.points[rep]) for idx, rep in reps.items()}
-    rows = []
-    for v in s:
-        row = [Fraction(0)] * len(a.points)
-        for idx, rep in reps.items():
-            if rep == v:
-                row[idx] = chars[idx]
-            elif rep not in s:
-                row[idx] = chars[idx] * Fraction(coefficients[(v, rep)])
-        rows.append(tuple(row))
-    return PlaneParametrization(matrix=tuple(rows))
-
-
-def _char_value(t: Sequence[Fraction], p: IntVector, q: IntVector) -> Fraction:
-    out = Fraction(1)
-    for base, e in zip(t, (x - y for x, y in zip(p, q))):
-        out *= base**e
-    return out
-
-
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(key, Fraction(0)) + ca * cb
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _column_form(plane: PlaneParametrization, col: int) -> dict:
-    nrows = len(plane.matrix)
-    return {
-        tuple(1 if r == i else 0 for r in range(nrows)): plane.matrix[i][col]
-        for i in range(nrows)
-        if plane.matrix[i][col]
-    }
+    return build(t, coefficients)
 
 
 def relations_vanish_on(relations: RelationBasis, plane: PlaneParametrization) -> bool:
     """Whether every relation of the full configuration's basis is identically
-    zero on the plane, as a polynomial in the spanning coefficients."""
+    zero on the plane, as a polynomial in the spanning coefficients.
+
+    Column c is a linear form F_c in the row variables y; relation u
+    vanishes when the products of F_c^(u_c) over u_c > 0 and of F_c^(-u_c)
+    over u_c < 0 are equal.  A side with a zero column is zero; any other is
+    (product of lead_c^m) times the product of the F_c / lead_c, lead_c being
+    F_c's first nonzero entry.  Two such sides are equal exactly when their
+    scalars and multisets of normalized forms are: Q[y] is a unique
+    factorization domain, a nonzero linear form is irreducible, two are
+    associates exactly when proportional, and the lead picks one per class.
+    """
     a = relations.face.config
     if len(relations.face.indices) != len(a.points):
         raise ValueError("relation basis must be the full configuration's")
     if any(len(row) != len(a.points) for row in plane.matrix):
         raise ValueError("plane matrix must have one column per point")
-    nrows = len(plane.matrix)
-    one = {(0,) * nrows: Fraction(1)}
-    forms = [_column_form(plane, col) for col in range(len(a.points))]
-    for vec in relations.vectors:
-        lhs, rhs = one, one
-        for col, mult in enumerate(vec):
-            for _ in range(mult if mult > 0 else -mult):
-                if mult > 0:
-                    lhs = _poly_mul(lhs, forms[col])
-                else:
-                    rhs = _poly_mul(rhs, forms[col])
-        if lhs != rhs:
-            return False
-    return True
+    ids: dict[tuple, int] = {}  # F_c / lead_c, by its nonzero entries -> its id
+    forms = []  # per column: None if zero, else (lead_c, id of F_c / lead_c)
+    for col in range(len(a.points)):
+        nonzero = [(r, row[col]) for r, row in enumerate(plane.matrix) if row[col]]
+        if not nonzero:
+            forms.append(None)
+            continue
+        (first, lead), rest = nonzero[0], nonzero[1:]
+        key = (first, *((r, x / lead) for r, x in rest))
+        forms.append((lead, ids.setdefault(key, len(ids))))
+
+    def side(vec, sign):
+        num, den, factors = 1, 1, Counter()
+        for form, mult in zip(forms, vec):
+            if (m := sign * mult) > 0:
+                if form is None:
+                    return None
+                num, den = num * form[0].numerator**m, den * form[0].denominator**m
+                factors[form[1]] += m
+        return Fraction(num, den), factors
+
+    return all(side(vec, 1) == side(vec, -1) for vec in relations.vectors)
 
 
 def verify_chart_sample(
@@ -243,6 +248,7 @@ def verify_chart_sample(
         raise ValueError("trials must be at least 1")
     if relations.face.config != pi.config:
         raise ValueError("relation basis belongs to a different configuration")
+    build = _chart_plane_builder(pi, sigma_tilde, sigma)
     s = tuple(sorted(sigma))
     outside = tuple(i for i in sorted(sigma_tilde) if i not in set(s))
     for trial in range(trials):
@@ -255,8 +261,7 @@ def verify_chart_sample(
 
         torus = tuple(draw() for _ in range(pi.config.ambient_dim))
         coeffs = {(v, w): draw() for v in s for w in outside}
-        plane = specialized_chart_plane(pi, sigma_tilde, sigma, torus, coeffs)
-        if not relations_vanish_on(relations, plane):
+        if not relations_vanish_on(relations, build(torus, coeffs)):
             return False
     return True
 
@@ -282,7 +287,7 @@ def brute_force_cayley(
     is tested directly against the relation basis: a partition qualifies
     exactly when every block's entries sum to zero in every basis relation.
     No pruning, and its own relation basis rather than ``Face.relations`` —
-    this is the slow oracle.
+    this is the slow oracle.  Each distinct block's test runs once per call.
     """
     face = _as_face(a, tau)
     if len(face.indices) > BRUTE_FORCE_MAX_POINTS:
@@ -291,14 +296,22 @@ def brute_force_cayley(
         )
     relations = relation_basis(a, face).vectors
     position = {idx: pos for pos, idx in enumerate(face.indices)}
+    # all_set_partitions gives equal blocks as equal tuples (items in reverse order)
+    @cache
+    def zero_sum(block: tuple[int, ...]) -> bool:
+        return _block_sums_to_zero(relations, position, block)
+
     found = []
     for part in all_set_partitions(list(face.indices)):
         if len(part) < l_min + 1:
             continue
-        if all(
-            sum(vec[position[i]] for i in block) == 0
-            for vec in relations
-            for block in part
-        ):
+        if all(map(zero_sum, map(tuple, part))):
             found.append(CayleyStructure(face, part))
     return tuple(sorted(found, key=lambda p: p.blocks))
+
+
+def _block_sums_to_zero(
+    relations: Sequence[IntVector], position: Mapping[int, int], block: Sequence[int]
+) -> bool:
+    """Whether the block's entries sum to zero in every relation."""
+    return all(sum(vec[position[i]] for i in block) == 0 for vec in relations)

@@ -1,12 +1,14 @@
 """Tests for the oracle module itself, plus the fast-vs-oracle sweeps."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 import sympy
 
+from toricfano import intlinalg, verify
 from toricfano.cayley import (
     CayleyStructure,
     enumerate_cayley_structures,
@@ -251,6 +253,19 @@ def test_plane_parametrization_requires_full_rank():
         )
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        # some rows are alone nonzero in a column, but not every row is
+        ((1, 0, 0), (0, 1, 2), (0, 2, 4)),
+        ((0, 0), (1, 1)),
+    ],
+)
+def test_plane_parametrization_rejects_partial_certificates(matrix):
+    with pytest.raises(ValueError, match="full row rank"):
+        PlaneParametrization(matrix=matrix)
+
+
 def test_chart_sample_respects_chart_validation():
     a = config(QUARTIC)
     with pytest.raises(ValueError):
@@ -273,6 +288,48 @@ def test_chart_sample_requires_at_least_one_trial(trials):
     a = config(QUARTIC)
     with pytest.raises(ValueError, match="trials"):
         verify_chart_sample(full_basis(a), quartic_vertical(a), (0, 2), (0, 2), trials=trials)
+
+
+def test_chart_sample_errors_come_before_any_draw(monkeypatch):
+    def no_draw(seed):
+        raise AssertionError("drew a sample before rejecting the input")
+
+    monkeypatch.setattr(verify, "random", type("NoRandom", (), {"Random": no_draw}))
+    a = config(QUARTIC)
+    with pytest.raises(ValueError, match="one point from each block"):
+        verify_chart_sample(full_basis(a), quartic_vertical(a), (0, 1), (0, 1), trials=3)
+    with pytest.raises(ValueError, match="subset"):
+        verify_chart_sample(full_basis(a), quartic_vertical(a), (0, 2), (0, 1), trials=3)
+    with pytest.raises(ValueError, match="trials"):
+        verify_chart_sample(full_basis(a), quartic_vertical(a), (0, 2), (0, 2), trials=0)
+
+
+def test_chart_sample_validates_the_chart_once_and_ranks_no_plane(monkeypatch):
+    # every sampled plane is the identity on sigma's columns, so the
+    # full-row-rank certificate holds without a Hermite normal form
+    a = config(birkhoff_points())
+    pi = CayleyStructure(full_face(a), [(0, 3), (1, 4), (2, 5)])
+    relations = full_basis(a)
+    assert a.dimension == 4
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(verify, "chart_semigroup")
+    counted(verify, "relations_vanish_on")
+    counted(intlinalg, "hermite_normal_form")
+    for sigma in ((1, 2, 3), (1, 2)):
+        calls.clear()
+        assert verify_chart_sample(relations, pi, (1, 2, 3), sigma, trials=25, seed=0)
+        counts = (calls["chart_semigroup"], calls["hermite_normal_form"], calls["relations_vanish_on"])
+        assert counts == (1, 0, 25)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +365,88 @@ def test_substitution_matches_sympy_expansion():
                 for vec in basis
             )
             assert verify_cayley_plane(relations, pi) == symbolic_ok, (pts, part)
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            c = out.get(key, Fraction(0)) + ca * cb
+            if c:
+                out[key] = c
+            elif key in out:
+                del out[key]
+    return out
+
+
+def _column_form(plane: PlaneParametrization, col: int) -> dict:
+    nrows = len(plane.matrix)
+    return {
+        tuple(1 if r == i else 0 for r in range(nrows)): plane.matrix[i][col]
+        for i in range(nrows)
+        if plane.matrix[i][col]
+    }
+
+
+def expanded_relations_vanish(relations: RelationBasis, plane: PlaneParametrization) -> bool:
+    """Reference for ``relations_vanish_on``: expand both sides of every
+    relation as polynomials in the row variables and compare."""
+    nrows = len(plane.matrix)
+    one = {(0,) * nrows: Fraction(1)}
+    forms = [_column_form(plane, col) for col in range(len(relations.face.indices))]
+    for vec in relations.vectors:
+        lhs, rhs = one, one
+        for col, mult in enumerate(vec):
+            for _ in range(abs(mult)):
+                if mult > 0:
+                    lhs = _poly_mul(lhs, forms[col])
+                else:
+                    rhs = _poly_mul(rhs, forms[col])
+        if lhs != rhs:
+            return False
+    return True
+
+
+def random_plane(rng: random.Random, ncols: int):
+    """A seeded plane mixing zero columns, multiples of two shared forms,
+    multiples of one row variable (as in chart planes) and generic columns;
+    None when the draw is rank deficient."""
+    nrows = rng.randint(1, 3)
+    shared = [[rng.randint(-2, 2) for _ in range(nrows)] for _ in range(2)]
+    columns = []
+    for _ in range(ncols):
+        kind = rng.random()
+        scale = rng.choice((1, 1, -1, 2, Fraction(1, 2), -3))
+        if kind < 0.2:
+            columns.append([0] * nrows)
+        elif kind < 0.6:
+            columns.append([scale * x for x in rng.choice(shared)])
+        elif kind < 0.8:
+            row = rng.randrange(nrows)
+            columns.append([scale * (r == row) for r in range(nrows)])
+        else:
+            columns.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nrows)])
+    try:
+        return PlaneParametrization(matrix=tuple(zip(*columns)))
+    except ValueError:
+        return None
+
+
+def test_factorization_matches_expansion_on_random_planes():
+    rng = random.Random(2016)
+    outcomes = Counter()
+    for pts in (QUARTIC, SQUARE, FIVE, birkhoff_points()):
+        a = config(pts)
+        relations = full_basis(a)
+        for _ in range(400):
+            plane = random_plane(rng, len(a.points))
+            if plane is None:
+                continue
+            expected = expanded_relations_vanish(relations, plane)
+            assert relations_vanish_on(relations, plane) == expected, (pts, plane)
+            outcomes[expected] += 1
+    assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +489,24 @@ def test_brute_force_size_cap():
     a = config(pts)
     with pytest.raises(UnsupportedSizeError):
         brute_force_cayley(a, full_face(a), 1)
+
+
+def test_brute_force_tests_each_distinct_block_once(monkeypatch):
+    # the full face of the hypersimplex Delta(2,5) has Bell(10) = 115,975
+    # partitions but only 2^10 - 1 distinct blocks
+    a = config([tuple(int(t in pair) for t in range(5)) for pair in combinations(range(5), 2)])
+    tested = Counter()
+    original = verify._block_sums_to_zero
+
+    def counted(relations, position, block):
+        tested[frozenset(block)] += 1
+        return original(relations, position, block)
+
+    monkeypatch.setattr(verify, "_block_sums_to_zero", counted)
+    found = brute_force_cayley(a, full_face(a), 1)
+    assert tested and max(tested.values()) == 1
+    assert len(tested) <= 2**10 - 1
+    assert set(found) == set(enumerate_cayley_structures(full_face(a), 1))
 
 
 def testall_set_partitions_count():
