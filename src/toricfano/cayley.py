@@ -204,8 +204,7 @@ class CayleyPoset:
     def on_face(self, face: Face) -> tuple[CayleyStructure, ...]:
         """The structures with at least two blocks on the face, in the order
         of ``enumerate_cayley_structures``."""
-        if face.config != self.config:
-            raise ValueError("face belongs to a different configuration")
+        face = self.config.face(face)
         found = self._on_face.get(face.indices)
         if found is None:
             found = enumerate_cayley_structures(face, l_min=1)
@@ -233,20 +232,28 @@ class CayleyPoset:
         """All maximal structures, sorted by (face indices, blocks).
 
         Candidates are the finest structures on each face: any other is below
-        a strict refinement on its face.  A finest ``p`` on ``F`` below some
-        ``q != p`` is the restriction of a finest ``q1`` on a face covering
-        ``F``.  Indeed ``q`` lies on a face ``G`` strictly containing ``F``;
-        for ``F1`` covering ``F`` inside ``G`` (face lattices are graded),
-        ``q.restricted_to(F1)`` is a Cayley structure (relations on ``F1``
-        extend by zero to ``G``) above ``p``, and so is a finest ``q1``
-        refining it; ``q1.restricted_to(F)`` refines ``p``, so it is ``p``.
-        Conversely such a restriction is below ``q1 != p``.
+        a strict refinement on its face.  If a nonempty ``S`` inside ``F`` is
+        good (its indicator is orthogonal to ``F.relations``), so is ``F - S``
+        (relations sum to zero): the good proper subsets of ``F`` are the
+        blocks of two-block structures.  ``p`` has a strict refinement
+        exactly when a block ``B`` holds a good proper ``S`` (``S`` and
+        ``B - S`` split it; a refinement splits a block into good parts), so
+        ``p`` is finest exactly when every block is an atom, an
+        inclusion-minimal block of a two-block structure.  A finest ``p`` on
+        ``F`` below some ``q != p`` is the restriction of a finest ``q1`` on
+        a face covering ``F``.  Indeed ``q`` lies on a face ``G`` strictly
+        containing ``F``; for ``F1`` covering ``F`` inside ``G`` (face
+        lattices are graded), ``q.restricted_to(F1)`` is a Cayley structure
+        (relations on ``F1`` extend by zero to ``G``) above ``p``, and so is
+        a finest ``q1`` refining it; ``q1.restricted_to(F)`` refines ``p``,
+        so it is ``p``.  Conversely such a restriction is below ``q1 != p``.
         """
-        finest = {
-            face.indices: [p for p in here if not any(q.l > p.l and leq(p, q) for q in here)]
-            for face in self.config.faces()
-            if face.indices and (here := self.on_face(face))
-        }
+        finest = {}
+        for face in self.config.faces():
+            if face.indices and (here := self.on_face(face)):
+                halves = {frozenset(b) for q in here if q.l == 1 for b in q.blocks}
+                atoms = {b for b in halves if not any(s < b for s in halves)}
+                finest[face.indices] = [p for p in here if atoms.issuperset(map(frozenset, p.blocks))]
         return self._not_restricted_from_covers(finest)
 
     def intersection(

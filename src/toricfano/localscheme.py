@@ -11,9 +11,9 @@ independently, from the height filtration.
 
 The smoothness hypothesis is not tested apart: the search for an apex of
 height one over ``sigma`` decides it and yields every point's height
-coordinates in the same pass (``_apex_and_heights``).  It runs once per
-facet, and every public function here, the command line's only route in,
-reads its stored result, beside which the local ring basis is kept once built.
+coordinates in the same pass (``_apex_and_heights``), and the local ring
+basis is built in the same search.  It runs once per facet, and every public
+function here, the command line's only route in, reads its stored record.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
-from .intlinalg import IntVector, integer_solver
+from .intlinalg import IntVector, UnsupportedSizeError, integer_solver
 from .pointconfig import Face, PointConfiguration
 
 
@@ -271,25 +271,20 @@ def local_ring_basis(
     """Monomial basis of the local ring of the k-plane scheme at the fixed
     point of ``sigma``: the intersection of the per-point standard-monomial
     sets over all configuration points outside ``sigma`` and the apex."""
-    face, w, heights, kept = _apex_and_heights(a, sigma)
-    if not kept:
-        outside = set(heights) - set(face.points) - {w}
-        gens = [g for u in outside for g in s_u(heights[u], face.dim).ideal_part]
-        kept.append(MonomialSet.from_ideal(face.dim + 1, gens))
-    return kept[0]
+    return _apex_and_heights(a, sigma)[3]
 
 
-# facet -> (apex, every point's heights, [its local ring basis once built]),
-# or None where no apex exists; weak, so it keeps no configuration alive
+# facet -> (apex, every point's heights, its local ring basis), or None where
+# no apex exists; weak, so it keeps no configuration alive
 _apex_searches: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _apex_and_heights(
     a: PointConfiguration, sigma: "Face | Sequence[int]"
-) -> tuple[Face, IntVector, Heights, list[MonomialSet]]:
+) -> tuple[Face, IntVector, Heights, MonomialSet]:
     """The validated facet, its apex, every point's heights over them, and
-    the list that keeps the facet's local ring basis: the one test of the
-    local-structure hypotheses at ``sigma``, shared by all questions there.
+    the facet's local ring basis: the one test of the local-structure
+    hypotheses at ``sigma``, shared by all questions there.
 
     ``sigma`` must be an empty-simplex face of dimension one less than the
     configuration.  The apex is the first point ``w`` off ``sigma``, in
@@ -303,15 +298,12 @@ def _apex_and_heights(
     in that quotient form ``N*g`` with ``g = +-1``, and a point whose image
     is ``g`` passes.
     """
-    if isinstance(sigma, Face):
-        face = sigma
-        if face.config != a:
-            raise HypothesesViolated("sigma belongs to a different configuration")
-    else:
-        try:
-            face = a.face_from_indices(sigma)
-        except ValueError as exc:
-            raise HypothesesViolated(f"sigma is not a face: {exc}") from exc
+    try:
+        face = a.face(sigma)
+    except UnsupportedSizeError:
+        raise
+    except ValueError as exc:
+        raise HypothesesViolated(f"sigma is not a face: {exc}") from exc
     k = a.dimension - 1
     if k < 0:
         raise HypothesesViolated("configuration must be at least one-dimensional")
@@ -328,17 +320,20 @@ def _apex_and_heights(
     return (face, *found)
 
 
-def _apex_search(face: Face) -> Optional[tuple[IntVector, Heights, list[MonomialSet]]]:
-    """``_apex_and_heights``'s search over a validated facet, or None."""
+def _apex_search(face: Face) -> Optional[tuple[IntVector, Heights, MonomialSet]]:
+    """``_apex_and_heights``'s search and basis over a validated facet, or None."""
     sigma_points = set(face.points)
     for w in sorted(face.config.points):
         if w in sigma_points:
             continue
         try:
             height_of = _heights_over(face, w)
-            return w, {u: height_of(u) for u in face.config.points}, []
+            heights = {u: height_of(u) for u in face.config.points}
         except HypothesesViolated:
             continue
+        outside = set(heights) - sigma_points - {w}
+        gens = [g for u in outside for g in s_u(heights[u], face.dim).ideal_part]
+        return w, heights, MonomialSet.from_ideal(face.dim + 1, gens)
     return None
 
 
@@ -359,11 +354,8 @@ def multiplicity(a: PointConfiguration, sigma: "Face | Sequence[int]") -> int:
 def _is_nonneg_multiple(delta: IntVector, direction: IntVector) -> bool:
     if not any(delta):
         return True
-    try:
-        t = next(i for i in range(len(direction)) if direction[i])
-    except StopIteration:
-        return False
-    if delta[t] % direction[t] or delta[t] * direction[t] < 0:
+    t = next((i for i, x in enumerate(direction) if x), None)
+    if t is None or delta[t] % direction[t]:
         return False
     n = delta[t] // direction[t]
     return n >= 0 and all(x == n * d for x, d in zip(delta, direction))

@@ -79,7 +79,7 @@ class PointConfiguration:
         """Dimension of the affine span (= dimension of the toric variety)."""
         if not self.points:
             raise ValueError("empty configuration has no dimension")
-        return matrix_rank(self.homogenized) - 1
+        return len(self.difference_basis)
 
     @cached_property
     def difference_basis(self) -> IntMatrix:
@@ -154,6 +154,16 @@ class PointConfiguration:
             raise ValueError(f"indices {key} do not form a face")
         return face
 
+    def face(self, tau: "Face | Sequence[int]") -> "Face":
+        """The face ``tau`` names, as is if it is a face of this configuration;
+        ValueError for a face of another one or indices of no face, while
+        face enumeration's ``UnsupportedSizeError`` passes through."""
+        if not isinstance(tau, Face):
+            return self.face_from_indices(tau)
+        if tau.config != self:
+            raise ValueError("face belongs to a different configuration")
+        return tau
+
     def is_face(self, indices: Sequence[int]) -> bool:
         return tuple(sorted(set(indices))) in self._face_by_indices
 
@@ -178,10 +188,8 @@ class PointConfiguration:
         images of the remaining points in the quotient must generate a free
         semigroup on a lattice basis.
         """
-        idx = sigma.indices if isinstance(sigma, Face) else tuple(sorted(set(sigma)))
-        face = self._face_by_indices.get(idx)
-        if face is None:
-            raise ValueError(f"{idx} is not a face")
+        face = self.face(sigma)
+        idx = face.indices
         if not idx or face.dim != len(idx) - 1:
             raise ValueError(f"face {idx} is not an empty simplex")
         k = len(idx) - 1

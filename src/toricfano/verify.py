@@ -67,16 +67,9 @@ class PlaneParametrization:
                 raise ValueError("plane matrix must have full row rank")
 
 
-def _as_face(a: PointConfiguration, tau: "Face | Sequence[int]") -> Face:
-    face = tau if isinstance(tau, Face) else a.face_from_indices(tau)
-    if face.config != a:
-        raise ValueError("face belongs to a different configuration")
-    return face
-
-
 def relation_basis(a: PointConfiguration, tau: "Face | Sequence[int]") -> RelationBasis:
     """Saturated basis of the affine relation lattice of the face's points."""
-    face = _as_face(a, tau)
+    face = a.face(tau)
     if not face.indices:
         return RelationBasis(face=face, vectors=())
     vectors = integer_kernel_basis(face.subconfiguration().homogenized)
@@ -289,7 +282,7 @@ def brute_force_cayley(
     No pruning, and its own relation basis rather than ``Face.relations`` —
     this is the slow oracle.  Each distinct block's test runs once per call.
     """
-    face = _as_face(a, tau)
+    face = a.face(tau)
     if len(face.indices) > BRUTE_FORCE_MAX_POINTS:
         raise UnsupportedSizeError(
             f"brute-force enumeration is capped at {BRUTE_FORCE_MAX_POINTS} points"

@@ -17,6 +17,7 @@ import pytest
 from toricfano import (
     HypothesesViolated,
     PointConfiguration,
+    UnsupportedSizeError,
     affine_unimodular_equivalent,
     brute_force_cayley,
     chart_generators_reduced,
@@ -551,6 +552,36 @@ def test_apex_exists_exactly_at_smooth_codimension_one_facets():
             assert found == a.is_smooth_at(face), (points, face)
             kinds[found] += 1
     assert kinds[True] >= 200 and kinds[False] >= 200, kinds
+
+
+# Every public function that takes a face or its indices, called on (a, sigma).
+FACE_TAKERS = {
+    "relation_basis": relation_basis,
+    "brute_force_cayley": brute_force_cayley,
+    "is_smooth_at": PointConfiguration.is_smooth_at,
+    "choose_w": choose_w,
+    "height_coordinates": lambda a, sigma: height_coordinates(a, sigma, a.points[-1], a.points[0]),
+    "local_ring_basis": local_ring_basis,
+    "is_isolated": is_isolated,
+    "multiplicity": multiplicity,
+    "multiplicity_by_height": multiplicity_by_height,
+}
+SIMPLEX_7 = [(0,) * 7] + [tuple(int(i == j) for j in range(7)) for i in range(7)]
+
+
+@pytest.mark.parametrize("name", sorted(FACE_TAKERS))
+def test_face_arguments_are_resolved_alike(name):
+    call = FACE_TAKERS[name]
+    a = PointConfiguration(FIVE)
+    assert call(a, a.face_from_indices((0, 1))) == call(a, (1, 0))
+    # the same indices name a face of FOUR too, but it is not a's
+    with pytest.raises(ValueError, match="different configuration"):
+        call(a, PointConfiguration(FOUR).face_from_indices((0, 1)))
+    with pytest.raises(ValueError, match="do not form a face"):
+        call(a, (0, 3))  # the diagonal through (1, 1) to (2, 2)
+    with pytest.raises(UnsupportedSizeError, match="dimension at most") as caught:
+        call(PointConfiguration(SIMPLEX_7), tuple(range(7)))
+    assert not isinstance(caught.value, HypothesesViolated)
 
 
 @pytest.mark.parametrize(

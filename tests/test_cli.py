@@ -426,6 +426,18 @@ def test_size_cap_flag(capsys):
     assert code == EXIT_SIZE
 
 
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["verify"], ["mult", "--sigma", "0,1,2,3,4,5,6"]], ids=lambda v: v[0]
+)
+def test_dimension_cap_exits_3_for_every_subcommand(capsys, tmp_path, argv):
+    # 8 points fit the point cap; face enumeration refuses dimension 7
+    path = tmp_path / "simplex7.txt"
+    path.write_text("\n".join(" ".join(str(int(i == j)) for j in range(7)) for i in range(-1, 7)))
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == EXIT_SIZE
+    assert out == "" and "dimension at most 6" in err
+
+
 def test_fixture_points_match_expected_birkhoff(capsys):
     from test_pointconfig import birkhoff_points
 

@@ -242,6 +242,21 @@ def test_smoothness_requires_face():
         cfg2.is_smooth_at([0, 1, 2])  # bottom edge face, but not a simplex
 
 
+def test_face_resolves_indices_and_refuses_foreign_faces():
+    square = PointConfiguration([(0, 0), (1, 0), (0, 1), (1, 1)])
+    other = PointConfiguration([(0, 0), (1, 0), (0, 1), (2, 3)])
+    vertex = other.face_from_indices([1])
+    assert not other.is_smooth_at(vertex)
+    assert square.is_smooth_at([1])
+    # the square's vertex 1 is smooth, but the face is other's
+    with pytest.raises(ValueError, match="different configuration"):
+        square.is_smooth_at(vertex)
+    with pytest.raises(ValueError, match="different configuration"):
+        square.face(vertex)
+    own = square.face_from_indices([1, 0])
+    assert square.face(own) is own and square.face([0, 1, 1]) is own
+
+
 def test_size_caps():
     too_many = [(i, i * i) for i in range(15)]
     with pytest.raises(UnsupportedSizeError):
