@@ -4,8 +4,9 @@ Everything here recomputes from first principles: affine relation lattices
 of faces (built once per face per run and passed to the plane, vanishing and
 chart-sample checks), the block-plane parametrization substituted into the
 binomial relations, exact rational sampling of chart parametrizations
-(validated once per call) decided by unique factorization of the column
-forms, and raw set-partition enumeration of Cayley structures (each distinct
+(validated once per call, built from integer draws) decided by unique
+factorization of the column forms, and a search over set partitions of a
+face that extends only blocks passing the block-sum test (each distinct
 block tested once per call).  The tests hold the fast paths to agreement with these.
 """
 
@@ -16,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -29,7 +31,7 @@ from .intlinalg import (
 )
 from .pointconfig import Face, PointConfiguration
 
-BRUTE_FORCE_MAX_POINTS = 10
+BRUTE_FORCE_MAX_POINTS = 12
 _SAMPLE_RANGE = 97
 
 
@@ -136,19 +138,22 @@ def _chart_plane_builder(pi: CayleyStructure, sigma_tilde: Sequence[int], sigma:
     reps = [(idx, rep_of_block[pi.block_of[idx]]) for idx in pi.face.indices]
     exponents = [tuple(x - y for x, y in zip(a.points[i], a.points[rep])) for i, rep in reps]
 
+    zero = Fraction(0)
+
     def build(t, coefficients):
-        rows = [[Fraction(0)] * len(a.points) for _ in s]
+        """Torus coordinates and coefficients are (numerator, denominator) pairs."""
+        rows = [[zero] * len(a.points) for _ in s]
         for (idx, rep), exponent in zip(reps, exponents):
-            num = den = 1
-            for x, e in zip(t, exponent):
-                num *= x.numerator**e if e > 0 else x.denominator**-e
-                den *= x.denominator**e if e > 0 else x.numerator**-e
-            char = Fraction(num, den)  # the character of idx - rep at t
+            num = den = 1  # the character of idx - rep at t is num / den
+            for (n, d), e in zip(t, exponent):
+                num *= n**e if e > 0 else d**-e
+                den *= d**e if e > 0 else n**-e
             for row, v in zip(rows, s):
                 if rep == v:
-                    row[idx] = char
+                    row[idx] = Fraction(num, den)
                 elif rep not in s:
-                    row[idx] = char * Fraction(coefficients[(v, rep)])
+                    n, d = coefficients[(v, rep)]
+                    row[idx] = Fraction(num * n, den * d)
         return PlaneParametrization(matrix=tuple(map(tuple, rows)))
 
     return build
@@ -176,7 +181,8 @@ def specialized_chart_plane(
         raise ValueError("torus point has the wrong dimension")
     if any(x == 0 for x in t):
         raise ValueError("torus coordinates must be nonzero")
-    return build(t, coefficients)
+    coeffs = {key: Fraction(c).as_integer_ratio() for key, c in coefficients.items()}
+    return build(tuple(x.as_integer_ratio() for x in t), coeffs)
 
 
 def relations_vanish_on(relations: RelationBasis, plane: PlaneParametrization) -> bool:
@@ -247,10 +253,8 @@ def verify_chart_sample(
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
 
-        def draw() -> Fraction:
-            return Fraction(
-                rng.randint(1, _SAMPLE_RANGE), rng.randint(1, _SAMPLE_RANGE)
-            )
+        def draw() -> tuple[int, int]:  # numerator, then denominator
+            return rng.randint(1, _SAMPLE_RANGE), rng.randint(1, _SAMPLE_RANGE)
 
         torus = tuple(draw() for _ in range(pi.config.ambient_dim))
         coeffs = {(v, w): draw() for v in s for w in outside}
@@ -274,13 +278,16 @@ def all_set_partitions(items: Sequence[int]):
 def brute_force_cayley(
     a: PointConfiguration, tau: "Face | Sequence[int]", l_min: int = 1
 ) -> tuple[CayleyStructure, ...]:
-    """All Cayley structures on the face by raw set-partition enumeration.
+    """All Cayley structures on the face, by a search over blocks that pass.
 
-    Every partition of the face's points into at least ``l_min + 1`` blocks
-    is tested directly against the relation basis: a partition qualifies
-    exactly when every block's entries sum to zero in every basis relation.
-    No pruning, and its own relation basis rather than ``Face.relations`` —
-    this is the slow oracle.  Each distinct block's test runs once per call.
+    The smallest unplaced point's block is chosen among the unplaced points,
+    and the search recurses only if the block's entries sum to zero in every
+    relation of its own basis (not ``Face.relations``, no echelon order: this
+    is the slow oracle).  Partitions of at least ``l_min + 1`` blocks are kept.
+    A partition qualifies exactly when each of its blocks passes, and it is
+    reached exactly once: by its blocks in order of smallest element, which
+    is ``CayleyStructure``'s canonical order.  Each distinct block's test
+    runs once per call.
     """
     face = a.face(tau)
     if len(face.indices) > BRUTE_FORCE_MAX_POINTS:
@@ -289,17 +296,25 @@ def brute_force_cayley(
         )
     relations = relation_basis(a, face).vectors
     position = {idx: pos for pos, idx in enumerate(face.indices)}
-    # all_set_partitions gives equal blocks as equal tuples (items in reverse order)
+
     @cache
-    def zero_sum(block: tuple[int, ...]) -> bool:
+    def zero_sum(block: tuple[int, ...]) -> bool:  # blocks are sorted tuples
         return _block_sums_to_zero(relations, position, block)
 
     found = []
-    for part in all_set_partitions(list(face.indices)):
-        if len(part) < l_min + 1:
-            continue
-        if all(map(zero_sum, map(tuple, part))):
-            found.append(CayleyStructure(face, part))
+
+    def extend(blocks: list[tuple[int, ...]], rest: tuple[int, ...]) -> None:
+        if not rest:
+            if len(blocks) >= l_min + 1:
+                found.append(CayleyStructure(face, blocks))
+            return
+        first, others = rest[0], rest[1:]
+        for size in range(len(others) + 1):
+            for chosen in combinations(others, size):
+                if zero_sum(block := (first, *chosen)):
+                    extend(blocks + [block], tuple(i for i in others if i not in chosen))
+
+    extend([], face.indices)
     return tuple(sorted(found, key=lambda p: p.blocks))
 
 

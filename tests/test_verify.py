@@ -304,6 +304,40 @@ def test_chart_sample_errors_come_before_any_draw(monkeypatch):
         verify_chart_sample(full_basis(a), quartic_vertical(a), (0, 2), (0, 2), trials=0)
 
 
+def test_chart_sample_planes_are_the_specialized_planes_of_the_draws(monkeypatch):
+    # trial i draws Fractions from random.Random(seed * 1_000_003 + i), each
+    # numerator before its denominator: the torus first, then (v, w) for v
+    # in sigma and w outside it
+    a = config(birkhoff_points())
+    pi = CayleyStructure(full_face(a), [(0, 3), (1, 4), (2, 5)])
+    relations = full_basis(a)
+    sampled = []
+    original = verify.relations_vanish_on
+
+    def recorded(rels, plane):
+        sampled.append(plane)
+        return original(rels, plane)
+
+    monkeypatch.setattr(verify, "relations_vanish_on", recorded)
+    seed = 0
+    for sigma in ((1, 2, 3), (1, 2)):
+        sampled.clear()
+        assert verify_chart_sample(relations, pi, (1, 2, 3), sigma, trials=25, seed=seed)
+        outside = [w for w in (1, 2, 3) if w not in sigma]
+        expected = []
+        for trial in range(25):
+            rng = random.Random(seed * 1_000_003 + trial)
+
+            def draw():
+                return Fraction(rng.randint(1, 97), rng.randint(1, 97))
+
+            torus = [draw() for _ in range(a.ambient_dim)]
+            coefficients = {(v, w): draw() for v in sigma for w in outside}
+            expected.append(specialized_chart_plane(pi, (1, 2, 3), sigma, torus, coefficients))
+        assert [p.matrix for p in sampled] == [p.matrix for p in expected]
+        assert all(type(x) is Fraction for p in sampled for row in p.matrix for x in row)
+
+
 def test_chart_sample_validates_the_chart_once_and_ranks_no_plane(monkeypatch):
     # every sampled plane is the identity on sigma's columns, so the
     # full-row-rank certificate holds without a Hermite normal form
@@ -485,10 +519,55 @@ def test_brute_force_empty_simplex_top_partition():
 
 
 def test_brute_force_size_cap():
-    pts = [(i, j) for i in range(4) for j in range(3)]  # 12 points
+    pts = [(i, j) for i in range(4) for j in range(3)] + [(4, 0)]  # 13 points
     a = config(pts)
     with pytest.raises(UnsupportedSizeError):
         brute_force_cayley(a, full_face(a), 1)
+
+
+def segre_points(m, n):
+    """Delta_m x Delta_n in Z^(m+n): the Segre embedding of P^m x P^n."""
+    def simplex(d):
+        return [tuple(int(i == j) for j in range(1, d + 1)) for i in range(d + 1)]
+
+    return [p + q for p in simplex(m) for q in simplex(n)]
+
+
+def test_brute_force_reaches_the_segre_p1_p5_full_face():
+    # 12 points, at the cap: the structures are the two rows P^5, and every
+    # partition of the six columns P^1 into at least two blocks (Bell(6) - 1)
+    a = config(segre_points(1, 5))
+    assert len(a.points) == 12
+    found = brute_force_cayley(a, full_face(a), 1)
+    assert len(found) == 1 + 202
+    assert set(found) == set(enumerate_cayley_structures(full_face(a), 1))
+
+
+def brute_force_by_definition(a, face, l_min):
+    """The partitions of the face's points whose blocks all pass the block-sum
+    test of its relation basis, with at least ``l_min + 1`` blocks."""
+    relations = relation_basis(a, face).vectors
+    position = {idx: pos for pos, idx in enumerate(face.indices)}
+    found = [
+        CayleyStructure(face, part)
+        for part in all_set_partitions(list(face.indices))
+        if len(part) >= l_min + 1
+        and all(verify._block_sums_to_zero(relations, position, block) for block in part)
+    ]
+    return sorted(found, key=lambda p: p.blocks)
+
+
+@pytest.mark.parametrize("l_min", [1, 2, 3])
+def test_brute_force_is_the_block_sum_filter_of_all_partitions(l_min):
+    delta_2_4 = [tuple(int(t in pair) for t in range(4)) for pair in combinations(range(4), 2)]
+    total = 0
+    for pts in (QUARTIC, SQUARE, FIVE, birkhoff_points(), delta_2_4):
+        a = config(pts)
+        for face in a.faces():
+            expected = brute_force_by_definition(a, face, l_min)
+            assert list(brute_force_cayley(a, face, l_min)) == expected, (pts, face.indices)
+            total += len(expected)
+    assert total > 0
 
 
 def test_brute_force_tests_each_distinct_block_once(monkeypatch):
