@@ -453,9 +453,12 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _parse_sigma(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(piece) for piece in text.split(","))
+        sigma = tuple(int(piece) for piece in text.split(","))
     except ValueError as exc:
         raise CliError(EXIT_PARSE, f"--sigma must be comma-separated integers: {exc}")
+    if len(set(sigma)) != len(sigma):
+        raise CliError(EXIT_PARSE, f"--sigma repeats an index: {text}")
+    return sigma
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,7 @@ connectivity graph.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
@@ -253,14 +254,26 @@ def chart_is_pointed(c: ChartSemigroup) -> bool:
     return cone_is_pointed(chart_generators_reduced(c))
 
 
+# configuration -> {reduced chart generators: free?}; weak, so it keeps no
+# configuration alive
+_free_charts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def chart_is_smooth(c: ChartSemigroup) -> bool:
     """Whether the affine chart is a smooth (free) semigroup chart.
 
     True iff some linearly independent subset of the distinct nonzero
     generators spans the whole semigroup by nonnegative integer combinations
-    and generates a direct summand of the ambient lattice.
+    and generates a direct summand of the ambient lattice.  The answer
+    depends only on the reduced generators, and many charts of one
+    configuration share them, so each distinct set is decided once per
+    configuration.
     """
-    return is_free_semigroup(chart_generators_reduced(c))
+    gens = chart_generators_reduced(c)
+    known = _free_charts.setdefault(c.pi.config, {})
+    if gens not in known:
+        known[gens] = is_free_semigroup(gens)
+    return known[gens]
 
 
 def components_intersection(

@@ -245,39 +245,67 @@ def is_free_semigroup(vectors: Sequence[IntVector]) -> bool:
 
     True iff some linearly independent subset of the vectors, as large as
     their rank, has every vector as a nonnegative integer combination and
-    generates a saturated sublattice of Z^n.  The empty set is free.
+    generates a saturated sublattice of Z^n: the affine toric chart of the
+    semigroup is smooth (Cox-Little-Schenck, *Toric Varieties*, Thm.
+    1.3.12).  The empty set is free.
 
     Only indecomposable vectors, those that are not the sum ``g + g'`` of
-    two of the vectors (``g == g'`` allowed), are tried as basis elements.
-    This loses no basis, so the answer is that of the search over all
-    subsets: if ``B`` passes, every vector has unique coordinates in
-    ``N^B`` and coordinates add.  A nonzero vector has coordinate sum at
-    least 1, so a sum of two vectors has coordinate sum at least 2, while
-    each ``b`` in ``B`` has coordinate sum exactly 1; hence no ``b`` in ``B``
-    is such a sum.  Each candidate basis is factored once and every vector
-    is solved against it; being independent, it is its own lattice basis,
-    so saturation takes one more factorization, of its transpose.
+    two of the vectors (``g == g'`` allowed), can be basis elements: if
+    ``B`` passes, every vector has unique coordinates in ``N^B`` and
+    coordinates add.  A nonzero vector has coordinate sum at least 1, so a
+    sum of two vectors has coordinate sum at least 2, while each ``b`` in
+    ``B`` has coordinate sum exactly 1.
+
+    One factorization ``u * C^T == h`` of these candidates ``C`` decides the
+    rest.  With ``r`` the rank of ``h``, the unimodular ``u`` maps the
+    candidates' rational span onto ``Q^r x 0``, hence the integer points of
+    that span, the saturation ``L`` of the candidates' lattice, onto
+    ``Z^r x 0``: ``u[:r]`` is an isomorphism of ``L`` with ``Z^r``, and ``g``
+    lies in the span iff ``u[r:] . g == 0``.  A passing ``B`` spans every
+    vector, so every vector lies in the span and ``B`` is ``r`` of the
+    candidates; it generates a saturated lattice iff it generates ``L``, iff
+    its images ``u[:r] . b`` are a basis of ``Z^r``.  For ``r`` independent
+    vectors ``V`` of ``Z^r`` and ``u' * V^T == h'``, ``h'`` is upper
+    triangular with determinant the product of its pivots, so ``V`` is a
+    basis iff every pivot is 1 (dependent ``V`` leave a zero row, so some
+    ``h'[i][i] == 0``); then ``h'``, reduced above its pivots, is the
+    identity, so ``u' . y`` are the coordinates of ``y`` in ``V``.  When the
+    candidates are independent they are the only possible ``B``, and ``h``
+    itself plays ``h'`` with ``u[:r]`` as ``u'``; otherwise each ``r``-subset
+    of their images is factored the same way, in ``Z^r``.
     """
     if not vectors:
         return True
-    rank = matrix_rank(vectors)
     sums = {
         tuple(a + b for a, b in zip(g, h))
         for g, h in combinations_with_replacement(vectors, 2)
     }
     candidates = [g for g in vectors if g not in sums]
-    for subset in combinations(candidates, rank):
-        try:
-            coordinates = integer_solver(subset)
-        except ValueError:  # dependent subset
-            continue
-        if not all(
-            (x := coordinates(g)) is not None and min(x) >= 0 for g in vectors
-        ):
-            continue
-        if _unit_pivots(subset):
+    # C^T column by column, so that no candidates still give n rows
+    h, u = hermite_normal_form(
+        tuple(tuple(c[j] for c in candidates) for j in range(len(vectors[0])))
+    )
+    r = sum(1 for row in h if any(row))
+    if any(_dot(row, g) for row in u[r:] for g in vectors):
+        return False  # some vector is outside the candidates' span
+    if len(candidates) == r:
+        return _nonnegative_in_unit_basis(h, u[:r], vectors)
+    images = [tuple(_dot(row, g) for row in u[:r]) for g in vectors]
+    chosen = [tuple(_dot(row, c) for row in u[:r]) for c in candidates]
+    for subset in combinations(chosen, r):
+        h_subset, u_subset = hermite_normal_form(transpose(subset))
+        if _nonnegative_in_unit_basis(h_subset, u_subset, images):
             return True
     return False
+
+
+def _nonnegative_in_unit_basis(h: IntMatrix, coords: IntMatrix, vectors: Sequence[IntVector]) -> bool:
+    """With ``u * V^T == h`` for ``len(coords)`` vectors ``V`` and
+    ``coords == u[:len(coords)]``: whether every pivot of ``h`` is 1 and
+    every vector has nonnegative coordinates ``coords . g``."""
+    return all(h[i][i] == 1 for i in range(len(coords))) and all(
+        _dot(row, g) >= 0 for g in vectors for row in coords
+    )
 
 
 def _homogenized_rows(points: Sequence[IntVector]) -> IntMatrix:

@@ -16,7 +16,7 @@ smoothness along the torus orbit closure of sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .intlinalg import (
@@ -89,10 +89,12 @@ class PointConfiguration:
         return lattice_basis(diffs)
 
     @cached_property
-    def difference_coordinates(self) -> Callable[[Sequence[int]], Optional[IntVector]]:
-        """Integer coordinates in ``difference_basis``, or None off the
-        lattice; the basis is factored once per configuration."""
-        return integer_solver(self.difference_basis)
+    def difference_coordinates(self) -> Callable[[IntVector], Optional[IntVector]]:
+        """Integer coordinates of a vector (a tuple) in ``difference_basis``,
+        or None off the lattice.  The basis is factored once and each
+        distinct vector, typically a difference of two points, is solved once
+        per configuration."""
+        return cache(integer_solver(self.difference_basis))
 
     def affine_dim_of(self, indices: Sequence[int]) -> int:
         """Dimension of the affine span of the given point subset."""

@@ -8,11 +8,14 @@ oracles that live alongside the implementation.
 import json
 import pathlib
 import random
+import sys
 import time
+import weakref
 from collections import Counter
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricfano import (
     HypothesesViolated,
@@ -43,7 +46,13 @@ from toricfano import (
     verify_chart_sample,
 )
 from toricfano import cli, pointconfig
-from toricfano.intlinalg import _kernel, matrix_rank, rational_solve
+from toricfano.intlinalg import (
+    _kernel,
+    cone_is_pointed,
+    is_free_semigroup,
+    matrix_rank,
+    rational_solve,
+)
 from toricfano.verify import BRUTE_FORCE_MAX_POINTS, all_set_partitions, relation_basis
 
 from test_intlinalg import det, saturated_by_minors
@@ -533,6 +542,97 @@ def test_is_smooth_at_matches_basis_completion_reference():
                 assert smooth == smooth_by_basis_completion(a, face), (points, face)
                 kinds[smooth] += 1
     assert kinds[True] >= 100 and kinds[False] >= 100, kinds
+
+
+# vector sets of each shape the free-semigroup test must handle, with the
+# answer of the subset search
+FREE_SEMIGROUP_SHAPES = {
+    "dependent candidates": [
+        ([(1, 0), (0, 1), (1, 2), (2, 1)], True),
+        ([(1, 0), (1, 1), (1, 2)], False),
+    ],
+    "not pointed": [
+        ([(-1, 0), (0, 1), (1, 0)], False),
+        # every (0, y) is a sum of two others, so the one candidate (1, 0)
+        # spans less than the vectors, all with nonnegative first entries
+        ([(0, -2), (0, -1), (0, 1), (0, 2), (0, 3), (1, 0)], False),
+    ],
+    "not saturated": [([(1, 1), (1, -1)], False), ([(2, 0, 0), (0, 1, 1)], False)],
+    "lower rank": [([(1, 1, 0), (0, 1, 1), (1, 2, 1)], True), ([(2, 0, 0), (0, 1, 1)], False)],
+}
+
+
+def candidates_of(vectors):
+    sums = {tuple(a + b for a, b in zip(g, h)) for g in vectors for h in vectors}
+    return [g for g in vectors if g not in sums]
+
+
+SHAPE_OF = {
+    "dependent candidates": lambda vs: len(candidates_of(vs)) > matrix_rank(vs),
+    "not pointed": lambda vs: not cone_is_pointed(vs),
+    "not saturated": lambda vs: not saturated_by_minors(vs),
+    "lower rank": lambda vs: matrix_rank(vs) < len(vs[0]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FREE_SEMIGROUP_SHAPES))
+def test_free_semigroup_shapes(shape):
+    for vectors, free in FREE_SEMIGROUP_SHAPES[shape]:
+        assert SHAPE_OF[shape](vectors), vectors
+        assert free_by_subset_search(vectors) == free, vectors
+        assert is_free_semigroup(vectors) == free, vectors
+
+
+@st.composite
+def semigroup_vectors(draw):
+    """Distinct nonzero combinations, with coefficients in -1..2 or 0..2, of
+    r <= n random vectors of Z^n (n <= 3), and half the time those vectors
+    themselves: free sets on a saturated basis, cones with lines, lattices
+    that are not saturated, lower ranks and dependent candidates."""
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(1, n))
+    entries = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    basis = draw(st.lists(entries, min_size=r, max_size=r))
+    low = draw(st.sampled_from((-1, 0)))
+    weights = st.lists(st.integers(low, 2), min_size=r, max_size=r)
+    coefficients = draw(st.lists(weights, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        coefficients += [[int(i == j) for j in range(r)] for i in range(r)]
+    vectors = {
+        tuple(sum(c * b[j] for c, b in zip(cs, basis)) for j in range(n))
+        for cs in coefficients
+    }
+    return sorted(vectors - {(0,) * n})
+
+
+@settings(max_examples=300, deadline=None)
+@given(semigroup_vectors())
+def test_is_free_semigroup_matches_subset_search(vectors):
+    assert is_free_semigroup(vectors) == free_by_subset_search(vectors)
+
+
+def test_chart_is_smooth_decides_each_generator_set_once(monkeypatch):
+    components_module = sys.modules["toricfano.components"]
+    monkeypatch.setattr(components_module, "_free_charts", weakref.WeakKeyDictionary())
+    decided = Counter()
+
+    def counted(gens):
+        decided[gens] += 1
+        return is_free_semigroup(gens)
+
+    monkeypatch.setattr(components_module, "is_free_semigroup", counted)
+    a = PointConfiguration(birkhoff_points())
+    charts = [
+        chart_semigroup(comp.pi, extended_transversal(comp.pi, face), face.indices)
+        for k in range(1, a.dimension + 1)
+        for comp in components(a, k)
+        for face in comp.fixed_points
+    ]
+    answers = [chart_is_smooth(chart) for chart in charts]
+    keys = [chart_generators_reduced(chart) for chart in charts]
+    assert (len(charts), len(set(keys))) == (207, 111)
+    assert decided == Counter(set(keys))
+    assert answers == [is_free_semigroup(gens) for gens in keys]
 
 
 def test_apex_exists_exactly_at_smooth_codimension_one_facets():

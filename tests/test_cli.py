@@ -327,6 +327,14 @@ def test_mult_bad_sigma_string(capsys):
     assert code == EXIT_PARSE
 
 
+def test_mult_repeated_sigma_index_exits_two(capsys):
+    # read as 0,1 this is a smooth facet of five, so the repeat must not be dropped
+    code, out, err = run(capsys, "mult", DATA / "five.json", "--sigma", "0,0,1")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "repeats an index" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
