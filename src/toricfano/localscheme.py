@@ -5,9 +5,10 @@ configuration, and the configuration is smooth at an empty-simplex facet
 ``sigma``, the coordinate ring of the chart of the k-plane scheme at the
 corresponding fixed point has an explicit monomial basis.  This module
 computes height coordinates of configuration points over ``sigma``, the
-per-point standard-monomial sets, the basis of the local ring, isolation,
-and the multiplicity of an isolated fixed plane — by counting the basis and,
-independently, from the height filtration.
+per-point ideals (the monomials of one degree but a few kept ones), the basis
+of the local ring by one walk up its standard monomials (``_walk``, capped at
+``MAX_WALK``), isolation, and the multiplicity of an isolated fixed plane —
+by counting the basis and, independently, from the height filtration.
 
 The smoothness hypothesis is not tested apart: the search for an apex of
 height one over ``sigma`` decides it and yields every point's height
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .intlinalg import IntVector, UnsupportedSizeError, integer_solver
@@ -77,24 +77,18 @@ class MonomialSet:
 
     @staticmethod
     def from_ideal(nvars: int, gens: Iterable[Sequence[int]]) -> "MonomialSet":
-        canon = _minimal_generators(nvars, gens)
-        # the exponents of the pure powers of each variable in the ideal
-        powers = [
-            [g[i] for g in canon if not any(g[j] for j in range(nvars) if j != i)]
-            for i in range(nvars)
-        ]
-        finite = all(powers)
-        members: tuple[IntVector, ...] = ()
-        if finite:
-            found = [
-                alpha
-                for alpha in product(*(range(min(p)) for p in powers))
-                if not any(_divides(g, alpha) for g in canon)
-            ]
-            members = tuple(sorted(found, key=_graded_lex))
-        return MonomialSet(
-            nvars=nvars, ideal_part=canon, is_finite=finite, finite_part=members
-        )
+        """The standard monomials of the ideal of any generators, minimal or not."""
+        minimal: list[IntVector] = []
+        for g in sorted({tuple(int(x) for x in v) for v in gens}, key=lambda v: (sum(v), v)):
+            if len(g) != nvars or any(x < 0 for x in g):
+                raise ValueError("ideal generators must be nonnegative exponent vectors")
+            if not any(_divides(o, g) for o in minimal):  # a proper divisor comes first
+                minimal.append(g)
+        # finite exactly when the ideal holds a pure power of every variable
+        if not all(any(g[i] == sum(g) for g in minimal) for i in range(nvars)):
+            return MonomialSet(nvars, tuple(minimal), False, ())
+        drop = set(minimal)  # each layer holds one degree, so one set serves every cut
+        return _walk(nvars, {sum(g): lambda layer: layer - drop for g in minimal})
 
     def contains(self, alpha: Sequence[int]) -> bool:
         a = tuple(int(x) for x in alpha)
@@ -108,25 +102,42 @@ class MonomialSet:
         return len(self.finite_part) if self.is_finite else None
 
 
-def _graded_lex(alpha: Sequence[int]) -> tuple:
-    return (sum(alpha), tuple(alpha))
-
-
 def _divides(g: Sequence[int], alpha: Sequence[int]) -> bool:
     return all(a >= b for a, b in zip(alpha, g))
 
 
-def _minimal_generators(
-    nvars: int, gens: Iterable[Sequence[int]]
-) -> tuple[IntVector, ...]:
-    vecs = {tuple(int(x) for x in g) for g in gens}
-    for g in vecs:
-        if len(g) != nvars or any(x < 0 for x in g):
-            raise ValueError("ideal generators must be nonnegative exponent vectors")
-    minimal = [
-        g for g in vecs if not any(o != g and _divides(o, g) for o in vecs)
-    ]
-    return tuple(sorted(minimal, key=_graded_lex))
+MAX_WALK = 500_000  # the most monomials one walk lists; past it, exit 3
+
+
+def _walk(nvars: int, cuts: dict[int, Callable[[set], set]]) -> MonomialSet:
+    """The standard monomials of the ideal that ``cuts`` generates, walked up
+    from the origin one degree at a time.  ``cuts[d]`` keeps the degree-``d``
+    ones that stay standard and drops the minimal generators of degree ``d``.
+    A monomial is in the ideal exactly when it is a generator or a monomial
+    one degree below that divides it is, so a step costs ``nvars`` lookups per
+    monomial, however many generators there are.  Past the last cut a pure
+    power still standard stays standard in every degree, and the set is
+    infinite; otherwise the walk ends at the first degree left empty."""
+    top = max(cuts, default=-1)
+    layer, gens, members = {(0,) * nvars}, [], []
+    d = 0
+    while True:
+        if d in cuts:
+            kept = cuts[d](layer)
+            gens += sorted(layer - kept)
+            layer = kept
+        if not layer or d >= top and any(max(m) == d for m in layer):
+            return MonomialSet(nvars, tuple(gens), not layer, () if layer else tuple(members))
+        members += sorted(layer)
+        if len(members) > MAX_WALK:
+            raise UnsupportedSizeError(f"the local ring walk lists at most {MAX_WALK} monomials")
+        up = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in layer for i in range(nvars)}
+        layer = {
+            a
+            for a in up
+            if all(a[:i] + (a[i] - 1,) + a[i + 1 :] in layer for i in range(nvars) if a[i])
+        }
+        d += 1
 
 
 def choose_w(a: PointConfiguration, sigma: "Face | Sequence[int]") -> IntVector:
@@ -185,10 +196,10 @@ def s_u_case(hc: HeightCoords) -> int:
 
 
 def _match(hc: HeightCoords) -> tuple[int, int, int]:
-    """The first matching case pattern and the positions ``j`` and ``l``
-    that ``s_u`` reads (-1 where unused).  Cases 1 and 2 read only the first
-    -1 entry ``j``: if it fails case 1, two other entries are nonzero, so any
-    later -1 entry fails too, and case 2 at a later one would need c[j] >= 0."""
+    """The first matching case pattern and the positions ``j`` and ``l`` that
+    ``_degree_and_kept`` reads (-1 where unused).  Cases 1 and 2 read only the
+    first -1 entry ``j``: if it fails case 1, two other entries are nonzero, so
+    any later -1 entry fails too, and case 2 at a later one would need c[j] >= 0."""
     c = hc.cvec
     support = [i for i, x in enumerate(c) if x]
     if -1 in c:
@@ -207,62 +218,31 @@ def _match(hc: HeightCoords) -> tuple[int, int, int]:
     return 6, -1, -1
 
 
-def _degree_slice(n: int, h: int) -> list[IntVector]:
-    """All nonnegative integer vectors of length n with coordinate sum h."""
-    if n == 1:
-        return [(h,)]
-    out = []
-    for first in range(h + 1):
-        out.extend((first,) + rest for rest in _degree_slice(n - 1, h - first))
-    return out
-
-
-def s_u(hc: HeightCoords, k: int) -> MonomialSet:
-    """The standard-monomial set attached to a point with these coordinates.
-
-    Every exponent vector of total degree below the height belongs to the
-    set; the matching case pattern determines which vectors of degree at
-    least the height remain.
-    """
+def _degree_and_kept(hc: HeightCoords, k: int) -> tuple[int, frozenset[IntVector]]:
+    """The ideal of ``s_u`` as one degree ``d`` and the kept monomials: it is
+    generated by every monomial of degree ``d`` but the kept ones."""
     if len(hc.c) != k:
         raise ValueError(f"expected {k} offset coordinates, got {len(hc.c)}")
     if hc.h == 0 and k >= 2:
         raise ValueError("height 0 leaves the kept axis undefined for k >= 2")
-    n = k + 1
-    h = hc.h
-    c = hc.cvec
+    n, h = k + 1, hc.h
     case, j, l = _match(hc)
-    slice_h = _degree_slice(n, h)
+    shifts = [tuple(x + (t == i) for t, x in enumerate(hc.cvec)) for i in range(n)]
+    if case == 1:  # at height 0, the degree-1 monomials but x_l
+        return max(h, 1), frozenset({tuple(max(h, 1) * (t == l) for t in range(n))})
+    if case == 2:
+        return h, frozenset({shifts[j]})
+    if case == 3 and h < 2:  # generated by the degree-2 monomials free of x_j
+        return 2, frozenset(tuple((t == i) + (t == j) for t in range(n)) for i in range(n))
+    return h, frozenset(shifts if case in (3, 4, 5) else ())
 
-    def shifted(i: int) -> IntVector:
-        return tuple(x + (1 if t == i else 0) for t, x in enumerate(c))
 
-    if case == 1:
-        axis_top = tuple(h if i == l else 0 for i in range(n))
-        if h >= 1:
-            gens = [g for g in slice_h if g != axis_top]
-        else:
-            gens = [tuple(1 if i == t else 0 for i in range(n)) for t in range(n) if t != l]
-    elif case == 2:
-        keep = shifted(j)
-        gens = [g for g in slice_h if g != keep]
-    elif case == 3:
-        if h >= 2:
-            keep = {shifted(i) for i in range(n)}
-            gens = [g for g in slice_h if g not in keep]
-        else:
-            gens = [
-                tuple((1 if i == a else 0) + (1 if i == b else 0) for i in range(n))
-                for a in range(n)
-                for b in range(a, n)
-                if a != j and b != j
-            ]
-    elif case in (4, 5):
-        keep = {shifted(i) for i in range(n)}
-        gens = [g for g in slice_h if g not in keep]
-    else:
-        gens = slice_h
-    return MonomialSet.from_ideal(n, gens)
+def s_u(hc: HeightCoords, k: int) -> MonomialSet:
+    """The standard-monomial set attached to a point with these coordinates:
+    every exponent vector of total degree below the height, and those of
+    higher degree that the matching case pattern keeps."""
+    d, kept = _degree_and_kept(hc, k)
+    return _walk(k + 1, {d: kept.intersection})
 
 
 def local_ring_basis(
@@ -321,7 +301,21 @@ def _apex_and_heights(
 
 
 def _apex_search(face: Face) -> Optional[tuple[IntVector, Heights, MonomialSet]]:
-    """``_apex_and_heights``'s search and basis over a validated facet, or None."""
+    """``_apex_and_heights``'s search and basis over a validated facet, or None.
+
+    The basis is one walk over the points off the facet and the apex, taken
+    in nondecreasing degree, with no filter.  Let ``J`` be the sum so far,
+    with minimal generators ``G`` of degree at most ``d``, and add a point
+    whose ideal is generated by ``S``, the degree-``d`` monomials outside its
+    kept set.  The minimal generators of the sum lie in ``G`` and ``S``.  A
+    member of ``S`` in ``J`` is not minimal.  One outside ``J`` is: no member
+    of ``G`` divides it, nor does another member of ``S``, of its degree.
+    Each member of ``G`` stays minimal, as ``S`` has no degree below ``d``.
+    So the new generators are exactly the degree-``d`` standard monomials of
+    ``J`` outside the kept set (the walk's cut at ``d``), the generators stay
+    an antichain, and a point of a degree the walk no longer reaches adds
+    nothing.  Points of one degree make one cut, by all their kept sets.
+    """
     sigma_points = set(face.points)
     for w in sorted(face.config.points):
         if w in sigma_points:
@@ -331,9 +325,11 @@ def _apex_search(face: Face) -> Optional[tuple[IntVector, Heights, MonomialSet]]
             heights = {u: height_of(u) for u in face.config.points}
         except HypothesesViolated:
             continue
-        outside = set(heights) - sigma_points - {w}
-        gens = [g for u in outside for g in s_u(heights[u], face.dim).ideal_part]
-        return w, heights, MonomialSet.from_ideal(face.dim + 1, gens)
+        kept_at: dict[int, frozenset[IntVector]] = {}
+        for u in set(heights) - sigma_points - {w}:
+            d, kept = _degree_and_kept(heights[u], face.dim)
+            kept_at[d] = kept_at.get(d, kept) & kept
+        return w, heights, _walk(face.dim + 1, {d: kept.intersection for d, kept in kept_at.items()})
     return None
 
 

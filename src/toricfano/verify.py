@@ -32,6 +32,7 @@ from .intlinalg import (
 from .pointconfig import Face, PointConfiguration
 
 BRUTE_FORCE_MAX_POINTS = 12
+SWEEP_MAX_POINTS = 7  # the verify command's sweep over every set partition
 _SAMPLE_RANGE = 97
 
 

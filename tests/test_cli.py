@@ -3,6 +3,7 @@
 import importlib
 import json
 import pathlib
+import time
 import weakref
 from collections import Counter
 
@@ -231,21 +232,21 @@ def test_local_reports_validate_each_facet_and_find_its_apex_once(
 
 
 def test_mult_builds_the_local_ring_basis_once(capsys, monkeypatch):
-    # multiplicity_by_height reads the basis mult_report built: one s_u for
-    # each of the two points of five outside sigma (0, 1) and its apex
+    # multiplicity_by_height reads the basis mult_report built: one per-point
+    # ideal for each of the two points of five outside sigma (0, 1) and its apex
     calls = Counter()
-    original = localscheme.s_u
+    original = localscheme._degree_and_kept
 
     def counted(hc, k):
-        calls["s_u"] += 1
+        calls["ideal"] += 1
         return original(hc, k)
 
     monkeypatch.setattr(localscheme, "_apex_searches", weakref.WeakKeyDictionary())
-    monkeypatch.setattr(localscheme, "s_u", counted)
+    monkeypatch.setattr(localscheme, "_degree_and_kept", counted)
     code, report, _ = run_json(capsys, "mult", DATA / "five.json", "--sigma", "0,1")
     assert code == EXIT_OK
     assert report["multiplicity_by_height"] is not None
-    assert calls == {"s_u": 2}
+    assert calls == {"ideal": 2}
 
 
 def test_analyze_builds_the_components_once_per_k(capsys, monkeypatch):
@@ -382,6 +383,23 @@ def test_verify_corrupted_expectation_fails(capsys):
     assert "expected 3, found 2" in failing[0]["detail"]
 
 
+def test_verify_counts_the_faces_a_passing_check_skipped(capsys, tmp_path):
+    # 13 points on a line: the full face exceeds the brute-force cap (12) and
+    # the partition sweep cap (7); every other face is checked by both
+    path = tmp_path / "line13.txt"
+    path.write_text("\n".join(str(i) for i in range(13)))
+    code, report, _ = run_json(capsys, "verify", path, "--trials", "1")
+    assert code == EXIT_OK
+    details = {c["name"]: c["detail"] for c in report["checks"] if c["pass"]}
+    assert details["brute_force_matches_fast"] == "faces of more than 12 points not checked: 1"
+    assert details["partition_rejection_sound"] == "faces of more than 7 points not checked: 1"
+    assert details["cayley_planes_on_variety"] is None
+    # nothing skipped, nothing said
+    code, report, _ = run_json(capsys, "verify", DATA / "five.json", "--trials", "1")
+    assert code == EXIT_OK
+    assert all(c["detail"] is None for c in report["checks"])
+
+
 def test_verify_seeded_runs_identical(capsys):
     _, first, _ = run(
         capsys, "verify", DATA / "five.json", "--trials", "3", "--seed", "9", "--format", "json"
@@ -444,6 +462,22 @@ def test_dimension_cap_exits_3_for_every_subcommand(capsys, tmp_path, argv):
     code, out, err = run(capsys, argv[0], path, *argv[1:])
     assert code == EXIT_SIZE
     assert out == "" and "dimension at most 6" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["mult", "--sigma", "0,1,2"], ["analyze", "--k", "2"]], ids=lambda v: v[0]
+)
+def test_local_ring_past_the_walk_cap_exits_3_at_once(capsys, monkeypatch, tmp_path, argv):
+    # the walk of tall(80)'s local ring lists the 88,560 monomials below degree 80
+    monkeypatch.setattr(localscheme, "MAX_WALK", 1000)
+    monkeypatch.setattr(localscheme, "_apex_searches", weakref.WeakKeyDictionary())
+    path = tmp_path / "tall80.txt"
+    path.write_text("0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 0 80\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_SIZE
+    assert out == "" and "at most 1000 monomials" in err
 
 
 def test_fixture_points_match_expected_birkhoff(capsys):

@@ -9,7 +9,11 @@ Two independent oracles back the case-table implementation:
 """
 
 import itertools
+import json
+import math
+import pathlib
 import random
+import time
 import weakref
 from collections import Counter
 
@@ -442,18 +446,76 @@ def test_segment_point_scheme_never_isolated():
     assert not basis.is_finite
 
 
-def test_basis_is_intersection_of_per_point_sets():
-    a = config(FIVE)
-    face = a.face_from_indices((0, 1))
+def seeded_configuration(seed):
+    """Dimension 2 to 4, at most 9 distinct points with coordinates 0..3."""
+    rng = random.Random(seed)
+    d = rng.randint(2, 4)
+    points = {tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(rng.randint(d + 1, 9))}
+    return sorted(points)
+
+
+FIXTURE_POINTS = [
+    raw["points"]
+    for path in sorted((pathlib.Path(__file__).parent / "data").glob("*.json"))
+    if "points" in (raw := json.loads(path.read_text()))
+]
+
+
+def oracle_local_ring(a, face):
+    """The facet's ideal as the minimal elements of the union of every outside
+    point's ``oracle_ideal``, or None where a degree slice is too large to list."""
     w = choose_w(a, face)
-    per_point = [
-        s_u(height_coordinates(a, face, w, u), face.dim)
-        for u in a.points
-        if u not in set(face.points) | {w}
-    ]
+    k = face.dim
+    outside = [u for u in a.points if u not in set(face.points) | {w}]
+    coords = [height_coordinates(a, face, w, u) for u in outside]
+    if any(math.comb(hc.h + k, k) > 60 for hc in coords):
+        return None
+    gens = {g for hc in coords for g in oracle_ideal(hc, k)}
+    return sorted(
+        (g for g in gens if not any(o != g and divides(o, g) for o in gens)),
+        key=lambda g: (sum(g), g),
+    )
+
+
+def test_basis_is_intersection_of_per_point_sets():
+    # every smooth codimension-one facet: the walk's generators, finiteness and
+    # members against the oracle's minimal generators and brute-force membership
+    for points in FIXTURE_POINTS + [seeded_configuration(s) for s in range(60)]:
+        a = config(points)
+        for face in a.fixed_point_faces(a.dimension - 1):
+            try:
+                basis = local_ring_basis(a, face)
+            except HypothesesViolated:
+                continue
+            gens = oracle_local_ring(a, face)
+            if gens is None:
+                continue
+            assert basis.ideal_part == tuple(gens), (points, face.indices)
+            top = max((sum(g) for g in gens), default=0)
+            standard = [
+                alpha
+                for alpha in itertools.product(range(top + 1), repeat=face.dim + 1)
+                if not any(divides(g, alpha) for g in gens)
+            ]
+            assert all(basis.contains(alpha) for alpha in standard)
+            finite = all(max(alpha) < top for alpha in standard)  # else a pure power is standard
+            assert basis.is_finite == finite, (points, face.indices)
+            if finite:
+                assert set(basis.finite_part) == set(standard)
+
+
+def test_tall_basis_matches_the_oracle_in_seconds():
+    # one outside point at height 80: 3,318 generators and no finite set; listing
+    # its whole degree slice and filtering all pairs of generators took 18 s
+    a = config([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 80)])
+    face = a.face_from_indices((0, 1, 2))
+    start = time.perf_counter()
     basis = local_ring_basis(a, face)
-    for alpha in itertools.product(range(6), repeat=2):
-        assert basis.contains(alpha) == all(m.contains(alpha) for m in per_point)
+    assert time.perf_counter() - start < 5
+    hc = height_coordinates(a, face, choose_w(a, face), (0, 0, 80))
+    assert basis.ideal_part == tuple(sorted(oracle_ideal(hc, 2), key=lambda g: (sum(g), g)))
+    assert len(basis.ideal_part) == 3318
+    assert not basis.is_finite
 
 
 def all_valid_apexes(a, face):
