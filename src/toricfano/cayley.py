@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .pointconfig import Face, PointConfiguration
 
@@ -90,8 +90,11 @@ def is_cayley_structure(face: Face, blocks: Iterable[Sequence[int]]) -> bool:
     )
 
 
-def enumerate_cayley_structures(face: Face, l_min: int = 1) -> tuple[CayleyStructure, ...]:
-    """All Cayley structures on the face with at least l_min + 1 blocks.
+def enumerate_cayley_structures(
+    face: Face, l_min: int = 1, l_max: Optional[int] = None
+) -> tuple[CayleyStructure, ...]:
+    """All Cayley structures on the face with at least l_min + 1 blocks and,
+    when l_max is given, at most l_max + 1.
 
     Depth-first search over partitions in restricted-growth order (a point
     joins an existing block or opens a new one, so blocks come out sorted by
@@ -106,8 +109,7 @@ def enumerate_cayley_structures(face: Face, l_min: int = 1) -> tuple[CayleyStruc
         raise ValueError("l_min must be nonnegative")
     idx = face.indices
     t_total = len(idx)
-    if t_total == 0:
-        return ()
+    most = t_total if l_max is None else l_max + 1
     ending_at: list[list[tuple[int, ...]]] = [[] for _ in idx]
     for row in face.relations:
         ending_at[max(p for p, x in enumerate(row) if x)].append(row)
@@ -123,13 +125,11 @@ def enumerate_cayley_structures(face: Face, l_min: int = 1) -> tuple[CayleyStruc
     def assign(t: int) -> None:
         if t == t_total:
             if len(blocks) >= l_min + 1:
-                found.append(
-                    CayleyStructure(face, [tuple(idx[p] for p in b) for b in blocks])
-                )
+                found.append(CayleyStructure(face, [[idx[p] for p in b] for b in blocks]))
             return
         if len(blocks) + (t_total - t) < l_min + 1:
             return
-        for b in range(len(blocks) + 1):
+        for b in range(min(len(blocks) + 1, most)):
             if b == len(blocks):
                 blocks.append([t])
             else:
@@ -158,11 +158,7 @@ def leq(small: CayleyStructure, big: CayleyStructure) -> bool:
     if not set(small.face.indices) <= set(big.face.indices):
         return False
     small_block = small.block_of
-    for block in big.blocks:
-        landing = {small_block[i] for i in block if i in small_block}
-        if len(landing) > 1:
-            return False
-    return True
+    return all(len({small_block[i] for i in block if i in small_block}) <= 1 for block in big.blocks)
 
 
 def join_on(face: Face, pi1: CayleyStructure, pi2: CayleyStructure) -> CayleyStructure:
@@ -190,37 +186,30 @@ class CayleyPoset:
     configuration, built once and shared by every question asked of it.
 
     Each configuration holds one instance (``PointConfiguration.cayley_poset``).
-    Structures are enumerated once per face; maximality and each pair's
-    intersection are computed once for all ``k``, which only filters by
-    ``l >= k``.  Maximality and intersections follow one rule: per face, keep
-    the candidates that are not restrictions of candidates on covering faces.
+    Only the finest structures on each face are built; maximality and each
+    pair's intersection are computed once for all ``k``, which only filters
+    by ``l >= k``.  Maximality and intersections follow one rule: per face,
+    keep the candidates that are not restrictions of candidates on covering
+    faces.
     """
 
     def __init__(self, config: PointConfiguration):
         self.config = config
-        self._on_face: dict[tuple[int, ...], tuple[CayleyStructure, ...]] = {}
         self._intersection: dict[tuple, tuple[CayleyStructure, ...]] = {}
-
-    def on_face(self, face: Face) -> tuple[CayleyStructure, ...]:
-        """The structures with at least two blocks on the face, in the order
-        of ``enumerate_cayley_structures``."""
-        face = self.config.face(face)
-        found = self._on_face.get(face.indices)
-        if found is None:
-            found = enumerate_cayley_structures(face, l_min=1)
-            self._on_face[face.indices] = found
-        return found
+        self._faces_inside: dict[frozenset[int], list[Face]] = {}
 
     def _not_restricted_from_covers(
         self, candidates: dict[tuple[int, ...], list[CayleyStructure]]
     ) -> tuple[CayleyStructure, ...]:
         """The candidates (nonempty lists keyed by face index set) that are
         not ``q.restricted_to(F)`` for a candidate ``q`` on a face covering
-        their face ``F``, sorted by (face indices, blocks)."""
+        their face ``F``, sorted by (face indices, blocks).  Restrictions are
+        compared by their blocks, sorted as in ``CayleyStructure``."""
         kept = []
         for here in candidates.values():
+            inside = set(here[0].face.indices)
             restrictions = {
-                q.restricted_to(here[0].face).blocks
+                tuple(sorted(r for b in q.blocks if (r := tuple(i for i in b if i in inside))))
                 for g in here[0].face.covers
                 for q in candidates.get(g, ())
             }
@@ -239,21 +228,29 @@ class CayleyPoset:
         exactly when a block ``B`` holds a good proper ``S`` (``S`` and
         ``B - S`` split it; a refinement splits a block into good parts), so
         ``p`` is finest exactly when every block is an atom, an
-        inclusion-minimal block of a two-block structure.  A finest ``p`` on
-        ``F`` below some ``q != p`` is the restriction of a finest ``q1`` on
-        a face covering ``F``.  Indeed ``q`` lies on a face ``G`` strictly
-        containing ``F``; for ``F1`` covering ``F`` inside ``G`` (face
-        lattices are graded), ``q.restricted_to(F1)`` is a Cayley structure
-        (relations on ``F1`` extend by zero to ``G``) above ``p``, and so is
-        a finest ``q1`` refining it; ``q1.restricted_to(F)`` refines ``p``,
-        so it is ``p``.  Conversely such a restriction is below ``q1 != p``.
+        inclusion-minimal block of a two-block structure.  So the finest
+        structures are the exact covers of ``F`` by atoms, and each is built
+        once, by its blocks in order of smallest point: the smallest point
+        not yet covered heads the next block.  A finest ``p`` on ``F`` below
+        some ``q != p`` is the restriction of a finest ``q1`` on a face
+        covering ``F``.  Indeed ``q`` lies on a face ``G`` strictly containing
+        ``F``; for ``F1`` covering ``F`` inside ``G`` (face lattices are
+        graded), ``q.restricted_to(F1)`` is a Cayley structure (relations on
+        ``F1`` extend by zero to ``G``) above ``p``, and so is a finest
+        ``q1`` refining it; ``q1.restricted_to(F)`` refines ``p``, so it is
+        ``p``.  Conversely such a restriction is below ``q1 != p``.
         """
         finest = {}
-        for face in self.config.faces():
-            if face.indices and (here := self.on_face(face)):
-                halves = {frozenset(b) for q in here if q.l == 1 for b in q.blocks}
-                atoms = {b for b in halves if not any(s < b for s in halves)}
-                finest[face.indices] = [p for p in here if atoms.issuperset(map(frozenset, p.blocks))]
+        for face in (f for f in self.config.faces() if f.indices):
+            halves = {frozenset(b) for q in enumerate_cayley_structures(face, 1, 1) for b in q.blocks}
+            atoms = [b for b in halves if not any(s < b for s in halves)]
+            stack = [(frozenset(face.indices), ())]
+            while stack:
+                left, blocks = stack.pop()
+                if not left:
+                    finest.setdefault(face.indices, []).append(CayleyStructure(face, blocks))
+                head = min(left, default=None)
+                stack.extend((left - b, blocks + (b,)) for b in atoms if head in b and b <= left)
         return self._not_restricted_from_covers(finest)
 
     def intersection(
@@ -271,12 +268,17 @@ class CayleyPoset:
         inside ``G``, ``J_F1`` refines ``J_G.restricted_to(F1)``, so
         ``J_F1.restricted_to(F)`` refines ``J_F`` as well and equals it:
         ``J_F1`` is a candidate above ``J_F``.  Hence the rule of ``maximal``
-        applies unchanged.
+        applies unchanged.  The faces inside a common index set are listed
+        once, since many pairs share it.
         """
         key = (pi1, pi2)
         if key not in self._intersection:
-            common = set(pi1.face.indices) & set(pi2.face.indices)
-            inside = [f for f in self.config.faces() if len(f.indices) > 1 and common >= set(f.indices)]
+            common = frozenset(pi1.face.indices).intersection(pi2.face.indices)
+            if common not in self._faces_inside:
+                self._faces_inside[common] = [
+                    f for f in self.config.faces() if len(f.indices) > 1 and common.issuperset(f.indices)
+                ]
+            inside = self._faces_inside[common]
             joins = {f.indices: [j] for f in inside if (j := join_on(f, pi1, pi2)).l >= 1}
             self._intersection[key] = self._not_restricted_from_covers(joins)
         return self._intersection[key]

@@ -17,7 +17,12 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .cayley import CayleyStructure, is_cayley_structure, maximal_cayley_structures
+from .cayley import (
+    CayleyStructure,
+    enumerate_cayley_structures,
+    is_cayley_structure,
+    maximal_cayley_structures,
+)
 from .components import (
     chart_is_smooth,
     chart_semigroup,
@@ -315,23 +320,20 @@ def _verify_checks(a: PointConfiguration, expect: dict, seed: int, trials: int) 
     ) and is_saturated(rb.vectors)
     record("relation_basis_valid", rel_ok)
 
-    poset = a.cayley_poset
+    structures = {face.indices: enumerate_cayley_structures(face, 1) for face in a.faces()}
     mismatch = None
     for face in a.faces():
         if len(face.indices) > BRUTE_FORCE_MAX_POINTS:
             continue
-        if set(brute_force_cayley(a, face, 1)) != set(poset.on_face(face)):
+        if set(brute_force_cayley(a, face, 1)) != set(structures[face.indices]):
             mismatch = f"face {face.indices}"
             break
     record("brute_force_matches_fast", mismatch is None, mismatch or skipped(BRUTE_FORCE_MAX_POINTS))
 
     bad_plane = None
-    for face in a.faces():
-        for pi in poset.on_face(face):
-            if not verify_cayley_plane(bases[face.indices], pi):
-                bad_plane = f"face {face.indices}, blocks {pi.blocks}"
-                break
-        if bad_plane:
+    for pi in [pi for here in structures.values() for pi in here]:
+        if not verify_cayley_plane(bases[pi.face.indices], pi):
+            bad_plane = f"face {pi.face.indices}, blocks {pi.blocks}"
             break
     record("cayley_planes_on_variety", bad_plane is None, bad_plane)
 

@@ -318,8 +318,8 @@ def connectivity_graph(comps: Sequence[FanoComponent]) -> ConnectivityGraph:
 def is_covered_by_k_planes(a: PointConfiguration, k: int) -> bool:
     """Whether the toric variety of ``a`` is covered by k-planes: true iff the
     full configuration carries a Cayley structure with at least ``k + 1``
-    blocks."""
+    blocks, so exactly when some maximal one there does: a finest structure
+    refines it, and no face lies above the full face."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    full = a.face_from_indices(range(len(a.points)))
-    return any(p.l >= k for p in a.cayley_poset.on_face(full))
+    return any(p.l >= k and len(p.face.indices) == len(a.points) for p in a.cayley_poset.maximal)

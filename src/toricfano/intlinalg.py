@@ -144,12 +144,7 @@ def is_saturated(vectors: Iterable[Sequence[int]]) -> bool:
     minors of ``B`` is that of ``h`` (``u`` is unimodular), the product of the
     pivots ``h[i][i]``; it is 1 exactly for a direct summand.
     """
-    return _unit_pivots(lattice_basis(vectors))
-
-
-def _unit_pivots(basis: Sequence[Sequence[int]]) -> bool:
-    """Whether linearly independent rows generate a saturated lattice: every
-    pivot of the Hermite normal form of their transpose is 1."""
+    basis = lattice_basis(vectors)
     h, _ = hermite_normal_form(transpose(basis))
     return all(h[i][i] == 1 for i in range(len(basis)))
 

@@ -131,8 +131,8 @@ class PointConfiguration:
 
     @cached_property
     def cayley_poset(self) -> CayleyPoset:
-        """The Cayley structures of this configuration, enumerated once and
-        shared by components, intersections, the graph and coverage."""
+        """The Cayley poset of this configuration, built once from the finest
+        structures and shared by components, intersections and coverage."""
         from .cayley import CayleyPoset
 
         return CayleyPoset(self)

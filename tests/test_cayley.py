@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from toricfano.cayley import (
 )
 from toricfano.pointconfig import PointConfiguration
 
+from test_acceptance import FIXTURES, random_configurations
 from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
 
 
@@ -96,6 +98,16 @@ def test_enumerate_empty_and_vertex_faces():
     structures = enumerate_cayley_structures(vertex, l_min=0)
     assert len(structures) == 1 and structures[0].l == 0
     assert enumerate_cayley_structures(vertex, l_min=1) == ()
+
+
+def test_enumerate_block_cap_keeps_the_structures_with_few_blocks():
+    for points in (SQUARE, QUARTIC, birkhoff_points()):
+        config = PointConfiguration(points)
+        for face in config.faces():
+            every = enumerate_cayley_structures(face, l_min=0)
+            for l_min, l_max in ((0, 0), (1, 1), (1, 2), (2, 3)):
+                capped = enumerate_cayley_structures(face, l_min, l_max)
+                assert capped == tuple(s for s in every if l_min <= s.l <= l_max)
 
 
 def test_blocks_canonical_order():
@@ -200,19 +212,38 @@ def test_maximal_requires_positive_k():
         maximal_cayley_structures(config, 0)
 
 
-def test_poset_enumerates_each_face_once():
-    config = PointConfiguration(QUARTIC)
-    poset = config.cayley_poset
-    assert config.cayley_poset is poset
-    face = full_face(config)
-    assert poset.on_face(face) is poset.on_face(face)
-    assert poset.on_face(face) == enumerate_cayley_structures(face, l_min=1)
+def finest_by_filter(config):
+    """Reference maximality with no atoms search and no covers: every
+    structure with at least two blocks on each face, kept when each block is
+    an atom (an inclusion-minimal block of the face's two-block structures),
+    then dropped when it is the restriction of a kept structure on a face
+    covering its own."""
+    finest = {}
+    for face in config.faces():
+        here = enumerate_cayley_structures(face, l_min=1)
+        halves = {frozenset(b) for q in here if q.l == 1 for b in q.blocks}
+        atoms = {b for b in halves if not any(s < b for s in halves)}
+        finest[face.indices] = [p for p in here if atoms.issuperset(map(frozenset, p.blocks))]
+    kept = [
+        p
+        for here in finest.values()
+        for p in here
+        if not any(q.restricted_to(p.face) == p for g in p.face.covers for q in finest[g])
+    ]
+    return sorted(kept, key=lambda s: (s.face.indices, s.blocks))
 
 
-def test_poset_rejects_face_of_other_configuration():
-    other = PointConfiguration(SQUARE)
-    with pytest.raises(ValueError):
-        PointConfiguration(QUARTIC).cayley_poset.on_face(full_face(other))
+def test_maximal_is_the_finest_filter_of_every_structure():
+    # Delta(2,5) and Segre P1xP5 (12 points, dimension 6) are too large for
+    # the all-pairs reference of the acceptance suite
+    delta_2_5 = [tuple(int(t in pair) for t in range(5)) for pair in itertools.combinations(range(5), 2)]
+    segre_1_5 = [(i,) + tuple(int(j == t) for t in range(1, 6)) for i in range(2) for j in range(6)]
+    cases = [pts for _, pts in FIXTURES] + random_configurations() + [delta_2_5, segre_1_5]
+    start = time.perf_counter()
+    for points in cases:
+        config = PointConfiguration(points)
+        assert list(maximal_cayley_structures(config, 1)) == finest_by_filter(config), points
+    assert time.perf_counter() - start < 5
 
 
 def test_poset_maximal_on_quartic():

@@ -141,6 +141,20 @@ def test_analyze_default_k_is_one(capsys):
     assert [s["k"] for s in report["k_reports"]] == [1]
 
 
+def test_analyze_empty_fano_scheme_is_connected(capsys, tmp_path):
+    # the Veronese surface (2 Delta_2) holds no line; "connected" means at
+    # most one connected component, so an empty scheme is connected
+    path = tmp_path / "veronese.txt"
+    path.write_text("0 0\n1 0\n2 0\n0 1\n1 1\n0 2\n")
+    code, report, _ = run_json(capsys, "analyze", path, "--k", "1")
+    assert code == EXIT_OK
+    (section,) = report["k_reports"]
+    assert section["components"] == []
+    assert section["graph"]["connected"] is True
+    assert section["graph"]["connected_components"] == []
+    assert section["covered_by_k_planes"] is False
+
+
 # ---------------------------------------------------------------------------
 # mult
 
