@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .pointconfig import Face, PointConfiguration
 
@@ -90,60 +90,43 @@ def is_cayley_structure(face: Face, blocks: Iterable[Sequence[int]]) -> bool:
     )
 
 
-def enumerate_cayley_structures(
-    face: Face, l_min: int = 1, l_max: Optional[int] = None
-) -> tuple[CayleyStructure, ...]:
-    """All Cayley structures on the face with at least l_min + 1 blocks and,
-    when l_max is given, at most l_max + 1.
+def _covers(face: Face, blocks: Iterable[tuple[int, ...]]) -> list[tuple[tuple[int, ...], ...]]:
+    """Every partition of the face into the given blocks (sorted index
+    tuples), each as its blocks in order of smallest element.
 
-    Depth-first search over partitions in restricted-growth order (a point
-    joins an existing block or opens a new one, so blocks come out sorted by
-    minimum), pruning a partial assignment as soon as a relation supported on
-    the assigned points gives some block a nonzero sum - that sum is already
-    final.  The rows of ``face.relations`` ending before position t span the
-    relations supported on the first t points, and rows ending earlier were
-    checked before point t - 1 was placed, which leaves their sums unchanged;
-    so placing point t - 1 needs only the rows that end there.
+    The smallest uncovered point heads the next block, each given block that
+    holds it and lies among the uncovered points in turn, so a partition is
+    reached once: its j-th block holds the smallest point outside the first
+    j - 1.  No branch dead-ends over ``face.cayley_blocks`` or over atoms
+    (its minimal members other than the face).  The uncovered rest ``R`` is
+    a block, as the face and each chosen block sum to zero in every relation.
+    A block ``B`` other than the face is a disjoint union of atoms: if it is
+    no atom, it holds a smaller block ``S``, and ``B - S`` is a block.  ``R``
+    is such a block once an atom is chosen, and before that it is the face,
+    an atom ``A`` plus the block ``F - A``, if the face has any atom.
     """
+    by_head: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for block in blocks:
+        by_head.setdefault(block[0], []).append((sum(1 << i for i in block), block))
+    found, stack = [], [(sum(1 << i for i in face.indices), ())]
+    while stack:  # point sets as bitmasks over point indices
+        left, chosen = stack.pop()
+        if not left:
+            found.append(chosen)
+            continue
+        head = (left & -left).bit_length() - 1
+        stack.extend((left & ~m, chosen + (b,)) for m, b in by_head.get(head, ()) if not m & ~left)
+    return found
+
+
+def enumerate_cayley_structures(face: Face, l_min: int = 1) -> tuple[CayleyStructure, ...]:
+    """All Cayley structures on the face with at least l_min + 1 blocks,
+    sorted by (block count, blocks): the covers of the face by
+    ``face.cayley_blocks`` (none on the empty face)."""
     if l_min < 0:
         raise ValueError("l_min must be nonnegative")
-    idx = face.indices
-    t_total = len(idx)
-    most = t_total if l_max is None else l_max + 1
-    ending_at: list[list[tuple[int, ...]]] = [[] for _ in idx]
-    for row in face.relations:
-        ending_at[max(p for p, x in enumerate(row) if x)].append(row)
-
-    found: list[CayleyStructure] = []
-    blocks: list[list[int]] = []
-
-    def compatible(t: int) -> bool:
-        return all(
-            sum(row[p] for p in block) == 0 for row in ending_at[t - 1] for block in blocks
-        )
-
-    def assign(t: int) -> None:
-        if t == t_total:
-            if len(blocks) >= l_min + 1:
-                found.append(CayleyStructure(face, [[idx[p] for p in b] for b in blocks]))
-            return
-        if len(blocks) + (t_total - t) < l_min + 1:
-            return
-        for b in range(min(len(blocks) + 1, most)):
-            if b == len(blocks):
-                blocks.append([t])
-            else:
-                blocks[b].append(t)
-            if compatible(t + 1):
-                assign(t + 1)
-            if b == len(blocks) - 1 and len(blocks[b]) == 1:
-                blocks.pop()
-            else:
-                blocks[b].pop()
-
-    assign(0)
-    found.sort(key=lambda s: (len(s.blocks), s.blocks))
-    return tuple(found)
+    found = [CayleyStructure(face, c) for c in _covers(face, face.cayley_blocks) if len(c) > l_min]
+    return tuple(sorted(found, key=lambda s: (len(s.blocks), s.blocks)))
 
 
 def leq(small: CayleyStructure, big: CayleyStructure) -> bool:
@@ -221,36 +204,28 @@ class CayleyPoset:
         """All maximal structures, sorted by (face indices, blocks).
 
         Candidates are the finest structures on each face: any other is below
-        a strict refinement on its face.  If a nonempty ``S`` inside ``F`` is
-        good (its indicator is orthogonal to ``F.relations``), so is ``F - S``
-        (relations sum to zero): the good proper subsets of ``F`` are the
-        blocks of two-block structures.  ``p`` has a strict refinement
-        exactly when a block ``B`` holds a good proper ``S`` (``S`` and
-        ``B - S`` split it; a refinement splits a block into good parts), so
-        ``p`` is finest exactly when every block is an atom, an
-        inclusion-minimal block of a two-block structure.  So the finest
-        structures are the exact covers of ``F`` by atoms, and each is built
-        once, by its blocks in order of smallest point: the smallest point
-        not yet covered heads the next block.  A finest ``p`` on ``F`` below
-        some ``q != p`` is the restriction of a finest ``q1`` on a face
-        covering ``F``.  Indeed ``q`` lies on a face ``G`` strictly containing
-        ``F``; for ``F1`` covering ``F`` inside ``G`` (face lattices are
-        graded), ``q.restricted_to(F1)`` is a Cayley structure (relations on
-        ``F1`` extend by zero to ``G``) above ``p``, and so is a finest
-        ``q1`` refining it; ``q1.restricted_to(F)`` refines ``p``, so it is
-        ``p``.  Conversely such a restriction is below ``q1 != p``.
+        a strict refinement on its face.  ``p`` has a strict refinement
+        exactly when a block ``B`` holds a smaller block ``S`` of
+        ``F.cayley_blocks`` (``S`` and ``B - S`` split it; a refinement
+        splits a block into blocks), so ``p`` is finest exactly when every
+        block is an atom, a minimal block other than ``F``: the finest
+        structures are the covers of ``F`` by atoms (``_covers``).  A finest
+        ``p`` on ``F`` below some ``q != p`` is the restriction of a finest
+        ``q1`` on a face covering ``F``.  Indeed ``q`` lies on a face ``G``
+        strictly containing ``F``; for ``F1`` covering ``F`` inside ``G``
+        (face lattices are graded), ``q.restricted_to(F1)`` is a Cayley
+        structure (relations on ``F1`` extend by zero to ``G``) above ``p``,
+        and so is a finest ``q1`` refining it; ``q1.restricted_to(F)``
+        refines ``p``, so it is ``p``.  Conversely such a restriction is
+        below ``q1 != p``.
         """
         finest = {}
-        for face in (f for f in self.config.faces() if f.indices):
-            halves = {frozenset(b) for q in enumerate_cayley_structures(face, 1, 1) for b in q.blocks}
-            atoms = [b for b in halves if not any(s < b for s in halves)]
-            stack = [(frozenset(face.indices), ())]
-            while stack:
-                left, blocks = stack.pop()
-                if not left:
-                    finest.setdefault(face.indices, []).append(CayleyStructure(face, blocks))
-                head = min(left, default=None)
-                stack.extend((left - b, blocks + (b,)) for b in atoms if head in b and b <= left)
+        for face in self.config.faces():
+            proper = [b for b in face.cayley_blocks if len(b) < len(face.indices)]
+            sets = [frozenset(b) for b in proper]
+            atoms = [b for b, s in zip(proper, sets) if not any(t < s for t in sets)]
+            if atoms:  # then the face has a cover by atoms, see ``_covers``
+                finest[face.indices] = [CayleyStructure(face, c) for c in _covers(face, atoms)]
         return self._not_restricted_from_covers(finest)
 
     def intersection(

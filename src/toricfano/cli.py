@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -73,6 +74,14 @@ def _is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _decimal(text: str) -> int:
+    """The integer ``text`` writes in optionally signed ASCII digits, padded by
+    whitespace; ``int`` alone also reads ``1_0`` and other scripts' digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _check_expect(expect) -> None:
     """Reject a malformed ``"expect"`` block before ``verify`` runs an oracle."""
 
@@ -128,25 +137,19 @@ def load_input(path: str, max_points: int) -> tuple[Optional[str], dict, PointCo
         _check_expect(raw.get("expect", {}))
     else:
         name = None
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            rows.append(line.split())
+        try:
+            rows = [[_decimal(x) for x in line.split()] for line in text.splitlines() if line.strip()]
+        except argparse.ArgumentTypeError as exc:
+            raise CliError(EXIT_PARSE, f"points must be integers: {exc}") from exc
     if not rows:
         raise CliError(EXIT_PARSE, "input contains no points")
-    try:
-        points = tuple(tuple(int(x) for x in row) for row in rows)
-    except (TypeError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, f"points must be integers: {exc}") from exc
-    if len(points) > max_points:
+    if len(rows) > max_points:
         raise CliError(
             EXIT_SIZE,
-            f"{len(points)} points exceeds the cap of {max_points} (see --max-points)",
+            f"{len(rows)} points exceeds the cap of {max_points} (see --max-points)",
         )
     try:
-        a = PointConfiguration(points)
+        a = PointConfiguration(rows)
     except ValueError as exc:
         raise CliError(EXIT_PARSE, str(exc)) from exc
     return name, raw, a
@@ -458,8 +461,8 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _parse_sigma(text: str) -> tuple[int, ...]:
     try:
-        sigma = tuple(int(piece) for piece in text.split(","))
-    except ValueError as exc:
+        sigma = tuple(_decimal(piece) for piece in text.split(","))
+    except argparse.ArgumentTypeError as exc:
         raise CliError(EXIT_PARSE, f"--sigma must be comma-separated integers: {exc}")
     if len(set(sigma)) != len(sigma):
         raise CliError(EXIT_PARSE, f"--sigma repeats an index: {text}")
@@ -481,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--max-points",
-            type=int,
+            type=_decimal,
             default=DEFAULT_MAX_POINTS,
             help="refuse inputs with more points than this",
         )
@@ -490,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_analyze)
     p_analyze.add_argument(
         "--k",
-        type=int,
+        type=_decimal,
         action="append",
         help="plane dimension (repeatable; default 1)",
     )
@@ -505,8 +508,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the oracle cross-check suite")
     common(p_verify)
-    p_verify.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p_verify.add_argument("--trials", type=int, default=25, help="samples per chart")
+    p_verify.add_argument("--seed", type=_decimal, default=0, help="sampling seed")
+    p_verify.add_argument("--trials", type=_decimal, default=25, help="samples per chart")
     return parser
 
 

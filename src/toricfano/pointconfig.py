@@ -250,6 +250,26 @@ class Face:
         t points."""
         return tuple(row[::-1] for row in reversed(affine_relation_lattice(self.points[::-1])))
 
+    @cached_property
+    def cayley_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Every nonempty index set of the face that sums to zero in every row
+        of ``relations`` (a possible block of a Cayley structure), sorted.
+        One search keeps the first point in and places the others in order,
+        in or out; the rows ending at a placed point then have final sums,
+        which must be zero.  The complement of a block is one too (rows sum
+        to zero over the face): these are the blocks without the first point."""
+        if not self.indices:
+            return ()
+        idx, rows = self.indices, self.relations
+        last = [max(p for p, x in enumerate(row) if x) for row in rows]
+        # each search state: the points placed in the block, each row's sum over them
+        states = [((idx[0],), tuple(row[0] for row in rows))]
+        for t in range(1, len(idx)):
+            grown = [(c + (idx[t],), tuple(v + row[t] for v, row in zip(s, rows))) for c, s in states]
+            states = [(c, s) for c, s in states + grown if not any(v for v, e in zip(s, last) if e == t)]
+        found = [c for c, _ in states]
+        return tuple(sorted(found + [tuple(sorted(set(idx) - set(c))) for c in found if c != idx]))
+
     @property
     def points(self) -> tuple[IntVector, ...]:
         return tuple(self.config.points[i] for i in self.indices)

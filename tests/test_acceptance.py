@@ -729,9 +729,26 @@ def moved(points, seed):
     return image
 
 
+def local_invariants(a):
+    """Sorted over the empty-simplex facets (``k = dim - 1``): whether each
+    fixed point is isolated and its multiplicity, or that the hypotheses of
+    the local scheme fail there."""
+    entries = []
+    for face in a.fixed_point_faces(a.dimension - 1) if a.dimension >= 2 else ():
+        try:
+            choose_w(a, face)
+        except HypothesesViolated:
+            entries.append(("hypotheses violated",))
+            continue
+        basis = local_ring_basis(a, face)
+        entries.append(("local", basis.is_finite, basis.cardinality()))
+    return sorted(entries)
+
+
 def invariants(points, expect):
     """Per k: component count, sorted dimensions, nonempty intersections,
-    graph pieces and coverage; and whether ``verify`` passes."""
+    graph pieces and coverage; the local scheme at every facet; and whether
+    ``verify`` passes."""
     a = PointConfiguration(points)
     per_k = []
     for k in range(1, a.dimension + 2):
@@ -748,17 +765,22 @@ def invariants(points, expect):
                 is_covered_by_k_planes(a, k),
             )
         )
-    return per_k, cli.verify_report(a, None, expect, seed=0, trials=2)["passed"]
+    passed = cli.verify_report(a, None, expect, seed=0, trials=2)["passed"]
+    return per_k, local_invariants(a), passed
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("name", sorted(FIXTURES_DATA))
 def test_fixture_invariants_survive_unimodular_moves_and_relabelling(name, seed):
+    # each fixture as given, and embedded as p -> (p, 0) before the move in
+    # one more dimension
     raw = FIXTURES_DATA[name]
     expect = raw.get("expect", {})
-    image = moved(raw["points"], seed)
-    assert image != raw["points"]
-    assert invariants(image, expect) == invariants(raw["points"], expect)
+    expected = invariants(raw["points"], expect)
+    for points in (raw["points"], [list(p) + [0] for p in raw["points"]]):
+        image = moved(points, seed)
+        assert image != points
+        assert invariants(image, expect) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from toricfano.cayley import (
     maximal_cayley_structures,
 )
 from toricfano.pointconfig import PointConfiguration
+from toricfano.verify import brute_force_cayley, relation_basis
 
 from test_acceptance import FIXTURES, random_configurations
 from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
@@ -100,14 +101,27 @@ def test_enumerate_empty_and_vertex_faces():
     assert enumerate_cayley_structures(vertex, l_min=1) == ()
 
 
-def test_enumerate_block_cap_keeps_the_structures_with_few_blocks():
-    for points in (SQUARE, QUARTIC, birkhoff_points()):
+def blocks_by_subsets(config, face):
+    """Every nonempty subset of the face whose entries sum to zero in each
+    vector of the oracle's own relation basis (not ``Face.relations``)."""
+    vectors = relation_basis(config, face).vectors
+    position = {i: p for p, i in enumerate(face.indices)}
+    return tuple(
+        sorted(
+            subset
+            for size in range(1, len(face.indices) + 1)
+            for subset in itertools.combinations(face.indices, size)
+            if all(sum(v[position[i]] for i in subset) == 0 for v in vectors)
+        )
+    )
+
+
+def test_cayley_blocks_match_the_subset_reference():
+    for points in [pts for _, pts in FIXTURES] + random_configurations():
         config = PointConfiguration(points)
         for face in config.faces():
-            every = enumerate_cayley_structures(face, l_min=0)
-            for l_min, l_max in ((0, 0), (1, 1), (1, 2), (2, 3)):
-                capped = enumerate_cayley_structures(face, l_min, l_max)
-                assert capped == tuple(s for s in every if l_min <= s.l <= l_max)
+            if len(face.indices) <= 12:
+                assert face.cayley_blocks == blocks_by_subsets(config, face), (points, face)
 
 
 def test_blocks_canonical_order():
@@ -214,13 +228,13 @@ def test_maximal_requires_positive_k():
 
 def finest_by_filter(config):
     """Reference maximality with no atoms search and no covers: every
-    structure with at least two blocks on each face, kept when each block is
-    an atom (an inclusion-minimal block of the face's two-block structures),
-    then dropped when it is the restriction of a kept structure on a face
-    covering its own."""
+    structure with at least two blocks on each face, from the brute-force
+    oracle, kept when each block is an atom (an inclusion-minimal block of
+    the face's two-block structures), then dropped when it is the
+    restriction of a kept structure on a face covering its own."""
     finest = {}
     for face in config.faces():
-        here = enumerate_cayley_structures(face, l_min=1)
+        here = brute_force_cayley(config, face, 1)
         halves = {frozenset(b) for q in here if q.l == 1 for b in q.blocks}
         atoms = {b for b in halves if not any(s < b for s in halves)}
         finest[face.indices] = [p for p in here if atoms.issuperset(map(frozenset, p.blocks))]

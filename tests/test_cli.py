@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from toricfano import PointConfiguration, cayley, cli, localscheme, verify
+from toricfano import PointConfiguration, cayley, cli, localscheme, pointconfig, verify
 from toricfano.cli import (
     EXIT_BAD_K,
     EXIT_HYPOTHESES,
@@ -337,6 +337,25 @@ def test_analyze_joins_each_pair_once_per_face(monkeypatch):
     assert joins and max(joins.values()) == 1, joins.most_common(3)
 
 
+def test_maximality_and_verify_search_each_face_for_blocks_once(monkeypatch):
+    # the blocks are kept with the face, so the poset's atoms and verify's
+    # enumeration of every structure share one search per face
+    searched = Counter()
+    blocks = pointconfig.Face.__dict__["cayley_blocks"]
+    search = blocks.func
+
+    def counted(face):
+        searched[face.indices] += 1
+        return search(face)
+
+    monkeypatch.setattr(blocks, "func", counted)
+    _, raw, a = cli.load_input(str(DATA / "birkhoff.json"), cli.DEFAULT_MAX_POINTS)
+    cayley.maximal_cayley_structures(a, 1)
+    checks = cli._verify_checks(a, raw["expect"], seed=0, trials=2)
+    assert all(c["pass"] for c in checks)
+    assert searched == Counter(f.indices for f in a.faces())
+
+
 def test_mult_bad_sigma_string(capsys):
     code, _, err = run(capsys, "mult", DATA / "quartic.json", "--sigma", "0;2")
     assert code == EXIT_PARSE
@@ -576,3 +595,53 @@ def test_verify_rejects_fewer_than_one_trial(capsys, trials):
     assert code == EXIT_PARSE
     assert out == ""
     assert "--trials must be at least 1" in err
+
+
+# Integers on the command line and in text input are optionally signed ASCII
+# decimal digits: int() alone reads "1_0" as 10 and "١" (Arabic-Indic one) as 1.
+NOT_DECIMAL = ["1_0", "١", "٠", "0x1", "1.0", "+-1"]
+
+
+@pytest.mark.parametrize("value", NOT_DECIMAL)
+def test_text_rows_take_only_decimal_integers(capsys, tmp_path, value):
+    path = tmp_path / "rows.txt"
+    path.write_text(f"{value} 0\n0 1\n2 2\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", path)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "not a decimal integer" in err
+
+
+@pytest.mark.parametrize("value", NOT_DECIMAL)
+def test_sigma_takes_only_decimal_integers(capsys, value):
+    code, out, err = run(capsys, "mult", DATA / "five.json", "--sigma", f"0,{value}")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "not a decimal integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--k"], ["analyze", "--max-points"], ["verify", "--seed"], ["verify", "--trials"]],
+    ids=lambda v: v[1],
+)
+@pytest.mark.parametrize("value", NOT_DECIMAL)
+def test_integer_options_take_only_decimal_integers(capsys, argv, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main([argv[0], str(DATA / "square.json"), argv[1], value])
+    assert exit_info.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a decimal integer" in captured.err
+
+
+def test_decimal_integers_may_be_signed_and_padded(capsys, tmp_path):
+    path = tmp_path / "rows.txt"
+    path.write_text("+0 -0\n0 1\n1 0\n1 +1\n", encoding="utf-8")
+    code, report, _ = run_json(capsys, "analyze", path, "--k", " +1 ", "--max-points", "04")
+    assert code == EXIT_OK
+    assert report["input"]["points"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert [s["k"] for s in report["k_reports"]] == [1]
+    code, report, _ = run_json(capsys, "mult", DATA / "five.json", "--sigma", " 0, +1")
+    assert code == EXIT_OK
+    assert report["sigma"] == [0, 1]
