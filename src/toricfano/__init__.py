@@ -41,7 +41,7 @@ from .components import (
     connectivity_graph,
     is_covered_by_k_planes,
 )
-from .intlinalg import UnsupportedSizeError, affine_unimodular_equivalent, cone_is_pointed
+from .intlinalg import UnsupportedSizeError, cone_is_pointed
 from .localscheme import (
     HeightCoords,
     HypothesesViolated,
@@ -84,7 +84,6 @@ __all__ = [
     "PointConfiguration",
     "RelationBasis",
     "UnsupportedSizeError",
-    "affine_unimodular_equivalent",
     "all_set_partitions",
     "brute_force_cayley",
     "chart_generators_reduced",

@@ -76,18 +76,16 @@ class CayleyStructure:
 
 def is_cayley_structure(face: Face, blocks: Iterable[Sequence[int]]) -> bool:
     """Whether the given block partition of the face preserves all affine
-    relations: each block's entries sum to zero in every row of the face's
-    relation basis.  (A block indicator lies in the rational rowspan of the
-    face's homogenized matrix exactly when it is orthogonal to the relations,
-    the kernel of that matrix.)"""
+    relations: each block is one of ``face.cayley_blocks``, the index sets
+    that sum to zero in every row of the face's relation basis.  (A block
+    indicator lies in the rational rowspan of the face's homogenized matrix
+    exactly when it is orthogonal to the relations, the kernel of that
+    matrix.)"""
     canon = [tuple(sorted(b)) for b in blocks]
     flat = sorted(i for b in canon for i in b)
     if flat != list(face.indices) or any(not b for b in canon):
         raise ValueError("blocks must partition the face's index set")
-    position = {i: p for p, i in enumerate(face.indices)}
-    return all(
-        sum(row[position[i]] for i in block) == 0 for row in face.relations for block in canon
-    )
+    return set(canon) <= set(face.cayley_blocks)
 
 
 def _covers(face: Face, blocks: Iterable[tuple[int, ...]]) -> list[tuple[tuple[int, ...], ...]]:
@@ -144,24 +142,23 @@ def leq(small: CayleyStructure, big: CayleyStructure) -> bool:
     return all(len({small_block[i] for i in block if i in small_block}) <= 1 for block in big.blocks)
 
 
-def join_on(face: Face, pi1: CayleyStructure, pi2: CayleyStructure) -> CayleyStructure:
-    """The finest common coarsening of ``pi1`` and ``pi2`` on a face inside
-    both of their faces: the blocks of ``pi1`` there, merged whenever a block
-    of ``pi2`` meets several.  Its blocks are unions of blocks of the Cayley
-    structure ``pi1.restricted_to(face)``, so it is one too.  A structure on
-    the face is below ``pi1`` exactly when it coarsens
-    ``pi1.restricted_to(face)``, and likewise for ``pi2``; so the structures
-    on the face below both inputs are the coarsenings of the join.
+def _join(face: Face, pi1: CayleyStructure, pi2: CayleyStructure) -> dict[int, int]:
+    """Each point of a face inside both structures' faces, with the label of
+    its block in their join there, the finest common coarsening: the blocks
+    of ``pi1`` there, merged whenever a block of ``pi2`` meets several.  Its
+    blocks are unions of blocks of the Cayley structure
+    ``pi1.restricted_to(face)``, so they form one too.  A structure on the
+    face is below ``pi1`` exactly when it coarsens ``pi1.restricted_to(face)``,
+    and likewise for ``pi2``; so the structures on the face below both inputs
+    are the coarsenings of the join.
     """
-    if not (pi1.face.contains(face) and pi2.face.contains(face)):
-        raise ValueError("the face must lie inside both structures' faces")
     label = {i: pi1.block_of[i] for i in face.indices}
     for block in pi2.blocks:
         hit = {label[i] for i in block if i in label}
         if len(hit) > 1:
             head = min(hit)
             label = {i: head if b in hit else b for i, b in label.items()}
-    return CayleyStructure(face, [[i for i in label if label[i] == b] for b in set(label.values())])
+    return label
 
 
 class CayleyPoset:
@@ -171,33 +168,15 @@ class CayleyPoset:
     Each configuration holds one instance (``PointConfiguration.cayley_poset``).
     Only the finest structures on each face are built; maximality and each
     pair's intersection are computed once for all ``k``, which only filters
-    by ``l >= k``.  Maximality and intersections follow one rule: per face,
-    keep the candidates that are not restrictions of candidates on covering
-    faces.
+    by ``l >= k``.  Both answers keep, per face, the candidates that are not
+    restrictions of candidates on covering faces, and build a
+    ``CayleyStructure`` only for a structure they return.
     """
 
     def __init__(self, config: PointConfiguration):
         self.config = config
         self._intersection: dict[tuple, tuple[CayleyStructure, ...]] = {}
         self._faces_inside: dict[frozenset[int], list[Face]] = {}
-
-    def _not_restricted_from_covers(
-        self, candidates: dict[tuple[int, ...], list[CayleyStructure]]
-    ) -> tuple[CayleyStructure, ...]:
-        """The candidates (nonempty lists keyed by face index set) that are
-        not ``q.restricted_to(F)`` for a candidate ``q`` on a face covering
-        their face ``F``, sorted by (face indices, blocks).  Restrictions are
-        compared by their blocks, sorted as in ``CayleyStructure``."""
-        kept = []
-        for here in candidates.values():
-            inside = set(here[0].face.indices)
-            restrictions = {
-                tuple(sorted(r for b in q.blocks if (r := tuple(i for i in b if i in inside))))
-                for g in here[0].face.covers
-                for q in candidates.get(g, ())
-            }
-            kept.extend(p for p in here if p.blocks not in restrictions)
-        return tuple(sorted(kept, key=lambda s: (s.face.indices, s.blocks)))
 
     @cached_property
     def maximal(self) -> tuple[CayleyStructure, ...]:
@@ -217,16 +196,26 @@ class CayleyPoset:
         structure (relations on ``F1`` extend by zero to ``G``) above ``p``,
         and so is a finest ``q1`` refining it; ``q1.restricted_to(F)``
         refines ``p``, so it is ``p``.  Conversely such a restriction is
-        below ``q1 != p``.
+        below ``q1 != p``.  Candidates and restrictions are compared as the
+        block tuples of ``_covers``, sorted as in ``CayleyStructure``.
         """
-        finest = {}
-        for face in self.config.faces():
+        faces, finest = self.config.faces(), {}
+        for face in faces:
             proper = [b for b in face.cayley_blocks if len(b) < len(face.indices)]
             sets = [frozenset(b) for b in proper]
             atoms = [b for b, s in zip(proper, sets) if not any(t < s for t in sets)]
             if atoms:  # then the face has a cover by atoms, see ``_covers``
-                finest[face.indices] = [CayleyStructure(face, c) for c in _covers(face, atoms)]
-        return self._not_restricted_from_covers(finest)
+                finest[face.indices] = _covers(face, atoms)
+        kept = []
+        for face in (f for f in faces if f.indices in finest):
+            inside = set(face.indices)
+            restrictions = {
+                tuple(sorted(r for b in q if (r := tuple(i for i in b if i in inside))))
+                for g in face.covers
+                for q in finest.get(g, ())
+            }
+            kept.extend(CayleyStructure(face, p) for p in finest[face.indices] if p not in restrictions)
+        return tuple(sorted(kept, key=lambda s: (s.face.indices, s.blocks)))
 
     def intersection(
         self, pi1: CayleyStructure, pi2: CayleyStructure
@@ -234,17 +223,18 @@ class CayleyPoset:
         """The maximal structures with at least two blocks below both inputs,
         sorted by (face indices, blocks); computed once per ordered pair.
 
-        By ``join_on``, a face ``G`` inside both faces has one candidate,
-        ``J_G = join_on(G, pi1, pi2)``, when ``J_G.l >= 1``.  For ``F`` inside
+        By ``_join``, a face ``G`` inside both faces has one candidate, the
+        join ``J_G``, when it has at least two blocks.  For ``F`` inside
         ``G``, ``J_G.restricted_to(F)`` coarsens ``J_F`` (it is a common
         coarsening on ``F``), and ``J_F <= J_G`` says that it refines
-        ``J_F``: so ``J_F <= J_G`` exactly when
-        ``J_F == J_G.restricted_to(F)``.  Then for ``F1`` covering ``F``
-        inside ``G``, ``J_F1`` refines ``J_G.restricted_to(F1)``, so
-        ``J_F1.restricted_to(F)`` refines ``J_F`` as well and equals it:
-        ``J_F1`` is a candidate above ``J_F``.  Hence the rule of ``maximal``
-        applies unchanged.  The faces inside a common index set are listed
-        once, since many pairs share it.
+        ``J_F``: so ``J_F <= J_G`` exactly when the two are equal, that is
+        when ``J_G`` meets ``F`` in as many blocks as ``J_F`` has.  Then for
+        ``F1`` covering ``F`` inside ``G``, ``J_F1`` refines
+        ``J_G.restricted_to(F1)``, so ``J_F1.restricted_to(F)`` refines
+        ``J_F`` as well and equals it.  So ``J_F`` is kept exactly when no
+        join on a face covering ``F`` inside both faces meets ``F`` in as
+        many blocks.  The faces inside a common index set are listed once,
+        since many pairs share it.
         """
         key = (pi1, pi2)
         if key not in self._intersection:
@@ -254,8 +244,17 @@ class CayleyPoset:
                     f for f in self.config.faces() if len(f.indices) > 1 and common.issuperset(f.indices)
                 ]
             inside = self._faces_inside[common]
-            joins = {f.indices: [j] for f in inside if (j := join_on(f, pi1, pi2)).l >= 1}
-            self._intersection[key] = self._not_restricted_from_covers(joins)
+            joins = {f.indices: _join(f, pi1, pi2) for f in inside}
+            kept = []
+            for face in inside:
+                label = joins[face.indices]
+                heads = set(label.values())
+                if len(heads) > 1 and all(
+                    len({joins[g][i] for i in label}) < len(heads) for g in face.covers if g in joins
+                ):
+                    blocks = [[i for i in label if label[i] == b] for b in heads]
+                    kept.append(CayleyStructure(face, blocks))
+            self._intersection[key] = tuple(sorted(kept, key=lambda s: (s.face.indices, s.blocks)))
         return self._intersection[key]
 
 

@@ -244,7 +244,7 @@ def analysis_report(
             "graph": {
                 "vertices": list(graph.vertices),
                 "edges": [list(e) for e in graph.edges],
-                "connected": graph.is_connected(),
+                "connected": len(pieces) <= 1,
                 "connected_components": [list(p) for p in pieces],
             },
             "covered_by_k_planes": is_covered_by_k_planes(a, k),

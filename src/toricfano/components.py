@@ -73,14 +73,12 @@ class ConnectivityGraph:
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def neighbors(self, vertex: str) -> tuple[str, ...]:
-        if vertex not in self.vertices:
-            raise ValueError(f"unknown vertex {vertex!r}")
-        out = [b if a == vertex else a for a, b in self.edges if vertex in (a, b)]
-        return tuple(sorted(out))
-
     def connected_components(self) -> tuple[tuple[str, ...], ...]:
         """Vertex sets of the connected components, each sorted, sorted by head."""
+        adjacent: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for a, b in self.edges:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
         seen: set[str] = set()
         groups: list[tuple[str, ...]] = []
         for start in self.vertices:
@@ -92,7 +90,7 @@ class ConnectivityGraph:
                 if v in group:
                     continue
                 group.add(v)
-                stack.extend(self.neighbors(v))
+                stack.extend(adjacent[v])
             seen |= group
             groups.append(tuple(sorted(group)))
         return tuple(sorted(groups))

@@ -7,10 +7,10 @@ immutable tuples of tuples of ints (rows by columns), vectors are tuples.
 The central primitive is a row-style Hermite normal form with a tracked
 unimodular transform; kernel bases, ranks, affine relation lattices, the
 test for saturated lattices (unit pivots in the form of the transposed
-basis), integer solving against a basis factored once, the free-semigroup
-test, and affine unimodular equivalence of point configurations all derive
-from it.  A cone's facets come from one exact double description
-(``cone_facets``), which also decides whether the cone is pointed.
+basis), integer solving against a basis factored once and the
+free-semigroup test all derive from it.  A cone's facets come from one
+exact double description (``cone_facets``), which also decides whether the
+cone is pointed.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from typing import Callable, Iterable, Optional, Sequence
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
-
-EQUIVALENCE_MAX_POINTS = 12
 
 
 class UnsupportedSizeError(ValueError):
@@ -316,57 +314,6 @@ def affine_relation_lattice(points: Sequence[Sequence[int]]) -> IntMatrix:
     if not pts:
         return ()
     return lattice_basis(_kernel(_homogenized_rows(pts), len(pts)))
-
-
-def affine_unimodular_equivalent(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    """Whether two point configurations differ by an affine lattice isomorphism.
-
-    True iff some bijection of the point sets extends to an affine map that
-    restricts to an isomorphism between the affine lattices the
-    configurations generate (translation composed with a unimodular map on
-    the difference lattices).  The ambient dimensions may differ; the test is
-    intrinsic.  Equivalent formulation, used here: some bijection makes the
-    saturated affine relation lattices of the two configurations coincide.
-    """
-    pa = [tuple(int(x) for x in p) for p in a]
-    pb = [tuple(int(x) for x in p) for p in b]
-    if len(pa) != len(pb):
-        return False
-    if len(set(pa)) != len(pa) or len(set(pb)) != len(pb):
-        raise ValueError("configurations must consist of distinct points")
-    if len(pa) > EQUIVALENCE_MAX_POINTS:
-        raise UnsupportedSizeError(
-            f"equivalence search supports at most {EQUIVALENCE_MAX_POINTS} points"
-        )
-    if not pa:
-        return True
-    if matrix_rank(_homogenized_rows(pa)) != matrix_rank(_homogenized_rows(pb)):
-        return False
-
-    n = len(pa)
-    # Backtracking over bijections pa[i] -> chosen pb point.  A partial
-    # assignment survives iff the affine relation lattices of the two
-    # prefixes coincide; at full length that is exactly equivalence.
-    prefix_a = [affine_relation_lattice(pa[: t + 1]) for t in range(n)]
-    chosen: list[IntVector] = []
-    used = [False] * n
-
-    def extend(t: int) -> bool:
-        if t == n:
-            return True
-        for j in range(n):
-            if used[j]:
-                continue
-            chosen.append(pb[j])
-            if affine_relation_lattice(chosen) == prefix_a[t]:
-                used[j] = True
-                if extend(t + 1):
-                    return True
-                used[j] = False
-            chosen.pop()
-        return False
-
-    return extend(0)
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:

@@ -21,7 +21,6 @@ from toricfano import (
     HypothesesViolated,
     PointConfiguration,
     UnsupportedSizeError,
-    affine_unimodular_equivalent,
     brute_force_cayley,
     chart_generators_reduced,
     chart_is_pointed,
@@ -55,7 +54,7 @@ from toricfano.intlinalg import (
 )
 from toricfano.verify import BRUTE_FORCE_MAX_POINTS, all_set_partitions, relation_basis
 
-from test_intlinalg import det, saturated_by_minors
+from test_intlinalg import affine_unimodular_equivalent, det, saturated_by_minors
 from test_localscheme import FIVE, FOUR, STEEP, oracle_ideal
 from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
 

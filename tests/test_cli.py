@@ -3,6 +3,7 @@
 import importlib
 import json
 import pathlib
+import sys
 import time
 import weakref
 from collections import Counter
@@ -323,18 +324,46 @@ def test_verify_samples_each_chart_once(capsys, monkeypatch):
 
 
 def test_analyze_joins_each_pair_once_per_face(monkeypatch):
-    # intersections do not depend on k, which only filters them
+    # intersections do not depend on k, which only filters them: 1,329 joins
+    # for B_3, against 2,037 when each k joined again
     joins = Counter()
-    join_on = cayley.join_on
+    join = cayley._join
 
     def counted(face, pi1, pi2):
         joins[face.indices, pi1.blocks, pi2.blocks] += 1
-        return join_on(face, pi1, pi2)
+        return join(face, pi1, pi2)
 
-    monkeypatch.setattr(cayley, "join_on", counted)
+    monkeypatch.setattr(cayley, "_join", counted)
     name, _, a = cli.load_input(str(DATA / "birkhoff.json"), cli.DEFAULT_MAX_POINTS)
     cli.analysis_report(a, name, [1, 2, 3, 4])
     assert joins and max(joins.values()) == 1, joins.most_common(3)
+    assert sum(joins.values()) == 1329
+
+
+def test_analyze_builds_a_structure_only_per_answer(monkeypatch):
+    # intersections compare joins by block counts and maximality compares
+    # block tuples; a CayleyStructure is built only for a structure returned
+    answers = {
+        cayley.CayleyPoset.intersection.__code__: "intersection",
+        cayley.CayleyPoset.__dict__["maximal"].func.__code__: "maximal",
+    }
+    built = Counter()
+    init = cayley.CayleyStructure.__init__
+
+    def counted(self, face, blocks):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in answers:
+            frame = frame.f_back
+        if frame is not None:
+            built[answers[frame.f_code]] += 1
+        init(self, face, blocks)
+
+    monkeypatch.setattr(cayley.CayleyStructure, "__init__", counted)
+    name, _, a = cli.load_input(str(DATA / "birkhoff.json"), cli.DEFAULT_MAX_POINTS)
+    cli.analysis_report(a, name, [1, 2, 3, 4])
+    returned = sum(len(found) for found in a.cayley_poset._intersection.values())
+    assert built == {"intersection": returned, "maximal": len(a.cayley_poset.maximal)}
+    assert built == {"intersection": 135, "maximal": 15}
 
 
 def test_maximality_and_verify_search_each_face_for_blocks_once(monkeypatch):

@@ -20,9 +20,10 @@ from toricfano.components import (
     connectivity_graph,
     is_covered_by_k_planes,
 )
-from toricfano.intlinalg import affine_unimodular_equivalent, matrix_rank
+from toricfano.intlinalg import matrix_rank
 from toricfano.pointconfig import PointConfiguration
 
+from test_intlinalg import affine_unimodular_equivalent
 from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
 
 HEX7 = [(0, 0), (0, 1), (0, -1), (1, 0), (1, 1), (-1, 0), (-1, -1)]

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from toricfano.intlinalg import (
     UnsupportedSizeError,
     affine_relation_lattice,
-    affine_unimodular_equivalent,
     as_matrix,
     cone_facets,
     cone_is_pointed,
@@ -24,6 +23,60 @@ from toricfano.intlinalg import (
     rational_solve,
     transpose,
 )
+
+
+EQUIVALENCE_MAX_POINTS = 12
+
+
+def affine_unimodular_equivalent(a, b):
+    """Whether two point configurations differ by an affine lattice isomorphism.
+
+    True iff some bijection of the point sets extends to an affine map that
+    restricts to an isomorphism between the affine lattices the
+    configurations generate (translation composed with a unimodular map on
+    the difference lattices).  The ambient dimensions may differ; the test is
+    intrinsic.  Equivalent formulation, used here: some bijection makes the
+    saturated affine relation lattices of the two configurations coincide.
+    """
+    pa = [tuple(int(x) for x in p) for p in a]
+    pb = [tuple(int(x) for x in p) for p in b]
+    if len(pa) != len(pb):
+        return False
+    if len(set(pa)) != len(pa) or len(set(pb)) != len(pb):
+        raise ValueError("configurations must consist of distinct points")
+    if len(pa) > EQUIVALENCE_MAX_POINTS:
+        raise UnsupportedSizeError(
+            f"equivalence search supports at most {EQUIVALENCE_MAX_POINTS} points"
+        )
+    if not pa:
+        return True
+    if matrix_rank([p + (1,) for p in pa]) != matrix_rank([p + (1,) for p in pb]):
+        return False
+
+    n = len(pa)
+    # Backtracking over bijections pa[i] -> chosen pb point.  A partial
+    # assignment survives iff the affine relation lattices of the two
+    # prefixes coincide; at full length that is exactly equivalence.
+    prefix_a = [affine_relation_lattice(pa[: t + 1]) for t in range(n)]
+    chosen = []
+    used = [False] * n
+
+    def extend(t: int) -> bool:
+        if t == n:
+            return True
+        for j in range(n):
+            if used[j]:
+                continue
+            chosen.append(pb[j])
+            if affine_relation_lattice(chosen) == prefix_a[t]:
+                used[j] = True
+                if extend(t + 1):
+                    return True
+                used[j] = False
+            chosen.pop()
+        return False
+
+    return extend(0)
 
 
 def mat_mul(a, b):
