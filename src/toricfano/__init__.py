@@ -29,7 +29,6 @@ from .components import (
     ConnectivityGraph,
     FanoComponent,
     chart_generators_reduced,
-    chart_is_pointed,
     chart_is_smooth,
     chart_semigroup,
     component_dimension,
@@ -41,18 +40,16 @@ from .components import (
     connectivity_graph,
     is_covered_by_k_planes,
 )
-from .intlinalg import UnsupportedSizeError, cone_is_pointed
+from .intlinalg import UnsupportedSizeError
 from .localscheme import (
     HeightCoords,
     HypothesesViolated,
     MonomialSet,
     choose_w,
     height_coordinates,
-    is_isolated,
     local_ring_basis,
     multiplicity,
     multiplicity_by_height,
-    s_u,
     s_u_case,
 )
 from .pointconfig import Face, PointConfiguration
@@ -63,7 +60,6 @@ from .verify import (
     brute_force_cayley,
     relation_basis,
     relations_vanish_on,
-    specialized_chart_plane,
     verify_cayley_plane,
     verify_chart_sample,
 )
@@ -87,9 +83,7 @@ __all__ = [
     "all_set_partitions",
     "brute_force_cayley",
     "chart_generators_reduced",
-    "chart_is_pointed",
     "chart_is_smooth",
-    "cone_is_pointed",
     "chart_semigroup",
     "choose_w",
     "component_dimension",
@@ -103,7 +97,6 @@ __all__ = [
     "height_coordinates",
     "is_cayley_structure",
     "is_covered_by_k_planes",
-    "is_isolated",
     "leq",
     "local_ring_basis",
     "maximal_cayley_structures",
@@ -111,9 +104,7 @@ __all__ = [
     "multiplicity_by_height",
     "relation_basis",
     "relations_vanish_on",
-    "s_u",
     "s_u_case",
-    "specialized_chart_plane",
     "verify_cayley_plane",
     "verify_chart_sample",
 ]

@@ -56,15 +56,6 @@ class CayleyStructure:
         """Map from point index to the position of its block."""
         return {i: b for b, blk in enumerate(self.blocks) for i in blk}
 
-    def restricted_to(self, face: Face) -> "CayleyStructure":
-        """The induced structure on a subface (blocks intersected, empties
-        dropped)."""
-        if not self.face.contains(face):
-            raise ValueError("can only restrict to a face of the structure's face")
-        idx = set(face.indices)
-        blocks = [tuple(i for i in b if i in idx) for b in self.blocks]
-        return CayleyStructure(face, [b for b in blocks if b])
-
     def injective_on(self, indices: Sequence[int]) -> bool:
         """Whether the given points lie in pairwise distinct blocks."""
         hit = [self.block_of[i] for i in indices]
@@ -143,14 +134,16 @@ def leq(small: CayleyStructure, big: CayleyStructure) -> bool:
 
 
 def _join(face: Face, pi1: CayleyStructure, pi2: CayleyStructure) -> dict[int, int]:
-    """Each point of a face inside both structures' faces, with the label of
-    its block in their join there, the finest common coarsening: the blocks
-    of ``pi1`` there, merged whenever a block of ``pi2`` meets several.  Its
-    blocks are unions of blocks of the Cayley structure
-    ``pi1.restricted_to(face)``, so they form one too.  A structure on the
-    face is below ``pi1`` exactly when it coarsens ``pi1.restricted_to(face)``,
-    and likewise for ``pi2``; so the structures on the face below both inputs
-    are the coarsenings of the join.
+    """Each point of a face ``F`` inside both structures' faces, with the
+    label of its block in their join there, the finest common coarsening: the
+    blocks of ``pi1`` there, merged whenever a block of ``pi2`` meets several.
+    Write ``p|F`` for the restriction of a structure ``p`` to ``F``: the
+    blocks of ``p`` intersected with ``F``, empties dropped.  It is a Cayley
+    structure, as relations on ``F`` extend by zero to the face of ``p``.
+    The join's blocks are unions of blocks of ``pi1|F``, so they form one
+    too.  A structure on ``F`` is below ``pi1`` exactly when it coarsens
+    ``pi1|F``, and likewise for ``pi2``; so the structures on ``F`` below
+    both inputs are the coarsenings of the join.
     """
     label = {i: pi1.block_of[i] for i in face.indices}
     for block in pi2.blocks:
@@ -190,14 +183,15 @@ class CayleyPoset:
         block is an atom, a minimal block other than ``F``: the finest
         structures are the covers of ``F`` by atoms (``_covers``).  A finest
         ``p`` on ``F`` below some ``q != p`` is the restriction of a finest
-        ``q1`` on a face covering ``F``.  Indeed ``q`` lies on a face ``G``
-        strictly containing ``F``; for ``F1`` covering ``F`` inside ``G``
-        (face lattices are graded), ``q.restricted_to(F1)`` is a Cayley
-        structure (relations on ``F1`` extend by zero to ``G``) above ``p``,
-        and so is a finest ``q1`` refining it; ``q1.restricted_to(F)``
-        refines ``p``, so it is ``p``.  Conversely such a restriction is
-        below ``q1 != p``.  Candidates and restrictions are compared as the
-        block tuples of ``_covers``, sorted as in ``CayleyStructure``.
+        ``q1`` on a face covering ``F``, where the restriction ``q1|F`` is
+        the blocks of ``q1`` intersected with ``F``, empties dropped.  Indeed
+        ``q`` lies on a face ``G`` strictly containing ``F``; for ``F1``
+        covering ``F`` inside ``G`` (face lattices are graded), ``q|F1`` is a
+        Cayley structure (relations on ``F1`` extend by zero to ``G``) above
+        ``p``, and so is a finest ``q1`` refining it; ``q1|F`` refines ``p``,
+        so it is ``p``.  Conversely such a restriction is below ``q1 != p``.
+        Candidates and restrictions are compared as the block tuples of
+        ``_covers``, sorted as in ``CayleyStructure``.
         """
         faces, finest = self.config.faces(), {}
         for face in faces:
@@ -225,15 +219,15 @@ class CayleyPoset:
 
         By ``_join``, a face ``G`` inside both faces has one candidate, the
         join ``J_G``, when it has at least two blocks.  For ``F`` inside
-        ``G``, ``J_G.restricted_to(F)`` coarsens ``J_F`` (it is a common
-        coarsening on ``F``), and ``J_F <= J_G`` says that it refines
-        ``J_F``: so ``J_F <= J_G`` exactly when the two are equal, that is
-        when ``J_G`` meets ``F`` in as many blocks as ``J_F`` has.  Then for
-        ``F1`` covering ``F`` inside ``G``, ``J_F1`` refines
-        ``J_G.restricted_to(F1)``, so ``J_F1.restricted_to(F)`` refines
-        ``J_F`` as well and equals it.  So ``J_F`` is kept exactly when no
-        join on a face covering ``F`` inside both faces meets ``F`` in as
-        many blocks.  The faces inside a common index set are listed once,
+        ``G``, the restriction ``J_G|F`` (the blocks of ``J_G`` intersected
+        with ``F``, empties dropped) coarsens ``J_F``, as it is a common
+        coarsening on ``F``, and ``J_F <= J_G`` says that it refines ``J_F``:
+        so ``J_F <= J_G`` exactly when the two are equal, that is when
+        ``J_G`` meets ``F`` in as many blocks as ``J_F`` has.  Then for
+        ``F1`` covering ``F`` inside ``G``, ``J_F1`` refines ``J_G|F1``, so
+        ``J_F1|F`` refines ``J_F`` as well and equals it.  So ``J_F`` is kept
+        exactly when no join on a face covering ``F`` inside both faces meets
+        ``F`` in as many blocks.  The faces inside a common index set are listed once,
         since many pairs share it.
         """
         key = (pi1, pi2)

@@ -516,6 +516,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.max_points < 1:
+            raise CliError(EXIT_PARSE, f"--max-points must be at least 1, got {args.max_points}")
         name, raw, a = load_input(args.input, args.max_points)
         if args.subcommand == "analyze":
             ks = args.k if args.k else [1]

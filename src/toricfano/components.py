@@ -17,7 +17,7 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .cayley import CayleyStructure, maximal_cayley_structures
-from .intlinalg import IntVector, cone_is_pointed, is_free_semigroup
+from .intlinalg import IntVector, is_free_semigroup
 from .pointconfig import Face, PointConfiguration
 
 
@@ -239,17 +239,6 @@ def chart_generators_reduced(c: ChartSemigroup) -> tuple[IntVector, ...]:
             raise AssertionError("chart generator outside the difference lattice")
         out.add(coords + g[d:])
     return tuple(sorted(out))
-
-
-def chart_is_pointed(c: ChartSemigroup) -> bool:
-    """Whether the chart semigroup has no nonzero invertible element.
-
-    A pointed chart carries exactly one torus-fixed point (the origin of the
-    chart).  Charts taken at a fixed-point face of the component are always
-    pointed: the witness functional of the face is positive on the plain
-    generators and the extra coordinates take care of the rest.
-    """
-    return cone_is_pointed(chart_generators_reduced(c))
 
 
 # configuration -> {reduced chart generators: free?}; weak, so it keeps no

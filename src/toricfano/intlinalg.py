@@ -9,8 +9,7 @@ unimodular transform; kernel bases, ranks, affine relation lattices, the
 test for saturated lattices (unit pivots in the form of the transposed
 basis), integer solving against a basis factored once and the
 free-semigroup test all derive from it.  A cone's facets come from one
-exact double description (``cone_facets``), which also decides whether the
-cone is pointed.
+exact double description (``cone_facets``).
 """
 
 from __future__ import annotations
@@ -363,14 +362,3 @@ def cone_facets(vectors: Iterable[Sequence[int]]) -> tuple[IntVector, ...]:
     width = len(vs[0]) if vs else 0
     return tuple(sorted(tuple(dict(zip(pivots, y)).get(j, 0) for j in range(width)) for y, _ in rays))
 
-
-def cone_is_pointed(vectors: Iterable[Sequence[int]]) -> bool:
-    """Whether the rational cone spanned by the vectors contains no line, so
-    that their semigroup has no nonzero invertible element.  Exact; no linear
-    programming.  The cone's largest linear subspace is its smallest face,
-    where every facet is tight, and the vectors on it span it: the cone is
-    pointed exactly when no nonzero vector is tight at every facet.
-    """
-    vs = as_matrix(vectors)
-    facets = cone_facets(vs)
-    return not any(any(v) and not any(_dot(y, v) for y in facets) for v in vs)

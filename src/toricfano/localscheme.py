@@ -7,8 +7,9 @@ corresponding fixed point has an explicit monomial basis.  This module
 computes height coordinates of configuration points over ``sigma``, the
 per-point ideals (the monomials of one degree but a few kept ones), the basis
 of the local ring by one walk up its standard monomials (``_walk``, capped at
-``MAX_WALK``), isolation, and the multiplicity of an isolated fixed plane —
-by counting the basis and, independently, from the height filtration.
+``MAX_WALK``), which is finite exactly when the fixed plane is isolated, and
+the multiplicity of an isolated fixed plane — by counting the basis and,
+independently, from the height filtration.
 
 The smoothness hypothesis is not tested apart: the search for an apex of
 height one over ``sigma`` decides it and yields every point's height
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .intlinalg import IntVector, UnsupportedSizeError, integer_solver
 from .pointconfig import Face, PointConfiguration
@@ -75,22 +76,8 @@ class MonomialSet:
     is_finite: bool
     finite_part: tuple[IntVector, ...]
 
-    @staticmethod
-    def from_ideal(nvars: int, gens: Iterable[Sequence[int]]) -> "MonomialSet":
-        """The standard monomials of the ideal of any generators, minimal or not."""
-        minimal: list[IntVector] = []
-        for g in sorted({tuple(int(x) for x in v) for v in gens}, key=lambda v: (sum(v), v)):
-            if len(g) != nvars or any(x < 0 for x in g):
-                raise ValueError("ideal generators must be nonnegative exponent vectors")
-            if not any(_divides(o, g) for o in minimal):  # a proper divisor comes first
-                minimal.append(g)
-        # finite exactly when the ideal holds a pure power of every variable
-        if not all(any(g[i] == sum(g) for g in minimal) for i in range(nvars)):
-            return MonomialSet(nvars, tuple(minimal), False, ())
-        drop = set(minimal)  # each layer holds one degree, so one set serves every cut
-        return _walk(nvars, {sum(g): lambda layer: layer - drop for g in minimal})
-
     def contains(self, alpha: Sequence[int]) -> bool:
+        """Membership read off the generators in ``ideal_part``, not the walk."""
         a = tuple(int(x) for x in alpha)
         if len(a) != self.nvars:
             raise ValueError("exponent vector has the wrong length")
@@ -219,8 +206,11 @@ def _match(hc: HeightCoords) -> tuple[int, int, int]:
 
 
 def _degree_and_kept(hc: HeightCoords, k: int) -> tuple[int, frozenset[IntVector]]:
-    """The ideal of ``s_u`` as one degree ``d`` and the kept monomials: it is
-    generated by every monomial of degree ``d`` but the kept ones."""
+    """The ideal whose standard monomials a point with these coordinates
+    keeps (every exponent vector of total degree below the height, and those
+    of higher degree that the matching case pattern keeps), as one degree
+    ``d`` and the kept monomials: every monomial of degree ``d`` but the kept
+    ones generates it."""
     if len(hc.c) != k:
         raise ValueError(f"expected {k} offset coordinates, got {len(hc.c)}")
     if hc.h == 0 and k >= 2:
@@ -235,14 +225,6 @@ def _degree_and_kept(hc: HeightCoords, k: int) -> tuple[int, frozenset[IntVector
     if case == 3 and h < 2:  # generated by the degree-2 monomials free of x_j
         return 2, frozenset(tuple((t == i) + (t == j) for t in range(n)) for i in range(n))
     return h, frozenset(shifts if case in (3, 4, 5) else ())
-
-
-def s_u(hc: HeightCoords, k: int) -> MonomialSet:
-    """The standard-monomial set attached to a point with these coordinates:
-    every exponent vector of total degree below the height, and those of
-    higher degree that the matching case pattern keeps."""
-    d, kept = _degree_and_kept(hc, k)
-    return _walk(k + 1, {d: kept.intersection})
 
 
 def local_ring_basis(
@@ -331,12 +313,6 @@ def _apex_search(face: Face) -> Optional[tuple[IntVector, Heights, MonomialSet]]
             kept_at[d] = kept_at.get(d, kept) & kept
         return w, heights, _walk(face.dim + 1, {d: kept.intersection for d, kept in kept_at.items()})
     return None
-
-
-def is_isolated(a: PointConfiguration, sigma: "Face | Sequence[int]") -> bool:
-    """Whether the fixed point of ``sigma`` is an isolated point of the
-    k-plane scheme (finite local ring)."""
-    return local_ring_basis(a, sigma).is_finite
 
 
 def multiplicity(a: PointConfiguration, sigma: "Face | Sequence[int]") -> int:

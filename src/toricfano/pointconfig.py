@@ -30,7 +30,6 @@ from .intlinalg import (
     integer_solver,
     is_free_semigroup,
     lattice_basis,
-    matrix_rank,
 )
 
 if TYPE_CHECKING:
@@ -96,31 +95,6 @@ class PointConfiguration:
         per configuration."""
         return cache(integer_solver(self.difference_basis))
 
-    def affine_dim_of(self, indices: Sequence[int]) -> int:
-        """Dimension of the affine span of the given point subset."""
-        idx = list(indices)
-        if not idx:
-            return -1
-        p0 = self.points[idx[0]]
-        diffs = [
-            tuple(a - b for a, b in zip(self.points[i], p0)) for i in idx[1:]
-        ]
-        return matrix_rank(diffs)
-
-    def is_empty_simplex(self, indices: Sequence[int]) -> bool:
-        """Whether the subset consists of affinely independent points.
-
-        A set of k+1 points spanning an affine space of dimension k is an
-        empty simplex: it contains no lattice points of the configuration
-        beyond its vertices by construction (it *is* the vertex set).
-        """
-        idx = set(indices)
-        if not idx.issubset(range(len(self.points))):
-            raise ValueError("indices out of range")
-        if not idx:
-            return False
-        return self.affine_dim_of(sorted(idx)) == len(idx) - 1
-
     @cached_property
     def _face_list(self) -> tuple["Face", ...]:
         return _enumerate_faces(self)
@@ -137,16 +111,10 @@ class PointConfiguration:
 
         return CayleyPoset(self)
 
-    def faces(self, dim_filter: Optional[int] = None) -> tuple["Face", ...]:
+    def faces(self) -> tuple["Face", ...]:
         """All faces (including the configuration itself, its vertices, and
-        the empty face of dimension -1), sorted by (size, index set).
-
-        With ``dim_filter`` only faces of that affine dimension are returned.
-        """
-        fl = self._face_list
-        if dim_filter is None:
-            return fl
-        return tuple(f for f in fl if f.dim == dim_filter)
+        the empty face of dimension -1), sorted by (size, index set)."""
+        return self._face_list
 
     def face_from_indices(self, indices: Sequence[int]) -> "Face":
         """The face with exactly this index set; raises if it is not a face."""
@@ -165,9 +133,6 @@ class PointConfiguration:
         if tau.config != self:
             raise ValueError("face belongs to a different configuration")
         return tau
-
-    def is_face(self, indices: Sequence[int]) -> bool:
-        return tuple(sorted(set(indices))) in self._face_by_indices
 
     def fixed_point_faces(self, k: int) -> tuple["Face", ...]:
         """Faces that are empty k-simplices (k+1 points, affine dimension k).
@@ -273,11 +238,6 @@ class Face:
     @property
     def points(self) -> tuple[IntVector, ...]:
         return tuple(self.config.points[i] for i in self.indices)
-
-    def contains(self, other: "Face") -> bool:
-        if other.config != self.config:
-            raise ValueError("faces belong to different configurations")
-        return set(other.indices) <= set(self.indices)
 
     def subconfiguration(self) -> PointConfiguration:
         return PointConfiguration(self.points)

@@ -131,7 +131,16 @@ def verify_cayley_plane(relations: RelationBasis, pi: CayleyStructure) -> bool:
 
 def _chart_plane_builder(pi: CayleyStructure, sigma_tilde: Sequence[int], sigma: Sequence[int]):
     """Validate the chart data once; the returned function builds the plane
-    at a torus point and coefficients (see ``specialized_chart_plane``)."""
+    of a chart point at a torus point and coefficients, each given as
+    (numerator, denominator) pairs.
+
+    Rows are indexed by the points of ``sigma``; the column of a face point
+    whose block representative lies in ``sigma`` carries the character value
+    of its offset in that row only, while a column represented outside
+    ``sigma`` spreads the character value across all rows weighted by the
+    coefficient attached to the (row point, representative) pair.  Columns
+    off the face are zero.
+    """
     chart_semigroup(pi, sigma_tilde, sigma)  # validates the chart data
     a = pi.config
     s = tuple(sorted(sigma))
@@ -142,7 +151,6 @@ def _chart_plane_builder(pi: CayleyStructure, sigma_tilde: Sequence[int], sigma:
     zero = Fraction(0)
 
     def build(t, coefficients):
-        """Torus coordinates and coefficients are (numerator, denominator) pairs."""
         rows = [[zero] * len(a.points) for _ in s]
         for (idx, rep), exponent in zip(reps, exponents):
             num = den = 1  # the character of idx - rep at t is num / den
@@ -158,32 +166,6 @@ def _chart_plane_builder(pi: CayleyStructure, sigma_tilde: Sequence[int], sigma:
         return PlaneParametrization(matrix=tuple(map(tuple, rows)))
 
     return build
-
-
-def specialized_chart_plane(
-    pi: CayleyStructure,
-    sigma_tilde: Sequence[int],
-    sigma: Sequence[int],
-    torus: Sequence[Fraction],
-    coefficients: Mapping[tuple[int, int], Fraction],
-) -> PlaneParametrization:
-    """The plane of a chart point at given torus and coefficient values.
-
-    Rows are indexed by the points of ``sigma``; the column of a face point
-    whose block representative lies in ``sigma`` carries the character value
-    of its offset in that row only, while a column represented outside
-    ``sigma`` spreads the character value across all rows weighted by the
-    coefficient attached to the (row point, representative) pair.  Columns
-    off the face are zero.
-    """
-    build = _chart_plane_builder(pi, sigma_tilde, sigma)
-    t = tuple(Fraction(x) for x in torus)
-    if len(t) != pi.config.ambient_dim:
-        raise ValueError("torus point has the wrong dimension")
-    if any(x == 0 for x in t):
-        raise ValueError("torus coordinates must be nonzero")
-    coeffs = {key: Fraction(c).as_integer_ratio() for key, c in coefficients.items()}
-    return build(tuple(x.as_integer_ratio() for x in t), coeffs)
 
 
 def relations_vanish_on(relations: RelationBasis, plane: PlaneParametrization) -> bool:

@@ -22,6 +22,13 @@ def full_face(config):
     return config.face_from_indices(range(len(config)))
 
 
+def restricted_to(pi, face):
+    """The induced structure on a face inside the structure's face: its blocks
+    intersected with the face, empties dropped."""
+    blocks = [[i for i in b if i in face.indices] for b in pi.blocks]
+    return CayleyStructure(face, [b for b in blocks if b])
+
+
 def test_square_partitions():
     config = PointConfiguration(SQUARE)
     face = full_face(config)
@@ -153,13 +160,13 @@ def test_leq_birkhoff_facet_vs_projection():
         s for s in enumerate_cayley_structures(full_face(config), l_min=2)
     ]
     assert len(projections) == 6
-    facet = config.faces(dim_filter=3)[0]
+    facet = next(f for f in config.faces() if f.dim == 3)
     singleton = CayleyStructure(facet, [[i] for i in facet.indices])
     # the facet structure has more blocks than any projection: incomparable
     assert not leq(singleton, projections[0])
     # restricting a projection to the facet gives a comparable pair
     for proj in projections:
-        restricted = proj.restricted_to(facet)
+        restricted = restricted_to(proj, facet)
         assert leq(restricted, proj)
         assert leq(restricted, singleton) or restricted.l < 3
 
@@ -242,7 +249,7 @@ def finest_by_filter(config):
         p
         for here in finest.values()
         for p in here
-        if not any(q.restricted_to(p.face) == p for g in p.face.covers for q in finest[g])
+        if not any(restricted_to(q, p.face) == p for g in p.face.covers for q in finest[g])
     ]
     return sorted(kept, key=lambda s: (s.face.indices, s.blocks))
 
@@ -294,10 +301,10 @@ def test_join_merges_blocks_met_by_one_block_of_the_other():
 
 def test_join_of_birkhoff_structures_is_their_finest_common_coarsening():
     config = PointConfiguration(birkhoff_points())
-    facet = config.faces(dim_filter=3)[0]
+    facet = next(f for f in config.faces() if f.dim == 3)
     singleton = CayleyStructure(facet, [[i] for i in facet.indices])
     for proj in enumerate_cayley_structures(full_face(config), l_min=2):
-        restricted = proj.restricted_to(facet)
+        restricted = restricted_to(proj, facet)
         assert join_partition(facet, singleton, proj) == restricted
         assert join_partition(facet, proj, singleton) == restricted
         common = [

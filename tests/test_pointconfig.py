@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,9 +95,8 @@ def test_square_faces():
     config = PointConfiguration(SQUARE)
     got = {f.indices for f in config.faces()}
     assert got == hull_faces_2d(SQUARE)
-    assert len(config.faces(dim_filter=0)) == 4
-    assert len(config.faces(dim_filter=1)) == 4
-    assert config.faces(dim_filter=2) == (config.face_from_indices(range(4)),)
+    assert Counter(f.dim for f in config.faces()) == {-1: 1, 0: 4, 1: 4, 2: 1}
+    assert [f for f in config.faces() if f.dim == 2] == [config.face_from_indices(range(4))]
     assert_face_witnesses(config)
     assert_intersection_closed(config)
 
@@ -104,7 +104,7 @@ def test_square_faces():
 def test_quartic_surface_faces():
     config = PointConfiguration(QUARTIC)
     assert {f.indices for f in config.faces()} == hull_faces_2d(QUARTIC)
-    edges = config.faces(dim_filter=1)
+    edges = [f for f in config.faces() if f.dim == 1]
     assert len(edges) == 4
     assert all(len(e.indices) == 2 for e in edges)
     assert_face_witnesses(config)
@@ -126,7 +126,8 @@ def test_point_on_edge_belongs_to_edge_face():
     assert {f.indices for f in config.faces()} == hull_faces_2d(config.points)
     bottom = config.face_from_indices([0, 1, 3])
     assert bottom.dim == 1
-    assert not config.is_face([0, 1])  # sub-chain of an edge is not a face
+    with pytest.raises(ValueError, match="do not form a face"):
+        config.face_from_indices([0, 1])  # sub-chain of an edge is not a face
 
 
 def test_segment_faces():
@@ -151,9 +152,8 @@ def test_birkhoff_face_counts():
         counts[f.dim] = counts.get(f.dim, 0) + 1
     # f-vector of the third Birkhoff polytope, plus empty and improper faces
     assert counts == {-1: 1, 0: 6, 1: 15, 2: 18, 3: 9, 4: 1}
-    for facet in config.faces(dim_filter=3):
-        assert len(facet.indices) == 4
-        assert config.is_empty_simplex(facet.indices)
+    # every facet is an empty simplex: 4 points spanning dimension 3
+    assert [f for f in config.faces() if f.dim == 3] == list(config.fixed_point_faces(3))
     assert_face_witnesses(config)
     assert_intersection_closed(config)
 
@@ -161,21 +161,11 @@ def test_birkhoff_face_counts():
 def test_3d_simplex_with_centroid_scaled():
     pts = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)]
     config = PointConfiguration(pts)
-    vertex_sets = {f.indices for f in config.faces(dim_filter=0)}
+    vertex_sets = {f.indices for f in config.faces() if f.dim == 0}
     assert vertex_sets == {(0,), (1,), (2,), (3,)}
-    assert len(config.faces(dim_filter=2)) == 4
+    assert sum(f.dim == 2 for f in config.faces()) == 4
     assert_face_witnesses(config)
     assert_intersection_closed(config)
-
-
-def test_is_empty_simplex():
-    config = PointConfiguration(SQUARE)
-    assert config.is_empty_simplex([0, 1])
-    assert config.is_empty_simplex([0, 1, 2])
-    assert not config.is_empty_simplex([0, 1, 2, 3])
-    assert not config.is_empty_simplex([])
-    with pytest.raises(ValueError):
-        config.is_empty_simplex([5])
 
 
 def test_fixed_point_faces_square():
@@ -267,7 +257,7 @@ def test_face_value_semantics():
     c1 = PointConfiguration(SQUARE)
     c2 = PointConfiguration(SQUARE)
     assert c1.face_from_indices([0, 1]) == c2.face_from_indices([0, 1])
-    assert c1.face_from_indices([0, 1]).contains(c2.face_from_indices([0]))
+    assert c1.face_from_indices([0]) in c2.faces()
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,7 +22,6 @@ from toricfano.verify import (
     brute_force_cayley,
     relation_basis,
     relations_vanish_on,
-    specialized_chart_plane,
     verify_cayley_plane,
     verify_chart_sample,
     all_set_partitions,
@@ -35,6 +34,13 @@ from test_localscheme import FIVE
 
 def config(points):
     return PointConfiguration(tuple(tuple(p) for p in points))
+
+
+def specialized_chart_plane(pi, sigma_tilde, sigma, torus, coefficients):
+    """The plane of a chart point at given torus and coefficient values."""
+    build = verify._chart_plane_builder(pi, sigma_tilde, sigma)
+    coeffs = {key: Fraction(c).as_integer_ratio() for key, c in coefficients.items()}
+    return build(tuple(Fraction(x).as_integer_ratio() for x in torus), coeffs)
 
 
 def full_face(a):
