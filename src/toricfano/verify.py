@@ -3,22 +3,24 @@
 Everything here recomputes from first principles: affine relation lattices
 of faces (built once per face per run and passed to the plane, vanishing and
 chart-sample checks), the block-plane parametrization substituted into the
-binomial relations, exact rational sampling of chart parametrizations
-(validated once per call, built from integer draws) decided by unique
-factorization of the column forms, and a search over set partitions of a
-face that extends only blocks passing the block-sum test (each distinct
-block tested once per call).  The tests hold the fast paths to agreement with these.
+binomial relations, exact rational sampling of chart parametrizations, and
+a search over set partitions of a face that extends only blocks passing the
+block-sum test (each distinct block tested once per call).  A chart is
+validated, and its planes' full row rank certified, once per call; each
+sampled plane holds integer (numerator, denominator) pairs drawn per trial,
+and is decided by unique factorization of its column forms with integer
+cross-multiplication, never a ``Fraction``.  The tests hold the fast paths
+to agreement with these.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .cayley import CayleyStructure
@@ -49,25 +51,42 @@ class RelationBasis:
     vectors: tuple[IntVector, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaneParametrization:
     """A specialized plane, one matrix row per spanning point, one column
-    per configuration point, exact rational entries, full row rank."""
+    per configuration point, exact rational entries (each an ``int`` or a
+    ``Fraction``), full row rank.  ``entries`` holds them as integer
+    (numerator, denominator) pairs, denominators positive; ``matrix`` is
+    their ``Fraction`` view."""
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __post_init__(self):
-        rows = tuple(
-            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in self.matrix
-        )
-        object.__setattr__(self, "matrix", rows)
+    def __init__(self, matrix):
+        rows = tuple(tuple(map(_entry_pair, row)) for row in matrix)
+        object.__setattr__(self, "entries", rows)
         # Every row alone nonzero in some column gives a diagonal minor, so
         # full rank; otherwise the HNF of the rows cleared of denominators decides.
-        nonzero = [[i for i, x in enumerate(col) if x] for col in zip(*rows, strict=True)]
-        if len({nz[0] for nz in nonzero if len(nz) == 1}) != len(rows):
-            scales = [lcm(*(x.denominator for x in row)) for row in rows]
-            if matrix_rank([[int(x * c) for x in r] for r, c in zip(rows, scales)]) != len(rows):
+        if not _diagonal_minor([[n != 0 for n, _ in row] for row in rows]):
+            scales = [lcm(*(d for _, d in row)) for row in rows]
+            cleared = [[n * (c // d) for n, d in row] for row, c in zip(rows, scales)]
+            if matrix_rank(cleared) != len(rows):
                 raise ValueError("plane matrix must have full row rank")
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(n, d) for n, d in row) for row in self.entries)
+
+
+def _entry_pair(x) -> tuple[int, int]:
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError(f"plane entry {x!r} is not an int or a Fraction")
+    return x.numerator, x.denominator
+
+
+def _diagonal_minor(nonzero: Sequence[Sequence[bool]]) -> bool:
+    """Whether every row of the nonzero pattern is alone nonzero in some column."""
+    alone = {col.index(True) for col in zip(*nonzero, strict=True) if sum(col) == 1}
+    return len(alone) == len(nonzero)
 
 
 def relation_basis(a: PointConfiguration, tau: "Face | Sequence[int]") -> RelationBasis:
@@ -132,38 +151,47 @@ def verify_cayley_plane(relations: RelationBasis, pi: CayleyStructure) -> bool:
 def _chart_plane_builder(pi: CayleyStructure, sigma_tilde: Sequence[int], sigma: Sequence[int]):
     """Validate the chart data once; the returned function builds the plane
     of a chart point at a torus point and coefficients, each given as
-    (numerator, denominator) pairs.
+    (numerator, denominator) pairs of positive integers.
 
     Rows are indexed by the points of ``sigma``; the column of a face point
     whose block representative lies in ``sigma`` carries the character value
     of its offset in that row only, while a column represented outside
     ``sigma`` spreads the character value across all rows weighted by the
     coefficient attached to the (row point, representative) pair.  Columns
-    off the face are zero.
+    off the face are zero.  Every other entry is nonzero, so the full-row-rank
+    certificate is checked once, on the nonzero pattern shared by all planes.
     """
     chart_semigroup(pi, sigma_tilde, sigma)  # validates the chart data
     a = pi.config
     s = tuple(sorted(sigma))
     rep_of_block = {pi.block_of[i]: i for i in sorted(sigma_tilde)}
-    reps = [(idx, rep_of_block[pi.block_of[idx]]) for idx in pi.face.indices]
-    exponents = [tuple(x - y for x, y in zip(a.points[i], a.points[rep])) for i, rep in reps]
-
-    zero = Fraction(0)
+    columns = []  # (index, representative, offset, its one row or None for every row)
+    for idx in pi.face.indices:
+        rep = rep_of_block[pi.block_of[idx]]
+        offset = tuple(x - y for x, y in zip(a.points[idx], a.points[rep]))
+        columns.append((idx, rep, offset, s.index(rep) if rep in s else None))
+    # sigma's own columns give it: each point of sigma represents its block
+    if not _diagonal_minor([[row in (r, None) for *_, row in columns] for r in range(len(s))]):
+        raise ValueError("chart plane has no diagonal minor")
 
     def build(t, coefficients):
-        rows = [[zero] * len(a.points) for _ in s]
-        for (idx, rep), exponent in zip(reps, exponents):
-            num = den = 1  # the character of idx - rep at t is num / den
-            for (n, d), e in zip(t, exponent):
-                num *= n**e if e > 0 else d**-e
-                den *= d**e if e > 0 else n**-e
-            for row, v in zip(rows, s):
-                if rep == v:
-                    row[idx] = Fraction(num, den)
-                elif rep not in s:
+        rows = [[(0, 1)] * len(a.points) for _ in s]
+        for idx, rep, offset, row in columns:
+            num = den = 1  # the character of the offset at t is num / den
+            for (n, d), e in zip(t, offset):
+                if e > 0:
+                    num, den = num * n**e, den * d**e
+                elif e < 0:
+                    num, den = num * d**-e, den * n**-e
+            if row is not None:
+                rows[row][idx] = (num, den)
+            else:
+                for entries, v in zip(rows, s):
                     n, d = coefficients[(v, rep)]
-                    row[idx] = Fraction(num * n, den * d)
-        return PlaneParametrization(matrix=tuple(map(tuple, rows)))
+                    entries[idx] = (num * n, den * d)
+        plane = object.__new__(PlaneParametrization)  # its rank is certified above
+        object.__setattr__(plane, "entries", tuple(map(tuple, rows)))
+        return plane
 
     return build
 
@@ -180,34 +208,47 @@ def relations_vanish_on(relations: RelationBasis, plane: PlaneParametrization) -
     scalars and multisets of normalized forms are: Q[y] is a unique
     factorization domain, a nonzero linear form is irreducible, two are
     associates exactly when proportional, and the lead picks one per class.
+    In the plane's integer pairs, with lead p/q, the entry n/d of F_c / lead_c
+    is (n q)/(d p); cut by the gcd to a positive denominator it is the one
+    such pair of its value, so these pairs key the normalized forms.  A side's
+    scalar is a pair N/D with D > 0 (0/1 for a zero side, with no forms), so
+    two scalars are equal exactly when N1 D2 = N2 D1.
     """
     a = relations.face.config
     if len(relations.face.indices) != len(a.points):
         raise ValueError("relation basis must be the full configuration's")
-    if any(len(row) != len(a.points) for row in plane.matrix):
+    if any(len(row) != len(a.points) for row in plane.entries):
         raise ValueError("plane matrix must have one column per point")
     ids: dict[tuple, int] = {}  # F_c / lead_c, by its nonzero entries -> its id
-    forms = []  # per column: None if zero, else (lead_c, id of F_c / lead_c)
+    forms = []  # per column: None if zero, else (p, q, id of F_c / lead_c)
     for col in range(len(a.points)):
-        nonzero = [(r, row[col]) for r, row in enumerate(plane.matrix) if row[col]]
+        nonzero = [(r, row[col]) for r, row in enumerate(plane.entries) if row[col][0]]
         if not nonzero:
             forms.append(None)
             continue
-        (first, lead), rest = nonzero[0], nonzero[1:]
-        key = (first, *((r, x / lead) for r, x in rest))
-        forms.append((lead, ids.setdefault(key, len(ids))))
+        (first, (p, q)), rest = nonzero[0], nonzero[1:]
+        unit = 1 if p > 0 else -1  # n/d over p/q is (unit n q)/(unit d p), denominator > 0
+        key = [first]
+        for r, (n, d) in rest:
+            g = unit * gcd(n * q, d * p)
+            key.append((r, n * q // g, d * p // g))
+        forms.append((p, q, ids.setdefault(tuple(key), len(ids))))
 
     def side(vec, sign):
-        num, den, factors = 1, 1, Counter()
+        num, den, factors = 1, 1, {}
         for form, mult in zip(forms, vec):
             if (m := sign * mult) > 0:
                 if form is None:
-                    return None
-                num, den = num * form[0].numerator**m, den * form[0].denominator**m
-                factors[form[1]] += m
-        return Fraction(num, den), factors
+                    return 0, 1, {}
+                num, den = num * form[0] ** m, den * form[1] ** m
+                factors[form[2]] = factors.get(form[2], 0) + m
+        return num, den, factors
 
-    return all(side(vec, 1) == side(vec, -1) for vec in relations.vectors)
+    def vanishes(vec) -> bool:
+        (n1, d1, f1), (n2, d2, f2) = side(vec, 1), side(vec, -1)
+        return f1 == f2 and n1 * d2 == n2 * d1
+
+    return all(map(vanishes, relations.vectors))
 
 
 def verify_chart_sample(
@@ -231,17 +272,13 @@ def verify_chart_sample(
     if relations.face.config != pi.config:
         raise ValueError("relation basis belongs to a different configuration")
     build = _chart_plane_builder(pi, sigma_tilde, sigma)
-    s = tuple(sorted(sigma))
-    outside = tuple(i for i in sorted(sigma_tilde) if i not in set(s))
+    dim, s = pi.config.ambient_dim, tuple(sorted(sigma))
+    keys = [(v, w) for v in s for w in sorted(sigma_tilde) if w not in s]
     for trial in range(trials):
-        rng = random.Random(seed * 1_000_003 + trial)
-
-        def draw() -> tuple[int, int]:  # numerator, then denominator
-            return rng.randint(1, _SAMPLE_RANGE), rng.randint(1, _SAMPLE_RANGE)
-
-        torus = tuple(draw() for _ in range(pi.config.ambient_dim))
-        coeffs = {(v, w): draw() for v in s for w in outside}
-        if not relations_vanish_on(relations, build(torus, coeffs)):
+        randint = random.Random(seed * 1_000_003 + trial).randint
+        draws = iter([randint(1, _SAMPLE_RANGE) for _ in range(2 * (dim + len(keys)))])
+        pairs = list(zip(draws, draws))  # numerator, then denominator
+        if not relations_vanish_on(relations, build(pairs[:dim], dict(zip(keys, pairs[dim:])))):
             return False
     return True
 

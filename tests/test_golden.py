@@ -38,6 +38,10 @@ CASES = [
     ("analyze-quartic.txt", ["analyze", "quartic.json", *_every_k(2), "--format", "text"]),
     ("mult-five.json", ["mult", "five.json", "--sigma", "0,1", "--format", "json"]),
     ("verify-birkhoff.json", ["verify", "birkhoff.json", "--format", "json"]),
+    ("verify-five.json", ["verify", "five.json", "--format", "json"]),
+    ("verify-quartic.json", ["verify", "quartic.json", "--format", "json"]),
+    ("verify-square.json", ["verify", "square.json", "--format", "json"]),
+    ("verify-triangle.json", ["verify", "triangle.json", "--format", "json"]),
 ]
 
 

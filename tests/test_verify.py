@@ -1,6 +1,9 @@
 """Tests for the oracle module itself, plus the fast-vs-oracle sweeps."""
 
+import json
+import pathlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -13,6 +16,7 @@ from toricfano.cayley import (
     CayleyStructure,
     enumerate_cayley_structures,
     is_cayley_structure,
+    maximal_cayley_structures,
 )
 from toricfano.intlinalg import UnsupportedSizeError, is_saturated
 from toricfano.pointconfig import PointConfiguration
@@ -30,6 +34,8 @@ from toricfano.verify import (
 
 from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
 from test_localscheme import FIVE
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def config(points):
@@ -487,6 +493,64 @@ def test_factorization_matches_expansion_on_random_planes():
             assert relations_vanish_on(relations, plane) == expected, (pts, plane)
             outcomes[expected] += 1
     assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
+
+
+def reference_chart_sample(relations, pi, sigma_tilde, sigma, trials, seed):
+    """``verify_chart_sample`` by its definition: each trial's plane built
+    from its draws by ``specialized_chart_plane`` and decided by expansion."""
+    outside = [w for w in sorted(sigma_tilde) if w not in sigma]
+    for trial in range(trials):
+        rng = random.Random(seed * 1_000_003 + trial)
+
+        def draw():
+            return Fraction(rng.randint(1, 97), rng.randint(1, 97))
+
+        torus = [draw() for _ in range(pi.config.ambient_dim)]
+        coefficients = {(v, w): draw() for v in sorted(sigma) for w in outside}
+        plane = specialized_chart_plane(pi, sigma_tilde, sigma, torus, coefficients)
+        if not expanded_relations_vanish(relations, plane):
+            return False
+    return True
+
+
+def test_chart_sample_matches_the_expanded_reference_on_the_fixtures():
+    # every chart the verify command samples, at three seeds, and the charts
+    # of seeded partitions of each full face that are not Cayley structures
+    rng = random.Random(22)
+    outcomes = Counter()
+    for name in ("birkhoff", "five", "quartic", "square", "triangle"):
+        a = config(json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))["points"])
+        face, relations = full_face(a), full_basis(a)
+        charts = [
+            (pi, k + 1) for k in range(1, a.dimension + 1) for pi in maximal_cayley_structures(a, k)
+        ]
+        for _ in range(30):
+            labels = [rng.randrange(3) for _ in face.indices]
+            part = [[i for i, b in zip(face.indices, labels) if b == label] for label in range(3)]
+            part = [block for block in part if block]
+            if len(part) > 1 and not is_cayley_structure(face, part):
+                charts.append((CayleyStructure(face, part), rng.randint(1, len(part))))
+        for pi, size in charts:
+            heads = tuple(b[0] for b in pi.blocks)
+            for seed in (0, 1, 2):
+                expected = reference_chart_sample(relations, pi, heads, heads[:size], 25, seed)
+                got = verify_chart_sample(relations, pi, heads, heads[:size], trials=25, seed=seed)
+                assert got == expected, (name, pi.blocks, size, seed)
+                outcomes[expected] += 1
+    assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
+
+
+@pytest.mark.parametrize("entry", [0.1, "1/3", True, None, 2 + 0j])
+def test_plane_parametrization_rejects_entries_that_are_not_exact(entry):
+    with pytest.raises(ValueError, match=re.escape(repr(entry))):
+        PlaneParametrization(matrix=((1, entry),))
+
+
+def test_plane_parametrization_holds_int_and_fraction_entries_exactly():
+    plane = PlaneParametrization(matrix=((1, Fraction(-2, 6)), (0, 3)))
+    assert plane.entries == (((1, 1), (-1, 3)), ((0, 1), (3, 1)))
+    assert plane.matrix == ((1, Fraction(-1, 3)), (0, 3))
+    assert all(type(x) is Fraction for row in plane.matrix for x in row)
 
 
 # ---------------------------------------------------------------------------
