@@ -17,15 +17,13 @@ their intersections, k only filters one answer computed for all k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .pointconfig import Face, PointConfiguration
+from .pointconfig import Face, PointConfiguration, Record
 
 
-@dataclass(frozen=True)
-class CayleyStructure:
+class CayleyStructure(Record):
     """A block partition of a face, canonicalized: each block is a sorted
     index tuple and blocks are ordered by smallest element."""
 

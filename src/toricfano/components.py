@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .cayley import CayleyStructure, maximal_cayley_structures
 from .intlinalg import IntVector, is_free_semigroup
-from .pointconfig import Face, PointConfiguration
+from .pointconfig import Face, PointConfiguration, Record
 
 
-@dataclass(frozen=True)
-class FanoComponent:
+class FanoComponent(Record):
     """One irreducible component of the k-plane scheme.
 
     ``pi`` is the maximal Cayley structure indexing the component, ``k`` the
@@ -39,8 +37,7 @@ class FanoComponent:
     id: str
 
 
-@dataclass(frozen=True)
-class ChartSemigroup:
+class ChartSemigroup(Record):
     """Affine semigroup of a torus-invariant chart of one component.
 
     The chart is determined by a Cayley structure ``pi``, a transversal
@@ -66,8 +63,7 @@ class ChartSemigroup:
     ambient_rank: int
 
 
-@dataclass(frozen=True)
-class ConnectivityGraph:
+class ConnectivityGraph(Record):
     """Undirected graph on component ids recording which components meet."""
 
     vertices: tuple[str, ...]

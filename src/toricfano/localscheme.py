@@ -21,19 +21,17 @@ function here, the command line's only route in, reads its stored record.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .intlinalg import IntVector, UnsupportedSizeError, integer_solver
-from .pointconfig import Face, PointConfiguration
+from .pointconfig import Face, PointConfiguration, Record
 
 
 class HypothesesViolated(ValueError):
     """The codimension-one local-structure hypotheses fail for this input."""
 
 
-@dataclass(frozen=True)
-class HeightCoords:
+class HeightCoords(Record):
     """Coordinates of a point over the base simplex in the direction of w.
 
     A point u is written uniquely as ``v_0 + h*(w - v_0) - sum c_i*(v_i - v_0)``
@@ -45,9 +43,11 @@ class HeightCoords:
     h: int
     c: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.h < 0:
+    def __init__(self, h: int, c: tuple[int, ...]):
+        if h < 0:
             raise ValueError("height must be nonnegative")
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "c", c)
 
     @property
     def c0(self) -> int:
@@ -61,8 +61,7 @@ class HeightCoords:
 Heights = dict[IntVector, HeightCoords]  # every configuration point's coordinates
 
 
-@dataclass(frozen=True)
-class MonomialSet:
+class MonomialSet(Record):
     """A set of exponent vectors given as standard monomials of a monomial ideal.
 
     The set consists of all alpha in Z_{>=0}^nvars such that no generator in

@@ -15,8 +15,8 @@ smoothness along the torus orbit closure of sigma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .intlinalg import (
@@ -39,8 +39,50 @@ MAX_POINTS = 14
 MAX_DIM = 6
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
+class Record:
+    """An immutable value whose fields are its class's annotations, in order.
+
+    A subclass gets ``__init__`` by position or keyword unless it defines one,
+    and unless declared ``eq=False``, ``__eq__`` within its class and
+    ``__hash__``, both of the field tuple.  ``cached_property`` still works.
+    """
+
+    def __init_subclass__(cls, eq: bool = True):
+        names = cls._fields = tuple(cls.__annotations__)
+        required = set(names)
+        if "__init__" not in cls.__dict__:
+
+            def __init__(self, *args, **fields):
+                given = len(fields)
+                fields.update(zip(names, args))
+                if len(fields) != given + len(args) or fields.keys() != required:
+                    raise TypeError(f"{cls.__name__} takes the fields {', '.join(names)}")
+                self.__dict__.update(fields)
+
+            cls.__init__ = __init__
+        if eq:
+            get = attrgetter(*names)
+            key = get if len(names) > 1 else lambda self: (get(self),)
+
+            def __eq__(self, other):
+                same = other.__class__ is self.__class__
+                return key(self) == key(other) if same else NotImplemented
+
+            cls.__eq__ = __eq__
+            cls.__hash__ = lambda self: hash(key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class PointConfiguration(Record):
     """An ordered finite set of distinct lattice points."""
 
     points: tuple[IntVector, ...]
@@ -190,8 +232,7 @@ class PointConfiguration:
         return is_free_semigroup(sorted(images))
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Record):
     """A face of a configuration: index set plus an integer witness.
 
     The witness functional satisfies witness . p == offset for points on the

@@ -16,7 +16,6 @@ to agreement with these.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
@@ -31,15 +30,14 @@ from .intlinalg import (
     integer_kernel_basis,
     matrix_rank,
 )
-from .pointconfig import Face, PointConfiguration
+from .pointconfig import Face, PointConfiguration, Record
 
 BRUTE_FORCE_MAX_POINTS = 12
 SWEEP_MAX_POINTS = 7  # the verify command's sweep over every set partition
 _SAMPLE_RANGE = 97
 
 
-@dataclass(frozen=True)
-class RelationBasis:
+class RelationBasis(Record):
     """Basis of the affine relations among a face's points.
 
     Each vector is indexed like the face's points; its entries sum to zero
@@ -51,8 +49,7 @@ class RelationBasis:
     vectors: tuple[IntVector, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class PlaneParametrization:
+class PlaneParametrization(Record, eq=False):
     """A specialized plane, one matrix row per spanning point, one column
     per configuration point, exact rational entries (each an ``int`` or a
     ``Fraction``), full row rank.  ``entries`` holds them as integer
@@ -275,12 +272,21 @@ def verify_chart_sample(
     dim, s = pi.config.ambient_dim, tuple(sorted(sigma))
     keys = [(v, w) for v in s for w in sorted(sigma_tilde) if w not in s]
     for trial in range(trials):
-        randint = random.Random(seed * 1_000_003 + trial).randint
-        draws = iter([randint(1, _SAMPLE_RANGE) for _ in range(2 * (dim + len(keys)))])
+        draws = iter(_sample_draws(seed * 1_000_003 + trial, 2 * (dim + len(keys))))
         pairs = list(zip(draws, draws))  # numerator, then denominator
         if not relations_vanish_on(relations, build(pairs[:dim], dict(zip(keys, pairs[dim:])))):
             return False
     return True
+
+
+def _sample_draws(seed: int, count: int) -> list[int]:
+    """The first ``count`` values of ``random.Random(seed).randint(1, _SAMPLE_RANGE)``,
+    by ``_randbelow``'s rule: as many random bits as the range has, redrawn until below it."""
+    bits, width, draws = random.Random(seed).getrandbits, _SAMPLE_RANGE.bit_length(), []
+    while len(draws) < count:
+        if (r := bits(width)) < _SAMPLE_RANGE:
+            draws.append(1 + r)
+    return draws
 
 
 def all_set_partitions(items: Sequence[int]):

@@ -3,8 +3,10 @@
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
 import time
 import weakref
@@ -714,3 +716,16 @@ def test_every_traced_function_resolves():
     for module, function, _ in traced_cli.TRACED:
         found = getattr(importlib.import_module(f"toricfano.{module}"), function, None)
         assert callable(found), (module, function)
+
+
+def test_importing_the_command_line_loads_no_dataclasses_or_inspect():
+    # every command starts a fresh interpreter, and these two cost about a
+    # quarter of the package's import: inspect alone pulls in ast, dis and tokenize
+    code = (
+        "import sys; before = set(sys.modules); import toricfano.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(DATA.parents[1] / "src"))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"

@@ -4,8 +4,17 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toricfano import (
+    CayleyStructure,
+    chart_semigroup,
+    components,
+    connectivity_graph,
+    height_coordinates,
+    local_ring_basis,
+    relation_basis,
+)
 from toricfano.intlinalg import UnsupportedSizeError
-from toricfano.pointconfig import Face, PointConfiguration
+from toricfano.pointconfig import Face, PointConfiguration, Record
 
 SQUARE = [(0, 0), (0, 1), (1, 0), (1, 1)]
 QUARTIC = [(0, 0), (0, 1), (1, 0), (1, 2)]  # quadrilateral, one singular edge
@@ -258,6 +267,55 @@ def test_face_value_semantics():
     c2 = PointConfiguration(SQUARE)
     assert c1.face_from_indices([0, 1]) == c2.face_from_indices([0, 1])
     assert c1.face_from_indices([0]) in c2.faces()
+
+
+def _quartic_vertical(a):
+    return CayleyStructure(a.face_from_indices(range(4)), [[0, 1], [2, 3]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda a: a,
+        lambda a: a.face_from_indices((0, 2)),
+        _quartic_vertical,
+        lambda a: components(a, 1)[0],
+        lambda a: chart_semigroup(_quartic_vertical(a), (0, 2), (0, 2)),
+        lambda a: connectivity_graph(components(a, 1)),
+        lambda a: height_coordinates(a, (0, 2), (0, 1), a.points[3]),
+        lambda a: local_ring_basis(a, (0, 2)),
+        lambda a: relation_basis(a, range(4)),
+    ],
+    ids=[
+        "PointConfiguration",
+        "Face",
+        "CayleyStructure",
+        "FanoComponent",
+        "ChartSemigroup",
+        "ConnectivityGraph",
+        "HeightCoords",
+        "MonomialSet",
+        "RelationBasis",
+    ],
+)
+def test_value_classes_are_immutable_records_of_their_fields(build):
+    x = build(PointConfiguration(QUARTIC))
+    cls, names = type(x), type(x)._fields
+    values = tuple(getattr(x, name) for name in names)
+    assert isinstance(x, Record)
+    # the hash a frozen dataclass had, so set and dict orders stay the same
+    assert hash(x) == hash(values)
+    assert cls(*values) == cls(**dict(zip(names, values))) == x
+    assert hash(cls(*values)) == hash(x)
+    twin = type("Twin", (Record,), {"__annotations__": dict.fromkeys(names)})(*values)
+    assert twin != x and x != twin and x != values
+    with pytest.raises(AttributeError):
+        setattr(x, names[0], values[0])
+    with pytest.raises(AttributeError):
+        delattr(x, names[0])
+    for args, kwargs in [(values + values[:1], {}), (values[:-1], {}), (values, {"extra": 1})]:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
 
 
 @settings(max_examples=40, deadline=None)

@@ -551,6 +551,19 @@ def test_plane_parametrization_holds_int_and_fraction_entries_exactly():
     assert plane.entries == (((1, 1), (-1, 3)), ((0, 1), (3, 1)))
     assert plane.matrix == ((1, Fraction(-1, 3)), (0, 3))
     assert all(type(x) is Fraction for row in plane.matrix for x in row)
+    # equality is identity: a chart plane's pairs are not reduced
+    twin = PlaneParametrization(matrix=((1, Fraction(-2, 6)), (0, 3)))
+    assert twin != plane and twin.entries == plane.entries
+    with pytest.raises(AttributeError):
+        plane.entries = twin.entries
+
+
+def test_sample_draws_are_the_randint_draws():
+    for seed in range(1_000):
+        for trial in (0, 24):
+            rng = random.Random(seed * 1_000_003 + trial)
+            expected = [rng.randint(1, 97) for _ in range(30)]
+            assert verify._sample_draws(seed * 1_000_003 + trial, 30) == expected
 
 
 # ---------------------------------------------------------------------------
