@@ -459,13 +459,16 @@ def _emit(report: dict, fmt: str) -> None:
         sys.stdout.write(render_text(report) + "\n")
 
 
-def _parse_sigma(text: str) -> tuple[int, ...]:
+def _parse_sigma(text: str, n: int) -> tuple[int, ...]:
+    """The distinct point indices, each in ``0..n-1``, that ``text`` lists."""
     try:
         sigma = tuple(_decimal(piece) for piece in text.split(","))
     except argparse.ArgumentTypeError as exc:
         raise CliError(EXIT_PARSE, f"--sigma must be comma-separated integers: {exc}")
     if len(set(sigma)) != len(sigma):
         raise CliError(EXIT_PARSE, f"--sigma repeats an index: {text}")
+    if not all(0 <= i < n for i in sigma):
+        raise CliError(EXIT_PARSE, f"--sigma indices must lie in 0..{n - 1}: {text}")
     return sigma
 
 
@@ -526,7 +529,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     raise CliError(EXIT_BAD_K, f"k must be at least 1, got {k}")
             report = analysis_report(a, name, ks)
         elif args.subcommand == "mult":
-            sigma = _parse_sigma(args.sigma)
+            sigma = _parse_sigma(args.sigma, len(a.points))
             try:
                 report = mult_report(a, name, sigma)
             except HypothesesViolated as exc:

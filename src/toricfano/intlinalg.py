@@ -7,15 +7,19 @@ immutable tuples of tuples of ints (rows by columns), vectors are tuples.
 The central primitive is a row-style Hermite normal form with a tracked
 unimodular transform; kernel bases, ranks, affine relation lattices, the
 test for saturated lattices (unit pivots in the form of the transposed
-basis), integer solving against a basis factored once and the
-free-semigroup test all derive from it.  A cone's facets come from one
-exact double description (``cone_facets``).
+basis) and integer solving against a basis factored once all derive from
+it.  Every cone question comes from one exact double description
+(``cone_facets``).  The free-semigroup test behind chart smoothness takes
+one form and at most one description: the form of its candidate basis
+elements gives their rank, span and lattice coordinates, and when the
+candidates are dependent the facets of the cone over every vector, in
+those coordinates, certify a basis or rule one out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -248,23 +252,34 @@ def is_free_semigroup(vectors: Sequence[IntVector]) -> bool:
     sum of two vectors has coordinate sum at least 2, while each ``b`` in
     ``B`` has coordinate sum exactly 1.
 
-    One factorization ``u * C^T == h`` of these candidates ``C`` decides the
-    rest.  With ``r`` the rank of ``h``, the unimodular ``u`` maps the
-    candidates' rational span onto ``Q^r x 0``, hence the integer points of
-    that span, the saturation ``L`` of the candidates' lattice, onto
-    ``Z^r x 0``: ``u[:r]`` is an isomorphism of ``L`` with ``Z^r``, and ``g``
-    lies in the span iff ``u[r:] . g == 0``.  A passing ``B`` spans every
-    vector, so every vector lies in the span and ``B`` is ``r`` of the
-    candidates; it generates a saturated lattice iff it generates ``L``, iff
-    its images ``u[:r] . b`` are a basis of ``Z^r``.  For ``r`` independent
-    vectors ``V`` of ``Z^r`` and ``u' * V^T == h'``, ``h'`` is upper
-    triangular with determinant the product of its pivots, so ``V`` is a
-    basis iff every pivot is 1 (dependent ``V`` leave a zero row, so some
-    ``h'[i][i] == 0``); then ``h'``, reduced above its pivots, is the
-    identity, so ``u' . y`` are the coordinates of ``y`` in ``V``.  When the
-    candidates are independent they are the only possible ``B``, and ``h``
-    itself plays ``h'`` with ``u[:r]`` as ``u'``; otherwise each ``r``-subset
-    of their images is factored the same way, in ``Z^r``.
+    One factorization ``u * C^T == h`` of these candidates ``C`` gives their
+    rank ``r`` and coordinates.  The unimodular ``u`` maps the candidates'
+    rational span onto ``Q^r x 0``, hence the integer points of that span,
+    the saturation ``L`` of the candidates' lattice, onto ``Z^r x 0``:
+    ``u[:r]`` is an isomorphism of ``L`` with ``Z^r``, and ``g`` lies in the
+    span iff ``u[r:] . g == 0``.  A passing ``B`` spans every vector, so
+    every vector must lie in the span, and then ``B`` passes iff its images
+    ``u[:r] . b`` are a basis of ``Z^r`` in which every image has
+    nonnegative coordinates.
+
+    When the candidates are independent they are the only possible ``B``.
+    ``h`` is then upper triangular with determinant the product of its
+    pivots, so ``B`` is a basis of ``L`` iff every pivot is 1; ``h``, reduced
+    above its pivots, is then the identity, and ``u[:r] . g`` are the
+    coordinates of ``g`` in ``B``.
+
+    Otherwise let ``Y`` be the primitive inward facet normals of the cone
+    over all the images (``cone_facets``).  The vectors are free iff every
+    unit vector of ``Z^r`` is ``Y . g`` for some image ``g`` (so ``Y`` has
+    ``r`` rows).  If so, those images form ``G`` with ``Y * G == I``, so
+    ``Y`` and ``G`` are unimodular; every image lies in the cone, so its
+    coordinates ``Y . g`` in the basis ``G`` are nonnegative integers.
+    Conversely a passing ``B`` spans the cone, which is then simplicial
+    with the rows of the inverse of ``B``'s images as its primitive facet
+    normals, so ``Y . b`` runs over the unit vectors.  A cone with a line
+    has facet normals of rank below ``r`` and fails.  The facets are those
+    of all the images: when the cone has a line, the candidates' cone may
+    be smaller, and simplicial.
     """
     if not vectors:
         return True
@@ -281,23 +296,13 @@ def is_free_semigroup(vectors: Sequence[IntVector]) -> bool:
     if any(_dot(row, g) for row in u[r:] for g in vectors):
         return False  # some vector is outside the candidates' span
     if len(candidates) == r:
-        return _nonnegative_in_unit_basis(h, u[:r], vectors)
+        return all(h[i][i] == 1 for i in range(r)) and all(
+            _dot(row, g) >= 0 for g in vectors for row in u[:r]
+        )
     images = [tuple(_dot(row, g) for row in u[:r]) for g in vectors]
-    chosen = [tuple(_dot(row, c) for row in u[:r]) for c in candidates]
-    for subset in combinations(chosen, r):
-        h_subset, u_subset = hermite_normal_form(transpose(subset))
-        if _nonnegative_in_unit_basis(h_subset, u_subset, images):
-            return True
-    return False
-
-
-def _nonnegative_in_unit_basis(h: IntMatrix, coords: IntMatrix, vectors: Sequence[IntVector]) -> bool:
-    """With ``u * V^T == h`` for ``len(coords)`` vectors ``V`` and
-    ``coords == u[:len(coords)]``: whether every pivot of ``h`` is 1 and
-    every vector has nonnegative coordinates ``coords . g``."""
-    return all(h[i][i] == 1 for i in range(len(coords))) and all(
-        _dot(row, g) >= 0 for g in vectors for row in coords
-    )
+    facets = cone_facets(images)
+    coordinates = {tuple(_dot(y, g) for y in facets) for g in images}
+    return all(tuple(int(i == j) for j in range(r)) in coordinates for i in range(r))
 
 
 def _homogenized_rows(points: Sequence[IntVector]) -> IntMatrix:

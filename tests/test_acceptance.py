@@ -13,6 +13,7 @@ import time
 import weakref
 from collections import Counter
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,16 +43,24 @@ from toricfano import (
     verify_cayley_plane,
     verify_chart_sample,
 )
-from toricfano import cli, pointconfig
+from toricfano import cli, intlinalg, pointconfig
 from toricfano.intlinalg import (
     _kernel,
+    hermite_normal_form,
     is_free_semigroup,
     matrix_rank,
     rational_solve,
 )
 from toricfano.verify import BRUTE_FORCE_MAX_POINTS, all_set_partitions, relation_basis
 
-from test_intlinalg import affine_unimodular_equivalent, cone_is_pointed, det, saturated_by_minors
+from test_intlinalg import (
+    affine_unimodular_equivalent,
+    cone_is_pointed,
+    det,
+    dot,
+    facet_values_by_hyperplanes,
+    saturated_by_minors,
+)
 from test_localscheme import FIVE, FOUR, STEEP, oracle_ideal
 from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
 
@@ -562,6 +571,21 @@ FREE_SEMIGROUP_SHAPES = {
     ],
     "not saturated": [([(1, 1), (1, -1)], False), ([(2, 0, 0), (0, 1, 1)], False)],
     "lower rank": [([(1, 1, 0), (0, 1, 1), (1, 2, 1)], True), ([(2, 0, 0), (0, 1, 1)], False)],
+    "candidates' cone smaller": [
+        # the one candidate (-1,) spans a ray, the vectors the whole line
+        ([(-1,), (1,), (2,)], False),
+        # the candidates (-2, -1), (0, -1), (1, 0) span a unimodular simplicial
+        # cone, the vectors the whole plane
+        ([(-2, -1), (0, -1), (0, 1), (0, 2), (1, 0)], False),
+    ],
+    "candidates on one ray": [([(1,), (3,)], True), ([(2,), (3,)], False)],
+    # a square pyramid times a line: four facets, as many as the rank
+    "line with rank-many facets": [
+        (
+            [(1, 1, 1, 0), (1, -1, 1, 0), (-1, 1, 1, 0), (-1, -1, 1, 0), (0, 0, 0, 1), (0, 0, 0, -1)],
+            False,
+        ),
+    ],
 }
 
 
@@ -575,6 +599,13 @@ SHAPE_OF = {
     "not pointed": lambda vs: not cone_is_pointed(vs),
     "not saturated": lambda vs: not saturated_by_minors(vs),
     "lower rank": lambda vs: matrix_rank(vs) < len(vs[0]),
+    "candidates' cone smaller": lambda vs: not cone_is_pointed(vs)
+    and cone_is_pointed(candidates_of(vs)),
+    "candidates on one ray": lambda vs: any(
+        matrix_rank([g, h]) == 1 and dot(g, h) > 0 for g, h in combinations(candidates_of(vs), 2)
+    ),
+    "line with rank-many facets": lambda vs: not cone_is_pointed(vs)
+    and len(facet_values_by_hyperplanes(vs)) == matrix_rank(vs),
 }
 
 
@@ -589,10 +620,10 @@ def test_free_semigroup_shapes(shape):
 @st.composite
 def semigroup_vectors(draw):
     """Distinct nonzero combinations, with coefficients in -1..2 or 0..2, of
-    r <= n random vectors of Z^n (n <= 3), and half the time those vectors
+    r <= n random vectors of Z^n (n <= 4), and half the time those vectors
     themselves: free sets on a saturated basis, cones with lines, lattices
     that are not saturated, lower ranks and dependent candidates."""
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     r = draw(st.integers(1, n))
     entries = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
     basis = draw(st.lists(entries, min_size=r, max_size=r))
@@ -614,6 +645,47 @@ def test_is_free_semigroup_matches_subset_search(vectors):
     assert is_free_semigroup(vectors) == free_by_subset_search(vectors)
 
 
+def birkhoff_charts():
+    """Every fixed-point chart of B_3 over all k, as the analyze report lists them."""
+    a = PointConfiguration(birkhoff_points())
+    return [
+        chart_semigroup(comp.pi, extended_transversal(comp.pi, face), face.indices)
+        for k in range(1, a.dimension + 1)
+        for comp in components(a, k)
+        for face in comp.fixed_points
+    ]
+
+
+def test_is_free_semigroup_matches_subset_search_on_every_b3_chart():
+    keys = {chart_generators_reduced(chart) for chart in birkhoff_charts()}
+    dependent = [gens for gens in keys if len(candidates_of(gens)) > matrix_rank(gens)]
+    assert (len(keys), len(dependent)) == (111, 72)
+    for gens in keys:
+        assert is_free_semigroup(gens) == free_by_subset_search(gens), gens
+
+
+def test_dependent_candidates_take_two_factorizations(monkeypatch):
+    # the candidates' own and the one inside cone_facets, however many
+    # r-subsets the candidates have
+    factored = []
+
+    def counted(m):
+        factored.append(m)
+        return hermite_normal_form(m)
+
+    monkeypatch.setattr(intlinalg, "hermite_normal_form", counted)
+    e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    for last, free in [(e[3], True), (tuple(2 * x for x in e[3]), False)]:
+        basis = e[:3] + [last]
+        # the basis and its triple sums: no two of them add up to a third
+        vectors = basis + [tuple(map(sum, zip(*t))) for t in combinations(basis, 3)]
+        assert comb(len(candidates_of(vectors)), matrix_rank(vectors)) == comb(8, 4) > 50
+        assert free_by_subset_search(vectors) == free
+        factored.clear()
+        assert is_free_semigroup(vectors) == free
+        assert len(factored) == 2, vectors
+
+
 def test_chart_is_smooth_decides_each_generator_set_once(monkeypatch):
     components_module = sys.modules["toricfano.components"]
     monkeypatch.setattr(components_module, "_free_charts", weakref.WeakKeyDictionary())
@@ -624,13 +696,7 @@ def test_chart_is_smooth_decides_each_generator_set_once(monkeypatch):
         return is_free_semigroup(gens)
 
     monkeypatch.setattr(components_module, "is_free_semigroup", counted)
-    a = PointConfiguration(birkhoff_points())
-    charts = [
-        chart_semigroup(comp.pi, extended_transversal(comp.pi, face), face.indices)
-        for k in range(1, a.dimension + 1)
-        for comp in components(a, k)
-        for face in comp.fixed_points
-    ]
+    charts = birkhoff_charts()
     answers = [chart_is_smooth(chart) for chart in charts]
     keys = [chart_generators_reduced(chart) for chart in charts]
     assert (len(charts), len(set(keys))) == (207, 111)

@@ -198,6 +198,15 @@ def test_mult_non_face_sigma_exits_five(capsys):
     assert "not a face" in err
 
 
+@pytest.mark.parametrize("sigma", ["0,99", "-1,0"])
+def test_mult_sigma_index_outside_the_points_exits_two(capsys, sigma):
+    # quartic has points 0..3; valid indices that form no face exit 5 (above)
+    code, out, err = run(capsys, "mult", DATA / "quartic.json", f"--sigma={sigma}")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "indices must lie in 0..3" in err
+
+
 def test_mult_non_smooth_sigma_exits_five(capsys):
     # the edge {(1,0),(1,2)} of the quartic has lattice length two
     code, out, err = run(capsys, "mult", DATA / "quartic.json", "--sigma", "2,3")
