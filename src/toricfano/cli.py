@@ -6,14 +6,20 @@ whitespace-separated integer row per point.  Reports are built as JSON
 objects first (the source of truth, schema version 1, deterministic byte
 output) and the text format is derived from them.
 
-Exit codes: 0 success, 2 parse error, 3 size cap exceeded, 4 invalid k,
-5 local-structure hypotheses violated, 6 verification failure.
+``main`` parses the arguments, writes the report and returns the exit code:
+0 success, 2 parse error, 3 size cap exceeded, 4 invalid k, 5 local-structure
+hypotheses violated, 6 verification failure.  ``run``, the ``toricfano``
+command and the ``python -m toricfano.cli`` entry, calls it, flushes the
+report and ends the process with ``os._exit``, skipping the interpreter's
+teardown; it turns a closed stdout into exit 1 with one ``error:`` line.
+Library callers and tests call ``main`` and keep the normal teardown.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -54,6 +60,7 @@ from .verify import (
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
+EXIT_OUTPUT_CLOSED = 1
 EXIT_PARSE = 2
 EXIT_SIZE = 3
 EXIT_BAD_K = 4
@@ -552,5 +559,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_SIZE
 
 
+def run() -> None:
+    """The ``toricfano`` command: ``main()``, then an exit without teardown.
+
+    Once the report is flushed nothing is left to do, so the process ends
+    with ``os._exit`` instead of finalizing the interpreter, which would clear
+    every module and free every face, structure and cache entry one by one
+    just before the operating system reclaims the whole process.  Reports go
+    only to stdout and stderr, input files are closed when read, and the
+    package registers no ``atexit`` handler.  ``SystemExit`` (argparse's
+    usage errors, ``--help``) and uncaught exceptions leave ``main`` before
+    ``os._exit`` and exit as usual.  A stdout closed by its reader fails the
+    write or the flush; that is one ``error:`` line and exit 1.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        sys.stderr.write(f"error: cannot write the report: {exc}\n")
+        code = EXIT_OUTPUT_CLOSED
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

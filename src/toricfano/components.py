@@ -10,7 +10,6 @@ connectivity graph.
 
 from __future__ import annotations
 
-import hashlib
 import weakref
 from itertools import combinations, product
 from typing import Iterable, Sequence
@@ -97,6 +96,8 @@ class ConnectivityGraph(Record):
 
 def component_id(pi: CayleyStructure) -> str:
     """Stable identifier derived from the canonical form of the structure."""
+    import hashlib  # here, so that mult and most of verify never load OpenSSL
+
     key = repr((pi.face.indices, pi.blocks)).encode()
     return hashlib.sha256(key).hexdigest()[:12]
 

@@ -18,14 +18,16 @@ those coordinates, certify a basis or rule one out.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TypeAlias
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
-RatVector = tuple[Fraction, ...]
+RatVector: TypeAlias = "tuple[Fraction, ...]"  # a string: no command imports fractions
 
 
 class UnsupportedSizeError(ValueError):
@@ -157,6 +159,8 @@ def rational_solve(rows: Iterable[Sequence[int]], v: Sequence[int | Fraction]) -
     returned.  The package solves with ``integer_solver``; this ``Fraction``
     elimination is kept as its independent reference.
     """
+    from fractions import Fraction
+
     rr = [list(map(Fraction, row)) for row in rows]
     target = [Fraction(x) for x in v]
     n = len(rr)

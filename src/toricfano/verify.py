@@ -1,26 +1,26 @@
 """Independent oracles for the fast paths of the other modules.
 
 Everything here recomputes from first principles: affine relation lattices
-of faces (built once per face per run and passed to the plane, vanishing and
-chart-sample checks), the block-plane parametrization substituted into the
-binomial relations, exact rational sampling of chart parametrizations, and
-a search over set partitions of a face that extends only blocks passing the
-block-sum test (each distinct block tested once per call).  A chart is
-validated, and its planes' full row rank certified, once per call; each
-sampled plane holds integer (numerator, denominator) pairs drawn per trial,
-and is decided by unique factorization of its column forms with integer
-cross-multiplication, never a ``Fraction``.  The tests hold the fast paths
-to agreement with these.
+of faces (each face's kernel computed once, the bases passed to the plane,
+vanishing and chart-sample checks), the block-plane parametrization
+substituted into the binomial relations, exact rational sampling of chart
+parametrizations, and a search over set partitions of a face that extends
+only blocks passing the block-sum test (each distinct block tested once per
+call).  A chart is validated, and its planes' full row rank certified, once
+per call; each sampled plane holds integer (numerator, denominator) pairs
+drawn per trial, and is decided by unique factorization of its column forms
+with integer cross-multiplication, never a ``Fraction``.  The tests hold the
+fast paths to agreement with these.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+import weakref
 from functools import cache, cached_property
 from itertools import combinations
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .cayley import CayleyStructure
 from .components import chart_semigroup
@@ -31,6 +31,9 @@ from .intlinalg import (
     matrix_rank,
 )
 from .pointconfig import Face, PointConfiguration, Record
+
+if TYPE_CHECKING:  # fractions (and decimal) load only where a Fraction is made
+    from fractions import Fraction
 
 BRUTE_FORCE_MAX_POINTS = 12
 SWEEP_MAX_POINTS = 7  # the verify command's sweep over every set partition
@@ -71,10 +74,14 @@ class PlaneParametrization(Record, eq=False):
 
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        from fractions import Fraction
+
         return tuple(tuple(Fraction(n, d) for n, d in row) for row in self.entries)
 
 
 def _entry_pair(x) -> tuple[int, int]:
+    from fractions import Fraction
+
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise ValueError(f"plane entry {x!r} is not an int or a Fraction")
     return x.numerator, x.denominator
@@ -86,13 +93,23 @@ def _diagonal_minor(nonzero: Sequence[Sequence[bool]]) -> bool:
     return len(alone) == len(nonzero)
 
 
+# face -> its relation basis vectors; weak, and holding no face, so it keeps
+# no configuration alive
+_relation_vectors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def relation_basis(a: PointConfiguration, tau: "Face | Sequence[int]") -> RelationBasis:
-    """Saturated basis of the affine relation lattice of the face's points."""
+    """Saturated basis of the affine relation lattice of the face's points.
+
+    The oracle's own kernel, not ``Face.relations``; computed once per face,
+    since ``verify`` asks for every face's basis and ``brute_force_cayley``
+    for its face's again."""
     face = a.face(tau)
-    if not face.indices:
-        return RelationBasis(face=face, vectors=())
-    vectors = integer_kernel_basis(face.subconfiguration().homogenized)
-    return RelationBasis(face=face, vectors=vectors)
+    if face not in _relation_vectors:
+        _relation_vectors[face] = (
+            integer_kernel_basis(face.subconfiguration().homogenized) if face.indices else ()
+        )
+    return RelationBasis(face=face, vectors=_relation_vectors[face])
 
 
 def _substituted_sides(

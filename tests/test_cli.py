@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+import test_golden
 import toricfano
 from toricfano import PointConfiguration, cayley, cli, localscheme, pointconfig, verify
 from toricfano.cli import (
@@ -727,14 +728,106 @@ def test_every_traced_function_resolves():
         assert callable(found), (module, function)
 
 
+def _child_env(unbuffered: bool = False) -> dict:
+    """The environment of a fresh interpreter on the package's source; its
+    stdout is block-buffered unless asked, as it is when nothing sets
+    PYTHONUNBUFFERED, so that a report left unflushed would be lost."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(DATA.parents[1] / "src")
+    return dict(env, PYTHONUNBUFFERED="1") if unbuffered else env
+
+
+def _child(*args, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter on the package's source, run from the repository root."""
+    return subprocess.run(
+        [sys.executable, *args], env=_child_env(), cwd=DATA.parents[1], capture_output=True, **kwargs
+    )
+
+
 def test_importing_the_command_line_loads_no_dataclasses_or_inspect():
     # every command starts a fresh interpreter, and these two cost about a
-    # quarter of the package's import: inspect alone pulls in ast, dis and tokenize
+    # quarter of the package's import: inspect alone pulls in ast, dis and
+    # tokenize; fractions brings decimal, and hashlib brings OpenSSL
     code = (
-        "import sys; before = set(sys.modules); import toricfano.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        "import sys; before = set(sys.modules); import toricfano.cli; print(sorted("
+        "{'dataclasses', 'inspect', 'fractions', 'decimal', 'hashlib'} & (set(sys.modules) - before)))"
     )
-    env = dict(os.environ, PYTHONPATH=str(DATA.parents[1] / "src"))
-    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    child = _child("-c", code, text=True)
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[]"
+
+
+def test_mult_loads_neither_hashlib_nor_fractions():
+    # only component ids hash, and only the Fraction references make a Fraction
+    code = (
+        "import contextlib, io, sys; from toricfano.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['mult', 'tests/data/five.json', '--sigma', '0,1'])\n"
+        "print(code, sorted({'hashlib', 'fractions'} & set(sys.modules)))"
+    )
+    child = _child("-c", code, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "0 []"
+
+
+# ---------------------------------------------------------------------------
+# the command's exit
+
+
+@pytest.mark.parametrize("name, argv", test_golden.CASES, ids=[c[0] for c in test_golden.CASES])
+def test_the_command_writes_every_golden_report(name, argv):
+    # python -m toricfano.cli ends in os._exit, so the report must be flushed first
+    child = _child("-m", "toricfano.cli", argv[0], f"tests/data/{argv[1]}", *argv[2:])
+    assert (child.returncode, child.stderr) == (EXIT_OK, b"")
+    assert child.stdout == (test_golden.GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["verify", "tests/data/corrupted.json", "--format", "json"], EXIT_VERIFY_FAILED),
+        (["analyze", "tests/data/five.json", "--k", "0"], EXIT_BAD_K),
+        (["analyze", "tests/data/five.json", "--max-points", "0"], EXIT_PARSE),
+        (["analyze", "tests/data/square.json", "--max-points", "3"], EXIT_SIZE),
+        (["mult", "tests/data/quartic.json", "--sigma", "2,3"], EXIT_HYPOTHESES),
+    ],
+)
+def test_the_command_exits_with_what_main_returns(capsys, argv, exit_code):
+    child = _child("-m", "toricfano.cli", *argv, text=True)
+    code, out, err = run(capsys, *argv)
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
+    assert code == exit_code
+
+
+def test_the_command_skips_interpreter_teardown():
+    # an atexit handler runs at interpreter teardown, which os._exit skips
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'teardown ran', file=sys.stderr)\n"
+        "sys.argv = ['toricfano', 'mult', 'tests/data/five.json', '--sigma', '0,1', '--format', 'json']\n"
+        "runpy.run_module('toricfano.cli', run_name='__main__')\n"
+    )
+    child = _child("-c", code)
+    assert (child.returncode, child.stderr) == (EXIT_OK, b"")
+    assert child.stdout == (test_golden.GOLDEN / "mult-five.json").read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["fails-at-flush", "fails-at-write"])
+def test_a_closed_stdout_is_one_error_line_and_exit_1(unbuffered):
+    # the read end is closed before the child starts, so its output fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "toricfano.cli", "mult", "tests/data/five.json", "--sigma", "0,1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_child_env(unbuffered),
+            cwd=DATA.parents[1],
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    err = child.communicate(timeout=60)[1]
+    assert child.returncode == cli.EXIT_OUTPUT_CLOSED == 1
+    assert err.startswith("error: cannot write the report:") and err.count("\n") == 1, err

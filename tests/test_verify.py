@@ -1,9 +1,11 @@
 """Tests for the oracle module itself, plus the fast-vs-oracle sweeps."""
 
+import gc
 import json
 import pathlib
 import random
 import re
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -104,6 +106,30 @@ def test_relation_basis_rejects_foreign_face():
     b = config(SQUARE)
     with pytest.raises(ValueError):
         relation_basis(a, full_face(b))
+
+
+def test_relation_basis_computes_each_face_kernel_once(monkeypatch):
+    # verify asks for every face's basis, and brute_force_cayley for its face's again
+    kernels = Counter()
+    kernel = verify.integer_kernel_basis
+
+    def counted(m):
+        kernels[m] += 1
+        return kernel(m)
+
+    monkeypatch.setattr(verify, "_relation_vectors", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(verify, "integer_kernel_basis", counted)
+    a = config(birkhoff_points())
+    for face in a.faces():
+        first = relation_basis(a, face)
+        brute_force_cayley(a, face)
+        assert relation_basis(a, face.indices) == first
+    assert sum(kernels.values()) == sum(1 for face in a.faces() if face.indices)
+    # the memo holds no face, so it keeps no configuration alive
+    gone = weakref.ref(a)
+    del a, face, first
+    gc.collect()
+    assert gone() is None and not verify._relation_vectors
 
 
 # ---------------------------------------------------------------------------
