@@ -69,12 +69,8 @@ def is_cayley_structure(face: Face, blocks: Iterable[Sequence[int]]) -> bool:
     that sum to zero in every row of the face's relation basis.  (A block
     indicator lies in the rational rowspan of the face's homogenized matrix
     exactly when it is orthogonal to the relations, the kernel of that
-    matrix.)"""
-    canon = [tuple(sorted(b)) for b in blocks]
-    flat = sorted(i for b in canon for i in b)
-    if flat != list(face.indices) or any(not b for b in canon):
-        raise ValueError("blocks must partition the face's index set")
-    return set(canon) <= set(face.cayley_blocks)
+    matrix.)  Blocks that do not partition the face raise ``ValueError``."""
+    return set(CayleyStructure(face, blocks).blocks) <= set(face.cayley_blocks)
 
 
 def _covers(face: Face, blocks: Iterable[tuple[int, ...]]) -> list[tuple[tuple[int, ...], ...]]:
@@ -160,14 +156,13 @@ class CayleyPoset:
     Only the finest structures on each face are built; maximality and each
     pair's intersection are computed once for all ``k``, which only filters
     by ``l >= k``.  Both answers keep, per face, the candidates that are not
-    restrictions of candidates on covering faces, and build a
-    ``CayleyStructure`` only for a structure they return.
+    restrictions of candidates on covering faces, read through ``facets``,
+    and build a ``CayleyStructure`` only for a structure they return.
     """
 
     def __init__(self, config: PointConfiguration):
         self.config = config
         self._intersection: dict[tuple, tuple[CayleyStructure, ...]] = {}
-        self._faces_inside: dict[frozenset[int], list[Face]] = {}
 
     @cached_property
     def maximal(self) -> tuple[CayleyStructure, ...]:
@@ -189,24 +184,25 @@ class CayleyPoset:
         ``p``, and so is a finest ``q1`` refining it; ``q1|F`` refines ``p``,
         so it is ``p``.  Conversely such a restriction is below ``q1 != p``.
         Candidates and restrictions are compared as the block tuples of
-        ``_covers``, sorted as in ``CayleyStructure``.
+        ``_covers``, sorted as in ``CayleyStructure``; these partition their
+        face, so one set holds every restriction to every facet.
         """
-        faces, finest = self.config.faces(), {}
-        for face in faces:
+        finest = {}
+        for face in self.config.faces():
             proper = [b for b in face.cayley_blocks if len(b) < len(face.indices)]
             sets = [frozenset(b) for b in proper]
             atoms = [b for b, s in zip(proper, sets) if not any(t < s for t in sets)]
             if atoms:  # then the face has a cover by atoms, see ``_covers``
-                finest[face.indices] = _covers(face, atoms)
-        kept = []
-        for face in (f for f in faces if f.indices in finest):
-            inside = set(face.indices)
-            restrictions = {
-                tuple(sorted(r for b in q if (r := tuple(i for i in b if i in inside))))
-                for g in face.covers
-                for q in finest.get(g, ())
-            }
-            kept.extend(CayleyStructure(face, p) for p in finest[face.indices] if p not in restrictions)
+                finest[face.indices] = face, _covers(face, atoms)
+        restrictions = {
+            tuple(sorted(r for b in q if (r := tuple(i for i in b if i in inside))))
+            for face, here in finest.values()
+            for inside in (set(g) for g in face.facets if g in finest)
+            for q in here
+        }
+        kept = [
+            CayleyStructure(face, p) for face, here in finest.values() for p in here if p not in restrictions
+        ]
         return tuple(sorted(kept, key=lambda s: (s.face.indices, s.blocks)))
 
     def intersection(
@@ -225,24 +221,24 @@ class CayleyPoset:
         ``F1`` covering ``F`` inside ``G``, ``J_F1`` refines ``J_G|F1``, so
         ``J_F1|F`` refines ``J_F`` as well and equals it.  So ``J_F`` is kept
         exactly when no join on a face covering ``F`` inside both faces meets
-        ``F`` in as many blocks.  The faces inside a common index set are listed once,
-        since many pairs share it.
+        ``F`` in as many blocks.  Faces meet in faces, so the faces inside
+        both are the ``faces_inside`` of the common face, and the joins on
+        the faces covering each one come from inverting their ``facets``.
         """
         key = (pi1, pi2)
         if key not in self._intersection:
-            common = frozenset(pi1.face.indices).intersection(pi2.face.indices)
-            if common not in self._faces_inside:
-                self._faces_inside[common] = [
-                    f for f in self.config.faces() if len(f.indices) > 1 and common.issuperset(f.indices)
-                ]
-            inside = self._faces_inside[common]
-            joins = {f.indices: _join(f, pi1, pi2) for f in inside}
+            common = self.config.face_from_indices(set(pi1.face.indices) & set(pi2.face.indices))
+            inside = [f for f in common.faces_inside if len(f.indices) > 1]
+            joins = [_join(f, pi1, pi2) for f in inside]
+            above: dict[tuple[int, ...], list] = {}  # a face -> the joins on faces covering it
+            for f, join in zip(inside, joins):
+                for g in f.facets:
+                    above.setdefault(g, []).append(join)
             kept = []
-            for face in inside:
-                label = joins[face.indices]
+            for face, label in zip(inside, joins):
                 heads = set(label.values())
                 if len(heads) > 1 and all(
-                    len({joins[g][i] for i in label}) < len(heads) for g in face.covers if g in joins
+                    len({join[i] for i in label}) < len(heads) for join in above.get(face.indices, ())
                 ):
                     blocks = [[i for i in label if label[i] == b] for b in heads]
                     kept.append(CayleyStructure(face, blocks))

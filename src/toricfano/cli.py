@@ -546,11 +546,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise CliError(EXIT_PARSE, f"--trials must be at least 1, got {args.trials}")
             expect = raw.get("expect", {})
             report = verify_report(a, name, expect, args.seed, args.trials)
-            if not report["passed"]:
-                _emit(report, args.format)
-                return EXIT_VERIFY_FAILED
         _emit(report, args.format)
-        return EXIT_OK
+        return EXIT_OK if report.get("passed", True) else EXIT_VERIFY_FAILED
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code

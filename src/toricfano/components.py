@@ -133,17 +133,17 @@ def component_points(pi: CayleyStructure) -> PointConfiguration:
 
 
 def component_fixed_points(pi: CayleyStructure, k: int) -> tuple[Face, ...]:
-    """Torus-fixed points of the component: empty k-simplex faces of the
-    structure's face whose ``k + 1`` points lie in pairwise distinct blocks."""
+    """Torus-fixed points of the component: empty k-simplex faces inside the
+    structure's face (its ``faces_inside``) whose ``k + 1`` points lie in
+    pairwise distinct blocks."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > pi.l:
         raise ValueError(f"k={k} exceeds the number of blocks minus one (l={pi.l})")
-    inside = set(pi.face.indices)
     return tuple(
         f
-        for f in pi.config.fixed_point_faces(k)
-        if set(f.indices) <= inside and pi.injective_on(f.indices)
+        for f in pi.face.faces_inside
+        if len(f.indices) == k + 1 and f.dim == k and pi.injective_on(f.indices)
     )
 
 

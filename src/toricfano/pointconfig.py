@@ -237,16 +237,27 @@ class Face(Record):
 
     The witness functional satisfies witness . p == offset for points on the
     face and witness . p > offset for all other points of the configuration.
-    ``covers`` holds the index sets of the faces covering this one
-    (containing it, one dimension higher), and ``dim`` its affine dimension.
+    ``facets`` holds the index sets of the faces this one covers (inside it,
+    one dimension lower), and ``dim`` its affine dimension.
     """
 
     config: PointConfiguration
     indices: tuple[int, ...]
     witness: IntVector
     offset: int
-    covers: tuple[tuple[int, ...], ...]
+    facets: tuple[tuple[int, ...], ...]
     dim: int
+
+    @cached_property
+    def faces_inside(self) -> tuple["Face", ...]:
+        """Every face inside this one, itself and the empty face included,
+        sorted like ``config.faces()``: one walk down through ``facets``."""
+        by_indices, seen, work = self.config._face_by_indices, {self.indices}, [self]
+        for face in work:  # grows as the walk goes down
+            lower = set(face.facets) - seen
+            seen |= lower
+            work += map(by_indices.__getitem__, lower)
+        return tuple(sorted(work, key=lambda f: (len(f.indices), f.indices)))
 
     @cached_property
     def relations(self) -> IntMatrix:
@@ -289,7 +300,7 @@ class Face(Record):
 
 def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
     """Full face list via supporting hyperplanes of the convex hull, with
-    each face's covers and dimension.
+    each face's facets and dimension.
 
     The facets are those of the cone over the points (1, p): its inward
     normal y from ``cone_facets`` gives the witness y[1:] and offset -y[0]
@@ -298,7 +309,7 @@ def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
     faces that a face F covers are exactly the inclusion-maximal proper
     intersections of F with a facet.  So walking down from the configuration
     itself and intersecting each new face with the facets only reaches every
-    face and records its covers on the way; witnesses add, and a face found
+    face and records its facets on the way; witnesses add, and a face found
     below F has dimension one less than F's.
     """
     pts = config.points
@@ -323,7 +334,7 @@ def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
     all_idx = tuple(range(npts))
     # index set -> (witness, offset, dimension)
     faces: dict[tuple[int, ...], tuple[IntVector, int, int]] = {all_idx: ((0,) * config.ambient_dim, 0, n)}
-    covers: dict[tuple[int, ...], list[tuple[int, ...]]] = {all_idx: []}
+    below: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     work = [all_idx]
     for upper in work:  # grows as new faces are found
         w1, c1, dim = faces[upper]
@@ -333,19 +344,12 @@ def _enumerate_faces(config: PointConfiguration) -> tuple[Face, ...]:
             common = tuple(i for i in facet if i in members)
             if common != upper and common not in meets:
                 meets[common] = (tuple(a + b for a, b in zip(w1, w2)), c1 + c2, dim - 1)
-        sets = [frozenset(lower) for lower in meets]
-        for (lower, entry), below in zip(meets.items(), sets):
-            if any(below < other for other in sets):
-                continue  # not a facet of upper
+        sets = [frozenset(lower) for lower in meets]  # upper's facets are its maximal meets
+        below[upper] = tuple(m for m, s in zip(meets, sets) if not any(s < t for t in sets))
+        for lower in below[upper]:
             if lower not in faces:
-                faces[lower] = entry
-                covers[lower] = []
+                faces[lower] = meets[lower]
                 work.append(lower)
-            covers[lower].append(upper)
 
-    result = [
-        Face(config, idx, w, c, tuple(covers[idx]), dim)
-        for idx, (w, c, dim) in faces.items()
-    ]
-    result.sort(key=lambda f: (len(f.indices), f.indices))
-    return tuple(result)
+    result = [Face(config, idx, w, c, below[idx], dim) for idx, (w, c, dim) in faces.items()]
+    return tuple(sorted(result, key=lambda f: (len(f.indices), f.indices)))

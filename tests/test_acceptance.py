@@ -491,8 +491,9 @@ def test_graph_edge_exactly_when_intersection_nonempty(points):
 
 
 def test_face_lattice_matches_pairwise_closure_reference():
-    # faces closed against facets only, with their recorded covers, against
-    # the closure of all faces under intersection and covers by definition
+    # faces closed against facets only, with their recorded facets and the
+    # faces inside each, against the closure of all faces under intersection,
+    # and facets and containment by definition
     configurations = [pts for _, pts in CASES] + random_configurations(150, seed=7919)
     covered = 0
     for points in configurations:
@@ -502,13 +503,15 @@ def test_face_lattice_matches_pairwise_closure_reference():
         dims = {idx: affine_dim_of(a, idx) for idx in reference}
         for f in a.faces():
             assert f.dim == dims[f.indices], (points, f)
-            above = {
-                g for g in reference if dims[g] == dims[f.indices] + 1 and set(f.indices) < set(g)
+            below = {
+                g for g in reference if dims[g] == dims[f.indices] - 1 and set(g) < set(f.indices)
             }
-            assert sorted(f.covers) == sorted(above), (points, f)
+            assert sorted(f.facets) == sorted(below), (points, f)
+            inside = tuple(g for g in a.faces() if set(g.indices) <= set(f.indices))
+            assert f.faces_inside == inside, (points, f)
             assert cuts_out(a, f.indices, f.witness, f.offset), (points, f)
             assert cuts_out(a, f.indices, *reference[f.indices]), (points, f)
-            covered += len(above)
+            covered += len(below)
     assert covered >= 3000, covered
 
 

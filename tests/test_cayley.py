@@ -238,7 +238,8 @@ def finest_by_filter(config):
     structure with at least two blocks on each face, from the brute-force
     oracle, kept when each block is an atom (an inclusion-minimal block of
     the face's two-block structures), then dropped when it is the
-    restriction of a kept structure on a face covering its own."""
+    restriction of a kept structure on a face covering its own, one whose
+    facets hold the face."""
     finest = {}
     for face in config.faces():
         here = brute_force_cayley(config, face, 1)
@@ -249,7 +250,12 @@ def finest_by_filter(config):
         p
         for here in finest.values()
         for p in here
-        if not any(restricted_to(q, p.face) == p for g in p.face.covers for q in finest[g])
+        if not any(
+            restricted_to(q, p.face) == p
+            for g in config.faces()
+            if p.face.indices in g.facets
+            for q in finest[g.indices]
+        )
     ]
     return sorted(kept, key=lambda s: (s.face.indices, s.blocks))
 

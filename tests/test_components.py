@@ -296,6 +296,34 @@ def test_intersection_of_square_rulings_is_empty():
     assert inter == ()
 
 
+def test_components_and_intersections_walk_down_from_their_faces(monkeypatch):
+    # once maximality is built, fixed points and intersections read the faces
+    # inside a face from the face lattice, and no call scans every face
+    a = PointConfiguration(birkhoff_points())
+    a.cayley_poset.maximal
+    calls = Counter()
+
+    def counted(name):
+        scan = getattr(PointConfiguration, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return scan(self, *args)
+
+        return wrapper
+
+    for name in ("faces", "fixed_point_faces"):
+        monkeypatch.setattr(PointConfiguration, name, counted(name))
+    pairs = 0
+    for k in range(1, 5):
+        comps = components(a, k)
+        for c1 in comps:
+            for c2 in comps:
+                pairs += bool(components_intersection(a, c1.pi, c2.pi, k))
+    assert pairs > 0
+    assert calls == Counter(), calls
+
+
 def test_connectivity_graph_square():
     graph = connectivity_graph(components(PointConfiguration(SQUARE), 1))
     assert len(graph.vertices) == 2

@@ -151,7 +151,8 @@ def test_single_point_faces():
     assert {f.indices for f in config.faces()} == {(), (0,)}
     # the point's cone has one facet, the empty face: 0 > -1 at the point
     empty = config.face_from_indices(())
-    assert (empty.witness, empty.offset, empty.dim, empty.covers) == ((0, 0), -1, -1, ((0,),))
+    assert (empty.witness, empty.offset, empty.dim, empty.facets) == ((0, 0), -1, -1, ())
+    assert config.face_from_indices((0,)).facets == ((),)
 
 
 def test_birkhoff_face_counts():
