@@ -101,11 +101,7 @@ def hermite_normal_form(m: Iterable[Sequence[int]]) -> tuple[IntMatrix, IntMatri
 
 def matrix_rank(m: Iterable[Sequence[int]]) -> int:
     """Rank over the rationals (= number of nonzero rows of the HNF)."""
-    mm = as_matrix(m)
-    if not mm:
-        return 0
-    h, _ = hermite_normal_form(mm)
-    return sum(1 for row in h if any(row))
+    return len(lattice_basis(m))
 
 
 def lattice_basis(vectors: Iterable[Sequence[int]]) -> IntMatrix:

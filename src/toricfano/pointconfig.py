@@ -23,7 +23,6 @@ from .intlinalg import (
     IntMatrix,
     IntVector,
     UnsupportedSizeError,
-    _homogenized_rows,
     affine_relation_lattice,
     cone_facets,
     hermite_normal_form,
@@ -98,22 +97,11 @@ class PointConfiguration(Record):
     def __len__(self) -> int:
         return len(self.points)
 
-    def __iter__(self):
-        return iter(self.points)
-
     @property
     def ambient_dim(self) -> int:
         if not self.points:
             raise ValueError("empty configuration has no ambient dimension")
         return len(self.points[0])
-
-    @cached_property
-    def homogenized(self) -> IntMatrix:
-        """Matrix whose columns are the points with a 1 appended (as rows:
-        one row per coordinate plus a final all-ones row)."""
-        if not self.points:
-            raise ValueError("empty configuration has no homogenized matrix")
-        return _homogenized_rows(self.points)
 
     @cached_property
     def dimension(self) -> int:
@@ -290,9 +278,6 @@ class Face(Record):
     @property
     def points(self) -> tuple[IntVector, ...]:
         return tuple(self.config.points[i] for i in self.indices)
-
-    def subconfiguration(self) -> PointConfiguration:
-        return PointConfiguration(self.points)
 
     def __repr__(self) -> str:
         return f"Face{self.indices}"

@@ -27,6 +27,7 @@ from .components import chart_semigroup
 from .intlinalg import (
     IntVector,
     UnsupportedSizeError,
+    _homogenized_rows,
     integer_kernel_basis,
     matrix_rank,
 )
@@ -107,7 +108,7 @@ def relation_basis(a: PointConfiguration, tau: "Face | Sequence[int]") -> Relati
     face = a.face(tau)
     if face not in _relation_vectors:
         _relation_vectors[face] = (
-            integer_kernel_basis(face.subconfiguration().homogenized) if face.indices else ()
+            integer_kernel_basis(_homogenized_rows(face.points)) if face.indices else ()
         )
     return RelationBasis(face=face, vectors=_relation_vectors[face])
 

@@ -316,6 +316,30 @@ def test_verify_builds_each_relation_basis_once_per_run(capsys, monkeypatch):
     assert all(n <= 2 for n in bases.values()), bases
 
 
+def test_verify_sweeps_partitions_against_its_own_enumeration(capsys, monkeypatch):
+    # the partition sweep tests each partition's structure against the
+    # structures the run enumerated, not through is_cayley_structure
+    calls = Counter()
+    init, is_cayley_structure = cayley.CayleyStructure.__init__, cayley.is_cayley_structure
+
+    def counted_init(self, face, blocks):
+        calls["CayleyStructure"] += 1
+        init(self, face, blocks)
+
+    def counted_check(face, blocks):
+        calls["is_cayley_structure"] += 1
+        return is_cayley_structure(face, blocks)
+
+    monkeypatch.setattr(cayley.CayleyStructure, "__init__", counted_init)
+    for module in (cayley, cli, verify):
+        if hasattr(module, "is_cayley_structure"):
+            monkeypatch.setattr(module, "is_cayley_structure", counted_check)
+    code, _, _ = run(capsys, "verify", DATA / "birkhoff.json")
+    assert code == EXIT_OK
+    assert calls["is_cayley_structure"] == 0
+    assert calls["CayleyStructure"] <= 935, calls
+
+
 def test_verify_samples_each_chart_once(capsys, monkeypatch):
     # every k filters one set of charts: (pi, heads[:s]) for 2 <= s <= l + 1
     sampled = []
@@ -726,6 +750,25 @@ def test_every_traced_function_resolves():
     for module, function, _ in traced_cli.TRACED:
         found = getattr(importlib.import_module(f"toricfano.{module}"), function, None)
         assert callable(found), (module, function)
+
+
+def test_the_benchmark_reference_oracle_still_matches_its_answers():
+    # perfbench/make_reference.py derives the benchmark's answers from the
+    # package's brute-force oracle; main() would rewrite reference_oracle.json,
+    # so the child compares oracle_answer alone with the stored and closed
+    # forms, and writes no bytecode into perfbench/
+    code = (
+        "import sys; sys.path.insert(0, 'perfbench')\n"
+        "import inputs, make_reference as m, reference\n"
+        "stored = reference.load_oracle()\n"
+        "wanted = {**{name: stored[name] for name in m.STORED}, **m.CLOSED_FORM}\n"
+        "wrong = [name for name, answer in wanted.items()\n"
+        "         if m.oracle_answer(inputs.base_input(m.ROOT, name)['points']) != answer]\n"
+        "print(len(wanted), wrong)"
+    )
+    child = _child("-B", "-c", code, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "8 []"
 
 
 def _child_env(unbuffered: bool = False) -> dict:

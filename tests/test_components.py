@@ -1,10 +1,14 @@
 """Tests for component-level data of the k-plane scheme."""
 
+import json
+import pathlib
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from toricfano.cayley import CayleyStructure, is_cayley_structure, leq
+from toricfano.cli import _component_entry
 from toricfano.components import (
     ChartSemigroup,
     chart_generators_reduced,
@@ -26,6 +30,7 @@ from test_acceptance import CASES
 from test_intlinalg import affine_unimodular_equivalent, cone_is_pointed
 from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
 
+DATA = pathlib.Path(__file__).parent / "data"
 HEX7 = [(0, 0), (0, 1), (0, -1), (1, 0), (1, 1), (-1, 0), (-1, -1)]
 
 
@@ -389,3 +394,35 @@ def test_chart_at_non_face_transversal_is_not_pointed():
     assert comp.pi.blocks == ((0, 1), (2, 3))
     diag = chart_semigroup(comp.pi, (0, 3), (0, 3))
     assert not cone_is_pointed(chart_generators_reduced(diag))
+
+
+# ---------------------------------------------------------------------------
+# chart smoothness
+
+
+def test_chart_smoothness_does_not_depend_on_the_transversal():
+    # at a fixed point, any one point of each block the simplex misses
+    # completes the transversal; analyze reports the one of block heads
+    fixed = charts = 0
+    for path in sorted(DATA.glob("*.json")):
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        if "points" not in raw:
+            continue
+        a = PointConfiguration(raw["points"])
+        for k in range(1, a.dimension + 1):
+            for comp in components(a, k):
+                pi = comp.pi
+                reported = _component_entry(comp)["fixed_points"]
+                for face, entry in zip(comp.fixed_points, reported, strict=True):
+                    met = {pi.block_of[i] for i in face.indices}
+                    missed = [b for j, b in enumerate(pi.blocks) if j not in met]
+                    picks = list(product(*missed))
+                    answers = {
+                        chart_is_smooth(chart_semigroup(pi, (*face.indices, *pick), face.indices))
+                        for pick in picks
+                    }
+                    assert answers == {entry["smooth_chart"]}, (path.name, k, pi, face)
+                    fixed += 1
+                    charts += len(picks)
+    # corrupted.json repeats the square's points
+    assert (fixed, charts) == (227, 299)
