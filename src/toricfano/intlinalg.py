@@ -9,16 +9,16 @@ unimodular transform; kernel bases, ranks, affine relation lattices, the
 test for saturated lattices (unit pivots in the form of the transposed
 basis) and integer solving against a basis factored once all derive from
 it.  Every cone question comes from one exact double description
-(``cone_facets``).  The free-semigroup test behind chart smoothness takes
-one form and at most one description: the form of its candidate basis
-elements gives their rank, span and lattice coordinates, and when the
-candidates are dependent the facets of the cone over every vector, in
-those coordinates, certify a basis or rule one out.
+(``_dual_rays``, behind ``cone_facets``).  The free-semigroup test behind
+chart smoothness takes one form and one description: the form of all its
+vectors gives their rank and coordinates in the saturation of their
+lattice, and the facets of the cone over the vectors, in those
+coordinates, certify a basis or rule one out.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import gcd
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TypeAlias
 
@@ -245,62 +245,32 @@ def is_free_semigroup(vectors: Sequence[IntVector]) -> bool:
     semigroup is smooth (Cox-Little-Schenck, *Toric Varieties*, Thm.
     1.3.12).  The empty set is free.
 
-    Only indecomposable vectors, those that are not the sum ``g + g'`` of
-    two of the vectors (``g == g'`` allowed), can be basis elements: if
-    ``B`` passes, every vector has unique coordinates in ``N^B`` and
-    coordinates add.  A nonzero vector has coordinate sum at least 1, so a
-    sum of two vectors has coordinate sum at least 2, while each ``b`` in
-    ``B`` has coordinate sum exactly 1.
-
-    One factorization ``u * C^T == h`` of these candidates ``C`` gives their
-    rank ``r`` and coordinates.  The unimodular ``u`` maps the candidates'
+    One factorization ``u * V^T == h`` of all the vectors ``V`` gives their
+    rank ``r`` and coordinates.  The unimodular ``u`` maps the vectors'
     rational span onto ``Q^r x 0``, hence the integer points of that span,
-    the saturation ``L`` of the candidates' lattice, onto ``Z^r x 0``:
-    ``u[:r]`` is an isomorphism of ``L`` with ``Z^r``, and ``g`` lies in the
-    span iff ``u[r:] . g == 0``.  A passing ``B`` spans every vector, so
-    every vector must lie in the span, and then ``B`` passes iff its images
-    ``u[:r] . b`` are a basis of ``Z^r`` in which every image has
-    nonnegative coordinates.
+    the saturation ``L`` of the vectors' lattice, onto ``Z^r x 0``:
+    ``u[:r]`` is an isomorphism of ``L`` with ``Z^r``.  A subset ``B`` passes
+    iff its images ``u[:r] . b`` are a basis of ``Z^r`` in which every image
+    has nonnegative coordinates.
 
-    When the candidates are independent they are the only possible ``B``.
-    ``h`` is then upper triangular with determinant the product of its
-    pivots, so ``B`` is a basis of ``L`` iff every pivot is 1; ``h``, reduced
-    above its pivots, is then the identity, and ``u[:r] . g`` are the
-    coordinates of ``g`` in ``B``.
-
-    Otherwise let ``Y`` be the primitive inward facet normals of the cone
-    over all the images (``cone_facets``).  The vectors are free iff every
-    unit vector of ``Z^r`` is ``Y . g`` for some image ``g`` (so ``Y`` has
-    ``r`` rows).  If so, those images form ``G`` with ``Y * G == I``, so
-    ``Y`` and ``G`` are unimodular; every image lies in the cone, so its
-    coordinates ``Y . g`` in the basis ``G`` are nonnegative integers.
-    Conversely a passing ``B`` spans the cone, which is then simplicial
-    with the rows of the inverse of ``B``'s images as its primitive facet
-    normals, so ``Y . b`` runs over the unit vectors.  A cone with a line
-    has facet normals of rank below ``r`` and fails.  The facets are those
-    of all the images: when the cone has a line, the candidates' cone may
-    be smaller, and simplicial.
+    Let ``Y`` be the primitive inward facet normals of the cone over all the
+    images (``_dual_rays``).  The vectors are free iff every unit vector of
+    ``Z^r`` is ``Y . g`` for some image ``g`` (so ``Y`` has ``r`` rows).  If
+    so, those images form ``G`` with ``Y * G == I``, so ``Y`` and ``G`` are
+    unimodular; every image lies in the cone, so its coordinates ``Y . g`` in
+    the basis ``G`` are nonnegative integers.  Conversely a passing ``B``
+    spans the cone, which is then simplicial with the rows of the inverse of
+    ``B``'s images as its primitive facet normals, so ``Y . b`` runs over the
+    unit vectors.  A cone with a line has facet normals of rank below ``r``
+    and fails.
     """
     if not vectors:
         return True
-    sums = {
-        tuple(a + b for a, b in zip(g, h))
-        for g, h in combinations_with_replacement(vectors, 2)
-    }
-    candidates = [g for g in vectors if g not in sums]
-    # C^T column by column, so that no candidates still give n rows
-    h, u = hermite_normal_form(
-        tuple(tuple(c[j] for c in candidates) for j in range(len(vectors[0])))
-    )
+    # V^T: one row per coordinate, one column per vector
+    h, u = hermite_normal_form(tuple(zip(*vectors)))
     r = sum(1 for row in h if any(row))
-    if any(_dot(row, g) for row in u[r:] for g in vectors):
-        return False  # some vector is outside the candidates' span
-    if len(candidates) == r:
-        return all(h[i][i] == 1 for i in range(r)) and all(
-            _dot(row, g) >= 0 for g in vectors for row in u[:r]
-        )
     images = [tuple(_dot(row, g) for row in u[:r]) for g in vectors]
-    facets = cone_facets(images)
+    facets = _dual_rays(images, r)
     coordinates = {tuple(_dot(y, g) for y in facets) for g in images}
     return all(tuple(int(i == j) for j in range(r)) in coordinates for i in range(r))
 
@@ -336,17 +306,28 @@ def cone_facets(vectors: Iterable[Sequence[int]]) -> tuple[IntVector, ...]:
 
     They are zero outside the pivot columns of the vectors' ``lattice_basis``,
     where the vectors span Q^r, so they are the extreme rays of the pointed
-    dual cone {y : y . v >= 0} (none for a linear space): an exact incremental
-    double description (Motzkin et al. 1953; Fukuda-Prodon 1996) from r lines.
-    A constraint that some line does not vanish on cuts it into a ray and moves
-    the other lines and rays along it onto the hyperplane; otherwise a positive
-    and a negative ray combine there when no third ray is tight wherever both are.
+    dual cone {y : y . v >= 0} there (``_dual_rays``; none for a linear space).
     """
     vs = as_matrix(vectors)
     pivots = [next(j for j, x in enumerate(row) if x) for row in lattice_basis(vs)]
-    lines = list(identity_matrix(len(pivots)))
+    rays = _dual_rays([tuple(v[j] for j in pivots) for v in vs], len(pivots))
+    width = len(vs[0]) if vs else 0
+    return tuple(sorted(tuple(dict(zip(pivots, y)).get(j, 0) for j in range(width)) for y in rays))
+
+
+def _dual_rays(vectors: Sequence[IntVector], r: int) -> list[IntVector]:
+    """Primitive extreme rays of {y : y . v >= 0} for vectors spanning Q^r.
+
+    An exact incremental double description (Motzkin et al. 1953;
+    Fukuda-Prodon 1996) from r lines.  A constraint that some line does not
+    vanish on cuts it into a ray and moves the other lines and rays along it
+    onto the hyperplane; otherwise a positive and a negative ray combine there
+    when no third ray is tight wherever both are.  The vectors span, so every
+    line is cut.
+    """
+    lines = list(identity_matrix(r))
     rays: list[tuple[IntVector, int]] = []  # with the bitmask of constraints tight there
-    for i, v in enumerate(tuple(v[j] for j in pivots) for v in vs):
+    for i, v in enumerate(vectors):
         cut = next((line for line in lines if _dot(line, v)), None)
         if cut is not None:
             lines.remove(cut)
@@ -364,6 +345,4 @@ def cone_facets(vectors: Iterable[Sequence[int]]) -> tuple[IntVector, ...]:
             if not any(z & both == both for t, (_, z) in enumerate(rays) if t not in (a, b)):
                 kept.append((_combine(side[a], rays[b][0], side[b], rays[a][0]), both | 1 << i))
         rays = kept
-    width = len(vs[0]) if vs else 0
-    return tuple(sorted(tuple(dict(zip(pivots, y)).get(j, 0) for j in range(width)) for y, _ in rays))
-
+    return [y for y, _ in rays]

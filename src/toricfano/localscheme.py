@@ -95,21 +95,21 @@ def _divides(g: Sequence[int], alpha: Sequence[int]) -> bool:
 MAX_WALK = 500_000  # the most monomials one walk lists; past it, exit 3
 
 
-def _walk(nvars: int, cuts: dict[int, Callable[[set], set]]) -> MonomialSet:
+def _walk(nvars: int, cuts: dict[int, frozenset[IntVector]]) -> MonomialSet:
     """The standard monomials of the ideal that ``cuts`` generates, walked up
-    from the origin one degree at a time.  ``cuts[d]`` keeps the degree-``d``
-    ones that stay standard and drops the minimal generators of degree ``d``.
-    A monomial is in the ideal exactly when it is a generator or a monomial
-    one degree below that divides it is, so a step costs ``nvars`` lookups per
-    monomial, however many generators there are.  Past the last cut a pure
-    power still standard stays standard in every degree, and the set is
-    infinite; otherwise the walk ends at the first degree left empty."""
+    from the origin one degree at a time.  Of the degree-``d`` ones it keeps
+    those in ``cuts[d]`` and drops the rest, the minimal generators of degree
+    ``d``.  A monomial is in the ideal exactly when it is a generator or a
+    monomial one degree below that divides it is, so a step costs ``nvars``
+    lookups per monomial, however many generators there are.  Past the last
+    cut a pure power still standard stays standard in every degree, and the
+    set is infinite; otherwise the walk ends at the first degree left empty."""
     top = max(cuts, default=-1)
     layer, gens, members = {(0,) * nvars}, [], []
     d = 0
     while True:
         if d in cuts:
-            kept = cuts[d](layer)
+            kept = layer & cuts[d]
             gens += sorted(layer - kept)
             layer = kept
         if not layer or d >= top and any(max(m) == d for m in layer):
@@ -310,7 +310,7 @@ def _apex_search(face: Face) -> Optional[tuple[IntVector, Heights, MonomialSet]]
         for u in set(heights) - sigma_points - {w}:
             d, kept = _degree_and_kept(heights[u], face.dim)
             kept_at[d] = kept_at.get(d, kept) & kept
-        return w, heights, _walk(face.dim + 1, {d: kept.intersection for d, kept in kept_at.items()})
+        return w, heights, _walk(face.dim + 1, kept_at)
     return None
 
 

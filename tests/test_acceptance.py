@@ -47,6 +47,7 @@ from toricfano import cli, intlinalg, pointconfig
 from toricfano.intlinalg import (
     _kernel,
     hermite_normal_form,
+    identity_matrix,
     is_free_semigroup,
     matrix_rank,
     rational_solve,
@@ -667,9 +668,28 @@ def test_is_free_semigroup_matches_subset_search_on_every_b3_chart():
         assert is_free_semigroup(gens) == free_by_subset_search(gens), gens
 
 
-def test_dependent_candidates_take_two_factorizations(monkeypatch):
-    # the candidates' own and the one inside cone_facets, however many
-    # r-subsets the candidates have
+def test_is_free_semigroup_on_every_b3_chart_is_invariant():
+    # shuffled, and moved by a unimodular matrix: lattice coordinates, not
+    # the vectors' own, decide freeness
+    rng = random.Random(0)
+    keys = {chart_generators_reduced(chart) for chart in birkhoff_charts()}
+    assert len(keys) == 111
+    for gens in sorted(keys - {()}):
+        n = len(gens[0])
+        m = [list(row) for row in identity_matrix(n)]
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        assert abs(det(m)) == 1
+        moved = [tuple(dot(row, g) for row in m) for g in gens]
+        rng.shuffle(moved)
+        assert is_free_semigroup(moved) == is_free_semigroup(gens), gens
+
+
+def test_free_semigroup_takes_one_factorization(monkeypatch):
+    # the form of all the vectors, however many r-subsets the candidates
+    # have and whether or not they are independent
     factored = []
 
     def counted(m):
@@ -686,7 +706,14 @@ def test_dependent_candidates_take_two_factorizations(monkeypatch):
         assert free_by_subset_search(vectors) == free
         factored.clear()
         assert is_free_semigroup(vectors) == free
-        assert len(factored) == 2, vectors
+        assert len(factored) == 1, vectors
+    # independent candidates, dependent vectors
+    vectors = e + [tuple(map(sum, zip(e[0], e[1])))]
+    assert (len(candidates_of(vectors)), matrix_rank(vectors), len(vectors)) == (4, 4, 5)
+    assert free_by_subset_search(vectors)
+    factored.clear()
+    assert is_free_semigroup(vectors)
+    assert len(factored) == 1, vectors
 
 
 def test_chart_is_smooth_decides_each_generator_set_once(monkeypatch):

@@ -355,6 +355,11 @@ def test_is_free_semigroup_hand_cases():
     assert not is_free_semigroup([(-1, 0), (0, 1), (1, 0)])  # not pointed
     assert is_free_semigroup([(1, 1, 0)])  # direct summand of lower rank
     assert not is_free_semigroup([(2, 2, 0)])
+    # decided in lattice coordinates, not in the entries on pivot columns
+    assert is_free_semigroup([(2, 1)])
+    assert is_free_semigroup([(2, 1), (4, 2)])
+    assert not is_free_semigroup([(2, 1), (0, 1)])
+    assert not is_free_semigroup([(1, 0), (1, 1), (1, 2)])
 
 
 def test_affine_equivalence_identity_and_translation():
