@@ -54,7 +54,6 @@ from .localscheme import (
 )
 from .pointconfig import Face, PointConfiguration
 from .verify import (
-    PlaneParametrization,
     RelationBasis,
     all_set_partitions,
     brute_force_cayley,
@@ -76,7 +75,6 @@ __all__ = [
     "HeightCoords",
     "HypothesesViolated",
     "MonomialSet",
-    "PlaneParametrization",
     "PointConfiguration",
     "RelationBasis",
     "UnsupportedSizeError",

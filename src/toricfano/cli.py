@@ -182,8 +182,7 @@ def _component_entry(comp) -> dict:
         )
     return {
         "id": comp.id,
-        "face": list(comp.pi.face.indices),
-        "blocks": [list(b) for b in comp.pi.blocks],
+        **_structure_entry(comp.pi),
         "l": comp.pi.l,
         "dimension": comp.dimension,
         "fixed_points": fixed,

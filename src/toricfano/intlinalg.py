@@ -99,11 +99,6 @@ def hermite_normal_form(m: Iterable[Sequence[int]]) -> tuple[IntMatrix, IntMatri
     return tuple(map(tuple, h)), tuple(map(tuple, u))
 
 
-def matrix_rank(m: Iterable[Sequence[int]]) -> int:
-    """Rank over the rationals (= number of nonzero rows of the HNF)."""
-    return len(lattice_basis(m))
-
-
 def lattice_basis(vectors: Iterable[Sequence[int]]) -> IntMatrix:
     """Canonical (HNF) basis of the lattice generated by the vectors."""
     vs = as_matrix(vectors)

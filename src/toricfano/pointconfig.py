@@ -42,11 +42,11 @@ class Record:
     """An immutable value whose fields are its class's annotations, in order.
 
     A subclass gets ``__init__`` by position or keyword unless it defines one,
-    and unless declared ``eq=False``, ``__eq__`` within its class and
-    ``__hash__``, both of the field tuple.  ``cached_property`` still works.
+    and ``__eq__`` within its class and ``__hash__``, both of the field tuple.
+    ``cached_property`` still works.
     """
 
-    def __init_subclass__(cls, eq: bool = True):
+    def __init_subclass__(cls):
         names = cls._fields = tuple(cls.__annotations__)
         required = set(names)
         if "__init__" not in cls.__dict__:
@@ -59,16 +59,15 @@ class Record:
                 self.__dict__.update(fields)
 
             cls.__init__ = __init__
-        if eq:
-            get = attrgetter(*names)
-            key = get if len(names) > 1 else lambda self: (get(self),)
+        get = attrgetter(*names)
+        key = get if len(names) > 1 else lambda self: (get(self),)
 
-            def __eq__(self, other):
-                same = other.__class__ is self.__class__
-                return key(self) == key(other) if same else NotImplemented
+        def __eq__(self, other):
+            same = other.__class__ is self.__class__
+            return key(self) == key(other) if same else NotImplemented
 
-            cls.__eq__ = __eq__
-            cls.__hash__ = lambda self: hash(key(self))
+        cls.__eq__ = __eq__
+        cls.__hash__ = lambda self: hash(key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -7,20 +7,20 @@ substituted into the binomial relations, exact rational sampling of chart
 parametrizations, and a search over set partitions of a face that extends
 only blocks passing the block-sum test (each distinct block tested once per
 call).  A chart is validated, and its planes' full row rank certified, once
-per call; each sampled plane holds integer (numerator, denominator) pairs
-drawn per trial, and is decided by unique factorization of its column forms
-with integer cross-multiplication, never a ``Fraction``.  The tests hold the
-fast paths to agreement with these.
+per call; each sampled plane is a tuple of rows of integer (numerator,
+denominator) pairs drawn per trial, and is decided by unique factorization
+of its column forms with integer cross-multiplication, never a ``Fraction``.
+The tests hold the fast paths to agreement with these.
 """
 
 from __future__ import annotations
 
 import random
 import weakref
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations
-from math import gcd, lcm
-from typing import TYPE_CHECKING, Mapping, Sequence
+from math import gcd
+from typing import Mapping, Sequence
 
 from .cayley import CayleyStructure
 from .components import chart_semigroup
@@ -29,12 +29,8 @@ from .intlinalg import (
     UnsupportedSizeError,
     _homogenized_rows,
     integer_kernel_basis,
-    matrix_rank,
 )
 from .pointconfig import Face, PointConfiguration, Record
-
-if TYPE_CHECKING:  # fractions (and decimal) load only where a Fraction is made
-    from fractions import Fraction
 
 BRUTE_FORCE_MAX_POINTS = 12
 SWEEP_MAX_POINTS = 7  # the verify command's sweep over every set partition
@@ -51,41 +47,6 @@ class RelationBasis(Record):
 
     face: Face
     vectors: tuple[IntVector, ...]
-
-
-class PlaneParametrization(Record, eq=False):
-    """A specialized plane, one matrix row per spanning point, one column
-    per configuration point, exact rational entries (each an ``int`` or a
-    ``Fraction``), full row rank.  ``entries`` holds them as integer
-    (numerator, denominator) pairs, denominators positive; ``matrix`` is
-    their ``Fraction`` view."""
-
-    entries: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __init__(self, matrix):
-        rows = tuple(tuple(map(_entry_pair, row)) for row in matrix)
-        object.__setattr__(self, "entries", rows)
-        # Every row alone nonzero in some column gives a diagonal minor, so
-        # full rank; otherwise the HNF of the rows cleared of denominators decides.
-        if not _diagonal_minor([[n != 0 for n, _ in row] for row in rows]):
-            scales = [lcm(*(d for _, d in row)) for row in rows]
-            cleared = [[n * (c // d) for n, d in row] for row, c in zip(rows, scales)]
-            if matrix_rank(cleared) != len(rows):
-                raise ValueError("plane matrix must have full row rank")
-
-    @cached_property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        from fractions import Fraction
-
-        return tuple(tuple(Fraction(n, d) for n, d in row) for row in self.entries)
-
-
-def _entry_pair(x) -> tuple[int, int]:
-    from fractions import Fraction
-
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise ValueError(f"plane entry {x!r} is not an int or a Fraction")
-    return x.numerator, x.denominator
 
 
 def _diagonal_minor(nonzero: Sequence[Sequence[bool]]) -> bool:
@@ -166,7 +127,9 @@ def verify_cayley_plane(relations: RelationBasis, pi: CayleyStructure) -> bool:
 def _chart_plane_builder(pi: CayleyStructure, sigma_tilde: Sequence[int], sigma: Sequence[int]):
     """Validate the chart data once; the returned function builds the plane
     of a chart point at a torus point and coefficients, each given as
-    (numerator, denominator) pairs of positive integers.
+    (numerator, denominator) pairs of positive integers.  A plane is a tuple
+    of rows, one per point of ``sigma``, each holding one such pair per
+    configuration point; the pairs are not reduced.
 
     Rows are indexed by the points of ``sigma``; the column of a face point
     whose block representative lies in ``sigma`` carries the character value
@@ -204,16 +167,21 @@ def _chart_plane_builder(pi: CayleyStructure, sigma_tilde: Sequence[int], sigma:
                 for entries, v in zip(rows, s):
                     n, d = coefficients[(v, rep)]
                     entries[idx] = (num * n, den * d)
-        plane = object.__new__(PlaneParametrization)  # its rank is certified above
-        object.__setattr__(plane, "entries", tuple(map(tuple, rows)))
-        return plane
+        return tuple(map(tuple, rows))
 
     return build
 
 
-def relations_vanish_on(relations: RelationBasis, plane: PlaneParametrization) -> bool:
+def relations_vanish_on(
+    relations: RelationBasis, plane: Sequence[Sequence[tuple[int, int]]]
+) -> bool:
     """Whether every relation of the full configuration's basis is identically
     zero on the plane, as a polynomial in the spanning coefficients.
+
+    The plane holds one row per spanning point, and each row one exact entry
+    per configuration point, as an integer (numerator, denominator) pair with
+    a positive denominator; any other entry, or a row of another length, is a
+    ``ValueError`` naming it.
 
     Column c is a linear form F_c in the row variables y; relation u
     vanishes when the products of F_c^(u_c) over u_c > 0 and of F_c^(-u_c)
@@ -232,12 +200,25 @@ def relations_vanish_on(relations: RelationBasis, plane: PlaneParametrization) -
     a = relations.face.config
     if len(relations.face.indices) != len(a.points):
         raise ValueError("relation basis must be the full configuration's")
-    if any(len(row) != len(a.points) for row in plane.entries):
-        raise ValueError("plane matrix must have one column per point")
+    for r, row in enumerate(plane):
+        if len(row) != len(a.points):
+            raise ValueError(f"plane row {r} has {len(row)} entries, not one per point")
+        for c, entry in enumerate(row):
+            if not (
+                type(entry) is tuple
+                and len(entry) == 2
+                and type(entry[0]) is int
+                and type(entry[1]) is int
+                and entry[1] > 0
+            ):
+                raise ValueError(
+                    f"plane entry {entry!r} at row {r}, column {c} is not an (int, int) pair"
+                    " with a positive denominator"
+                )
     ids: dict[tuple, int] = {}  # F_c / lead_c, by its nonzero entries -> its id
     forms = []  # per column: None if zero, else (p, q, id of F_c / lead_c)
     for col in range(len(a.points)):
-        nonzero = [(r, row[col]) for r, row in enumerate(plane.entries) if row[col][0]]
+        nonzero = [(r, row[col]) for r, row in enumerate(plane) if row[col][0]]
         if not nonzero:
             forms.append(None)
             continue

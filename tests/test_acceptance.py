@@ -49,7 +49,6 @@ from toricfano.intlinalg import (
     hermite_normal_form,
     identity_matrix,
     is_free_semigroup,
-    matrix_rank,
     rational_solve,
 )
 from toricfano.verify import BRUTE_FORCE_MAX_POINTS, all_set_partitions, relation_basis
@@ -60,6 +59,7 @@ from test_intlinalg import (
     det,
     dot,
     facet_values_by_hyperplanes,
+    matrix_rank,
     saturated_by_minors,
 )
 from test_localscheme import FIVE, FOUR, STEEP, oracle_ideal

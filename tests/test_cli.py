@@ -801,16 +801,21 @@ def test_importing_the_command_line_loads_no_dataclasses_or_inspect():
 
 
 def test_mult_loads_neither_hashlib_nor_fractions():
-    # only component ids hash, and only the Fraction references make a Fraction
-    code = (
-        "import contextlib, io, sys; from toricfano.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['mult', 'tests/data/five.json', '--sigma', '0,1'])\n"
-        "print(code, sorted({'hashlib', 'fractions'} & set(sys.modules)))"
-    )
-    child = _child("-c", code, text=True)
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "0 []"
+    # only component ids hash, and only the Fraction reference rational_solve
+    # makes a Fraction: verify's sampled planes are integer pairs
+    for argv in (
+        ["mult", "tests/data/five.json", "--sigma", "0,1"],
+        ["verify", "tests/data/five.json"],
+    ):
+        code = (
+            "import contextlib, io, sys; from toricfano.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, sorted({'hashlib', 'fractions'} & set(sys.modules)))"
+        )
+        child = _child("-c", code, text=True)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "0 []", argv
 
 
 # ---------------------------------------------------------------------------

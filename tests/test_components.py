@@ -23,11 +23,10 @@ from toricfano.components import (
     connectivity_graph,
     is_covered_by_k_planes,
 )
-from toricfano.intlinalg import matrix_rank
 from toricfano.pointconfig import PointConfiguration
 
 from test_acceptance import CASES
-from test_intlinalg import affine_unimodular_equivalent, cone_is_pointed
+from test_intlinalg import affine_unimodular_equivalent, cone_is_pointed, matrix_rank
 from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
 
 DATA = pathlib.Path(__file__).parent / "data"

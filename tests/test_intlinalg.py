@@ -18,13 +18,17 @@ from toricfano.intlinalg import (
     is_free_semigroup,
     is_saturated,
     lattice_basis,
-    matrix_rank,
     rational_solve,
     transpose,
 )
 
 
 EQUIVALENCE_MAX_POINTS = 12
+
+
+def matrix_rank(m):
+    """Rank over the rationals (= number of nonzero rows of the HNF)."""
+    return len(lattice_basis(m))
 
 
 def affine_unimodular_equivalent(a, b):

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import pathlib
 import random
 import re
@@ -23,7 +24,6 @@ from toricfano.cayley import (
 from toricfano.intlinalg import UnsupportedSizeError, is_saturated
 from toricfano.pointconfig import PointConfiguration
 from toricfano.verify import (
-    PlaneParametrization,
     RelationBasis,
     brute_force_cayley,
     relation_basis,
@@ -34,6 +34,7 @@ from toricfano.verify import (
     _substituted_sides,
 )
 
+from test_intlinalg import matrix_rank
 from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
 from test_localscheme import FIVE
 
@@ -45,10 +46,17 @@ def config(points):
 
 
 def specialized_chart_plane(pi, sigma_tilde, sigma, torus, coefficients):
-    """The plane of a chart point at given torus and coefficient values."""
+    """The plane of a chart point at given torus and coefficient values, as
+    rows of (numerator, denominator) pairs."""
     build = verify._chart_plane_builder(pi, sigma_tilde, sigma)
     coeffs = {key: Fraction(c).as_integer_ratio() for key, c in coefficients.items()}
     return build(tuple(Fraction(x).as_integer_ratio() for x in torus), coeffs)
+
+
+def as_fractions(plane):
+    """The plane's entries as ``Fraction``s: its pairs are not reduced, so
+    two planes are the same exactly when these are equal."""
+    return tuple(tuple(Fraction(n, d) for n, d in row) for row in plane)
 
 
 def full_face(a):
@@ -217,6 +225,13 @@ def quartic_vertical(a):
     return CayleyStructure(full_face(a), [(0, 1), (2, 3)])
 
 
+def quartic_chart_plane(a):
+    """The vertical structure's chart plane at the torus point (2/3, 5/7)."""
+    return specialized_chart_plane(
+        quartic_vertical(a), (0, 2), (0, 2), torus=(Fraction(2, 3), Fraction(5, 7)), coefficients={}
+    )
+
+
 def test_chart_sample_birkhoff_projection():
     a = config(birkhoff_points())
     pi = CayleyStructure(full_face(a), [(0, 3), (1, 4), (2, 5)])
@@ -250,20 +265,15 @@ def test_chart_sample_deterministic_per_seed():
 
 def test_specialized_plane_shape_and_rank():
     a = config(QUARTIC)
-    plane = specialized_chart_plane(
-        quartic_vertical(a),
-        (0, 2),
-        (0, 2),
-        torus=(Fraction(2, 3), Fraction(5, 7)),
-        coefficients={},
-    )
-    assert len(plane.matrix) == 2
-    assert all(len(row) == 4 for row in plane.matrix)
+    plane = quartic_chart_plane(a)
+    matrix = as_fractions(plane)
+    assert len(matrix) == 2
+    assert all(len(row) == 4 for row in matrix)
     # identity on the sigma columns, character values elsewhere on the face
-    assert plane.matrix[0][0] == 1 and plane.matrix[1][2] == 1
-    assert plane.matrix[0][2] == 0 and plane.matrix[1][0] == 0
-    assert plane.matrix[0][1] == Fraction(5, 7)
-    assert plane.matrix[1][3] == Fraction(5, 7) ** 2
+    assert matrix[0][0] == 1 and matrix[1][2] == 1
+    assert matrix[0][2] == 0 and matrix[1][0] == 0
+    assert matrix[0][1] == Fraction(5, 7)
+    assert matrix[1][3] == Fraction(5, 7) ** 2
     assert relations_vanish_on(relation_basis(a, full_face(a)), plane)
     with pytest.raises(ValueError):  # the basis of a proper face does not fit
         relations_vanish_on(relation_basis(a, (0, 1)), plane)
@@ -271,24 +281,12 @@ def test_specialized_plane_shape_and_rank():
 
 def test_corrupted_chart_detected():
     a = config(QUARTIC)
-    plane = specialized_chart_plane(
-        quartic_vertical(a),
-        (0, 2),
-        (0, 2),
-        torus=(Fraction(2, 3), Fraction(5, 7)),
-        coefficients={},
-    )
-    rows = [list(row) for row in plane.matrix]
-    rows[1][3] *= 3  # perturb one character exponent's worth of value
-    corrupted = PlaneParametrization(matrix=tuple(tuple(r) for r in rows))
+    plane = quartic_chart_plane(a)
+    rows = [list(row) for row in plane]
+    n, d = rows[1][3]
+    rows[1][3] = (3 * n, d)  # perturb one character exponent's worth of value
+    corrupted = tuple(map(tuple, rows))
     assert not relations_vanish_on(relation_basis(a, full_face(a)), corrupted)
-
-
-def test_plane_parametrization_requires_full_rank():
-    with pytest.raises(ValueError):
-        PlaneParametrization(
-            matrix=((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)))
-        )
 
 
 @pytest.mark.parametrize(
@@ -299,9 +297,8 @@ def test_plane_parametrization_requires_full_rank():
         ((0, 0), (1, 1)),
     ],
 )
-def test_plane_parametrization_rejects_partial_certificates(matrix):
-    with pytest.raises(ValueError, match="full row rank"):
-        PlaneParametrization(matrix=matrix)
+def test_diagonal_minor_rejects_partial_certificates(matrix):
+    assert not verify._diagonal_minor([[x != 0 for x in row] for row in matrix])
 
 
 def test_chart_sample_respects_chart_validation():
@@ -372,8 +369,9 @@ def test_chart_sample_planes_are_the_specialized_planes_of_the_draws(monkeypatch
             torus = [draw() for _ in range(a.ambient_dim)]
             coefficients = {(v, w): draw() for v in sigma for w in outside}
             expected.append(specialized_chart_plane(pi, (1, 2, 3), sigma, torus, coefficients))
-        assert [p.matrix for p in sampled] == [p.matrix for p in expected]
-        assert all(type(x) is Fraction for p in sampled for row in p.matrix for x in row)
+        assert list(map(as_fractions, sampled)) == list(map(as_fractions, expected))
+        pairs = [entry for p in sampled for row in p for entry in row]
+        assert all(type(n) is int and type(d) is int and d > 0 for n, d in pairs)
 
 
 def test_chart_sample_validates_the_chart_once_and_ranks_no_plane(monkeypatch):
@@ -452,19 +450,19 @@ def _poly_mul(p: dict, q: dict) -> dict:
     return out
 
 
-def _column_form(plane: PlaneParametrization, col: int) -> dict:
-    nrows = len(plane.matrix)
+def _column_form(plane, col: int) -> dict:
+    nrows = len(plane)
     return {
-        tuple(1 if r == i else 0 for r in range(nrows)): plane.matrix[i][col]
+        tuple(1 if r == i else 0 for r in range(nrows)): Fraction(*plane[i][col])
         for i in range(nrows)
-        if plane.matrix[i][col]
+        if plane[i][col][0]
     }
 
 
-def expanded_relations_vanish(relations: RelationBasis, plane: PlaneParametrization) -> bool:
+def expanded_relations_vanish(relations: RelationBasis, plane) -> bool:
     """Reference for ``relations_vanish_on``: expand both sides of every
     relation as polynomials in the row variables and compare."""
-    nrows = len(plane.matrix)
+    nrows = len(plane)
     one = {(0,) * nrows: Fraction(1)}
     forms = [_column_form(plane, col) for col in range(len(relations.face.indices))]
     for vec in relations.vectors:
@@ -482,8 +480,9 @@ def expanded_relations_vanish(relations: RelationBasis, plane: PlaneParametrizat
 
 def random_plane(rng: random.Random, ncols: int):
     """A seeded plane mixing zero columns, multiples of two shared forms,
-    multiples of one row variable (as in chart planes) and generic columns;
-    None when the draw is rank deficient."""
+    multiples of one row variable (as in chart planes) and generic columns,
+    as rows of (numerator, denominator) pairs; None when the draw is rank
+    deficient."""
     nrows = rng.randint(1, 3)
     shared = [[rng.randint(-2, 2) for _ in range(nrows)] for _ in range(2)]
     columns = []
@@ -499,10 +498,11 @@ def random_plane(rng: random.Random, ncols: int):
             columns.append([scale * (r == row) for r in range(nrows)])
         else:
             columns.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nrows)])
-    try:
-        return PlaneParametrization(matrix=tuple(zip(*columns)))
-    except ValueError:
+    rows = [[Fraction(x) for x in row] for row in zip(*columns)]
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    if matrix_rank([[int(x * c) for x in row] for row, c in zip(rows, scales)]) < nrows:
         return None
+    return tuple(tuple(x.as_integer_ratio() for x in row) for row in rows)
 
 
 def test_factorization_matches_expansion_on_random_planes():
@@ -566,22 +566,40 @@ def test_chart_sample_matches_the_expanded_reference_on_the_fixtures():
     assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
 
 
-@pytest.mark.parametrize("entry", [0.1, "1/3", True, None, 2 + 0j])
-def test_plane_parametrization_rejects_entries_that_are_not_exact(entry):
-    with pytest.raises(ValueError, match=re.escape(repr(entry))):
-        PlaneParametrization(matrix=((1, entry),))
+NOT_INT_PAIRS = {
+    "float": 0.5,
+    "float numerator": (0.5, 1),
+    "bool": True,
+    "bool numerator": (True, 1),
+    "bool denominator": (1, False),
+    "zero denominator": (1, 0),
+    "negative denominator": (1, -7),
+    "Fraction": Fraction(1, 2),
+    "triple": (1, 2, 3),
+    "None": None,
+    "string": "1/3",
+    "complex": 2 + 0j,
+}
 
 
-def test_plane_parametrization_holds_int_and_fraction_entries_exactly():
-    plane = PlaneParametrization(matrix=((1, Fraction(-2, 6)), (0, 3)))
-    assert plane.entries == (((1, 1), (-1, 3)), ((0, 1), (3, 1)))
-    assert plane.matrix == ((1, Fraction(-1, 3)), (0, 3))
-    assert all(type(x) is Fraction for row in plane.matrix for x in row)
-    # equality is identity: a chart plane's pairs are not reduced
-    twin = PlaneParametrization(matrix=((1, Fraction(-2, 6)), (0, 3)))
-    assert twin != plane and twin.entries == plane.entries
-    with pytest.raises(AttributeError):
-        plane.entries = twin.entries
+@pytest.mark.parametrize("entry", NOT_INT_PAIRS.values(), ids=NOT_INT_PAIRS.keys())
+def test_relations_vanish_on_rejects_entries_that_are_not_int_pairs(entry):
+    a = config(QUARTIC)
+    rows = [list(row) for row in quartic_chart_plane(a)]
+    assert relations_vanish_on(full_basis(a), tuple(map(tuple, rows)))
+    rows[1][3] = entry
+    named = re.escape(f"plane entry {entry!r} at row 1, column 3")
+    with pytest.raises(ValueError, match=named):
+        relations_vanish_on(full_basis(a), tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_relations_vanish_on_rejects_a_row_of_the_wrong_length(length):
+    a = config(QUARTIC)
+    rows = list(quartic_chart_plane(a))
+    rows[1] = (rows[1] + ((0, 1),))[:length]
+    with pytest.raises(ValueError, match=f"plane row 1 has {length} entries"):
+        relations_vanish_on(full_basis(a), tuple(rows))
 
 
 def test_sample_draws_are_the_randint_draws():
