@@ -231,17 +231,12 @@ def analysis_report(
         comps = components(a, k)
         graph = connectivity_graph(comps)
         pieces = graph.connected_components()
+        position = {c.id: n for n, c in enumerate(comps)}
         intersections = []
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                common = components_intersection(a, comps[i].pi, comps[j].pi, k)
-                if common:
-                    intersections.append(
-                        {
-                            "pair": [comps[i].id, comps[j].id],
-                            "structures": [_structure_entry(q) for q in common],
-                        }
-                    )
+        for i, j in sorted(sorted((position[u], position[v])) for u, v in graph.edges):
+            common = components_intersection(a, comps[i].pi, comps[j].pi, k)
+            structures = [_structure_entry(q) for q in common]
+            intersections.append({"pair": [comps[i].id, comps[j].id], "structures": structures})
         section = {
             "k": k,
             "components": [_component_entry(c) for c in comps],

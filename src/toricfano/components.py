@@ -69,26 +69,23 @@ class ConnectivityGraph(Record):
     edges: tuple[tuple[str, str], ...]
 
     def connected_components(self) -> tuple[tuple[str, ...], ...]:
-        """Vertex sets of the connected components, each sorted, sorted by head."""
-        adjacent: dict[str, list[str]] = {v: [] for v in self.vertices}
+        """Vertex sets of the connected components, each sorted, sorted by head.
+
+        A union-find over the edges with path halving (Tarjan 1975)."""
+        parent = {v: v for v in self.vertices}
+
+        def root(v: str) -> str:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
         for a, b in self.edges:
-            adjacent[a].append(b)
-            adjacent[b].append(a)
-        seen: set[str] = set()
-        groups: list[tuple[str, ...]] = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            stack, group = [start], set()
-            while stack:
-                v = stack.pop()
-                if v in group:
-                    continue
-                group.add(v)
-                stack.extend(adjacent[v])
-            seen |= group
-            groups.append(tuple(sorted(group)))
-        return tuple(sorted(groups))
+            parent[root(a)] = root(b)
+        groups: dict[str, list[str]] = {}
+        for v in self.vertices:
+            groups.setdefault(root(v), []).append(v)
+        return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
@@ -287,7 +284,13 @@ def components_intersection(
 def connectivity_graph(comps: Sequence[FanoComponent]) -> ConnectivityGraph:
     """Graph on the ids of the given components, ``components(a, k)``; two
     are adjacent iff they share a torus-fixed point, i.e. some empty k-simplex
-    face inside both faces on which both structures are injective."""
+    face inside both faces on which both structures are injective.
+
+    The edges are exactly the pairs with a nonempty ``components_intersection``:
+    a shared fixed point lies in it, and conversely it is closed and
+    torus-invariant, so when nonempty it holds a torus-fixed point (Borel's
+    fixed-point theorem; A. Borel, "Groupes linéaires algébriques", Ann. of
+    Math. 64, 1956)."""
     fixed = [{f.indices for f in c.fixed_points} for c in comps]
     edges = [
         tuple(sorted((c1.id, c2.id)))

@@ -379,6 +379,27 @@ def test_analyze_joins_each_pair_once_per_face(monkeypatch):
     assert sum(joins.values()) == 1329
 
 
+def test_analyze_intersects_exactly_the_graph_edges(monkeypatch):
+    # two components meet exactly when they share a fixed point, so analyze
+    # intersects only the graph's edges: 105/63/0/0 pairs on B_3 for k = 1..4,
+    # against 105/105/36/0 when it intersected every pair
+    calls = Counter()
+    intersect = cli.components_intersection
+
+    def counted(a, pi1, pi2, k):
+        common = intersect(a, pi1, pi2, k)
+        assert common, (k, pi1, pi2)
+        calls[k] += 1
+        return common
+
+    monkeypatch.setattr(cli, "components_intersection", counted)
+    name, _, a = cli.load_input(str(DATA / "birkhoff.json"), cli.DEFAULT_MAX_POINTS)
+    sections = cli.analysis_report(a, name, [1, 2, 3, 4])["k_reports"]
+    edges = [len(s["graph"]["edges"]) for s in sections]
+    assert [len(s["intersections"]) for s in sections] == edges == [105, 63, 0, 0]
+    assert [calls[s["k"]] for s in sections] == edges
+
+
 def test_analyze_builds_a_structure_only_per_answer(monkeypatch):
     # intersections compare joins by block counts and maximality compares
     # block tuples; a CayleyStructure is built only for a structure returned

@@ -11,6 +11,7 @@ from toricfano.cayley import CayleyStructure, is_cayley_structure, leq
 from toricfano.cli import _component_entry
 from toricfano.components import (
     ChartSemigroup,
+    ConnectivityGraph,
     chart_generators_reduced,
     chart_is_smooth,
     chart_semigroup,
@@ -347,6 +348,22 @@ def test_connectivity_graph_quartic():
         for j in range(i + 1, len(comps)):
             inter = components_intersection(config, comps[i].pi, comps[j].pi, 1)
             assert inter == ()
+
+
+def test_connected_components_by_hand():
+    # the path's edges run end to end, so each union hangs the path's root
+    # under the next vertex and p00 ends at the foot of a 39-link chain
+    path = tuple(f"p{n:02d}" for n in range(40))
+    cycle = ("c0", "c1", "c2", "c3")
+    graph = ConnectivityGraph(
+        vertices=path[::-1] + ("z", "c2", "c0", "a", "c3", "c1"),
+        edges=tuple(zip(path, path[1:])) + tuple(zip(cycle, cycle[1:])) + (("c0", "c3"),),
+    )
+    assert graph.connected_components() == (("a",), cycle, path, ("z",))
+    assert not graph.is_connected()
+    empty = ConnectivityGraph(vertices=(), edges=())
+    assert empty.connected_components() == ()
+    assert empty.is_connected()
 
 
 def test_dimension_matches_chart_rank():
