@@ -22,6 +22,7 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .cayley import (
@@ -85,7 +86,14 @@ def _decimal(text: str) -> int:
     whitespace; ``int`` alone also reads ``1_0`` and other scripts' digits."""
     if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
         raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than CPython reads
+        raise argparse.ArgumentTypeError(_too_many_digits()) from None
+
+
+def _too_many_digits() -> str:
+    return f"an integer of more than {sys.get_int_max_str_digits()} digits"
 
 
 def _check_expect(expect) -> None:
@@ -124,7 +132,9 @@ def load_input(path: str, max_points: int) -> tuple[Optional[str], dict, PointCo
     raw: dict = {}
     try:
         parsed = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError as exc:  # not JSON, or an integer of more digits than CPython reads
+        if text.lstrip().startswith("{") and not isinstance(exc, json.JSONDecodeError):
+            raise CliError(EXIT_PARSE, f"JSON input has {_too_many_digits()}") from None
         parsed = None
     if isinstance(parsed, dict):
         raw = parsed
@@ -136,6 +146,8 @@ def load_input(path: str, max_points: int) -> tuple[Optional[str], dict, PointCo
         name = raw.get("name")
         if name is not None and not isinstance(name, str):
             raise CliError(EXIT_PARSE, '"name" must be a string')
+        if name and name.encode(errors="ignore").decode() != name:  # a lone surrogate has no UTF-8
+            raise CliError(EXIT_PARSE, '"name" must be Unicode text')
         for row in rows:
             for x in row:
                 if not _is_json_int(x):
@@ -400,7 +412,22 @@ def verify_report(
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    """``json.dumps(report, indent=2, sort_keys=True)`` without its pure-Python encoder."""
+    return _json(report, "\n")
+
+
+def _json(value, newline: str) -> str:
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        plain = all(type(x) is int for x in value)  # not bool, nor a float
+        items = map(str, value) if plain else [_json(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)  # bool, None, int, and the empty containers {} and []
 
 
 def _is_flat(value) -> bool:
@@ -454,10 +481,7 @@ def render_text(report: dict) -> str:
 
 
 def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(render_json(report) + "\n")
-    else:
-        sys.stdout.write(render_text(report) + "\n")
+    sys.stdout.write((render_json if fmt == "json" else render_text)(report) + "\n")
 
 
 def _parse_sigma(text: str, n: int) -> tuple[int, ...]:

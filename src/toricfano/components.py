@@ -18,6 +18,14 @@ from .cayley import CayleyStructure, maximal_cayley_structures
 from .intlinalg import IntVector, is_free_semigroup
 from .pointconfig import Face, PointConfiguration, Record
 
+try:  # CPython's own SHA-256: hashlib would also load OpenSSL's _hashlib
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 class FanoComponent(Record):
     """One irreducible component of the k-plane scheme.
@@ -93,10 +101,8 @@ class ConnectivityGraph(Record):
 
 def component_id(pi: CayleyStructure) -> str:
     """Stable identifier derived from the canonical form of the structure."""
-    import hashlib  # here, so that mult and most of verify never load OpenSSL
-
     key = repr((pi.face.indices, pi.blocks)).encode()
-    return hashlib.sha256(key).hexdigest()[:12]
+    return sha256(key).hexdigest()[:12]
 
 
 def component_dimension(pi: CayleyStructure, k: int) -> int:

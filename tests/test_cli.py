@@ -13,6 +13,7 @@ import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import test_golden
 import toricfano
@@ -25,6 +26,7 @@ from toricfano.cli import (
     EXIT_SIZE,
     EXIT_VERIFY_FAILED,
     main,
+    render_json,
     render_text,
 )
 
@@ -748,6 +750,106 @@ def test_decimal_integers_may_be_signed_and_padded(capsys, tmp_path):
     assert report["sigma"] == [0, 1]
 
 
+# An integer of more digits than CPython converts (sys.get_int_max_str_digits,
+# 4,300 by default) makes int() and json.loads raise ValueError
+TOO_LONG = "1" * 5000
+
+
+def test_json_input_with_an_integer_too_long_to_convert_exits_2(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(f'{{"points": [[{TOO_LONG}, 0], [0, 1], [1, 1]]}}', encoding="utf-8")
+    code, out, err = run(capsys, "analyze", path)
+    limit = sys.get_int_max_str_digits()
+    message = f"error: JSON input has an integer of more than {limit} digits\n"
+    assert (code, out, err) == (EXIT_PARSE, "", message)
+
+
+def test_a_text_row_with_an_integer_too_long_to_convert_exits_2(capsys, tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_text(f"{TOO_LONG} 0\n0 1\n1 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", path)
+    limit = sys.get_int_max_str_digits()
+    message = f"error: points must be integers: an integer of more than {limit} digits\n"
+    assert (code, out, err) == (EXIT_PARSE, "", message)
+
+
+def test_a_sigma_index_too_long_to_convert_exits_2(capsys):
+    code, out, err = run(capsys, "mult", DATA / "five.json", "--sigma", TOO_LONG)
+    limit = sys.get_int_max_str_digits()
+    message = f"error: --sigma must be comma-separated integers: an integer of more than {limit} digits\n"
+    assert (code, out, err) == (EXIT_PARSE, "", message)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_a_name_with_a_lone_surrogate_exits_2_in_both_formats(capsys, tmp_path, command, fmt):
+    # JSON escapes can spell a lone surrogate, which no UTF-8 text report can print
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"points": [[0, 0], [1, 0], [0, 1]], "name": "\\ud800"}', encoding="utf-8")
+    code, out, err = run(capsys, command, path, "--format", fmt)
+    assert (code, out, err) == (EXIT_PARSE, "", 'error: "name" must be Unicode text\n')
+    # an escaped surrogate pair is one character, and a name like any other
+    path.write_text('{"points": [[0, 0], [1, 0], [0, 1]], "name": "\\ud83d\\ude00"}', encoding="utf-8")
+    assert run(capsys, command, path, "--format", fmt)[0] == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in test_golden.GOLDEN.glob("*.json")))
+def test_render_json_writes_what_json_dumps_writes_for_every_golden_report(name):
+    report = json.loads((test_golden.GOLDEN / name).read_text(encoding="utf-8"))
+    assert render_json(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+def test_render_json_writes_what_json_dumps_writes_for_every_benchmark_report(tmp_path):
+    # the 13 operations of perfbench/run.py's workloads on their seed-0 inputs,
+    # in a child that writes no bytecode into perfbench/
+    code = (
+        "import contextlib, io, json, sys; sys.path.insert(0, 'perfbench')\n"
+        "import run\n"
+        "from toricfano.cli import main, render_json\n"
+        "done, wrong = 0, []\n"
+        "for workload, ops in sorted(run.WORKLOADS.items()):\n"
+        "    bench = run.Run('.', workload, 0, sys.argv[1])\n"
+        "    bench.paths = run.inputs.write_inputs('.', bench.names, 0, sys.argv[1])\n"
+        "    for op in ops:\n"
+        "        out = io.StringIO()\n"
+        "        with contextlib.redirect_stdout(out):\n"
+        "            main(bench.argv(op))\n"
+        "        report = json.loads(out.getvalue())\n"
+        "        done += 1\n"
+        "        if render_json(report) != json.dumps(report, indent=2, sort_keys=True):\n"
+        "            wrong.append(op)\n"
+        "print(done, wrong)"
+    )
+    child = _child("-B", "-c", code, str(tmp_path), text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "13 []"
+
+
+# every kind of character json.dumps escapes or keeps: ASCII, control
+# characters, any Unicode, and lone surrogates
+JSON_TEXT = st.text(st.characters() | st.characters(categories=["Cc", "Cs"]))
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | JSON_TEXT
+    | st.lists(st.integers() | st.booleans()),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(JSON_TEXT, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES)
+def test_render_json_writes_what_json_dumps_writes(value):
+    assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 # ---------------------------------------------------------------------------
 # package surface
 
@@ -833,6 +935,25 @@ def test_mult_loads_neither_hashlib_nor_fractions():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = main({argv!r})\n"
             "print(code, sorted({'hashlib', 'fractions'} & set(sys.modules)))"
+        )
+        child = _child("-c", code, text=True)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "0 []", argv
+
+
+def test_no_command_loads_hashlib():
+    # component ids hash with CPython's own SHA-256 (_sha2, or _sha256 before
+    # 3.12); hashlib would map OpenSSL's _hashlib into every such command
+    for argv in (
+        ["analyze", "tests/data/birkhoff.json", *test_golden._every_k(4)],
+        ["verify", "tests/data/birkhoff.json"],  # its connected expectation computes ids
+        ["mult", "tests/data/five.json", "--sigma", "0,1"],
+    ):
+        code = (
+            "import contextlib, io, sys; from toricfano.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
         )
         child = _child("-c", code, text=True)
         assert child.returncode == 0, child.stderr

@@ -1,5 +1,6 @@
 """Tests for component-level data of the k-plane scheme."""
 
+import hashlib
 import json
 import pathlib
 from collections import Counter
@@ -27,6 +28,7 @@ from toricfano.components import (
 from toricfano.pointconfig import PointConfiguration
 
 from test_acceptance import CASES
+from test_cli import _child
 from test_intlinalg import affine_unimodular_equivalent, cone_is_pointed, matrix_rank
 from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
 
@@ -80,6 +82,37 @@ def test_components_square():
     assert len({c.id for c in comps}) == 2
     # ids are stable across recomputation
     assert [c.id for c in comps] == [component_id(c.pi) for c in comps]
+
+
+def test_component_ids_are_the_sha256_of_the_canonical_form():
+    # CPython's built-in SHA-256 computes the digest hashlib's OpenSSL one does
+    ids = 0
+    for path in sorted(DATA.glob("*.json")):
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        if "points" not in raw:
+            continue
+        a = PointConfiguration(raw["points"])
+        for k in range(1, a.dimension + 1):
+            for comp in components(a, k):
+                key = repr((comp.pi.face.indices, comp.pi.blocks)).encode()
+                assert comp.id == hashlib.sha256(key).hexdigest()[:12]
+                ids += 1
+    assert ids == 52
+
+
+def test_component_ids_fall_back_to_hashlib_without_the_built_in_sha256():
+    # a build without _sha2 (3.12+) and _sha256 (3.10, 3.11) hashes through
+    # hashlib, to the same ids and so the same golden report
+    code = (
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from toricfano.cli import main\n"
+        "code = main(['analyze', 'tests/data/birkhoff.json', '--k', '1', '--k', '2',\n"
+        "             '--k', '3', '--k', '4', '--format', 'json'])\n"
+        "print(code, 'hashlib' in sys.modules, file=sys.stderr)"
+    )
+    child = _child("-c", code)
+    assert child.stderr.decode().strip() == "0 True"
+    assert child.stdout == (DATA / "golden" / "analyze-birkhoff.json").read_bytes()
 
 
 def test_components_quartic():
