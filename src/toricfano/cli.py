@@ -66,6 +66,9 @@ EXIT_SIZE = 3
 EXIT_BAD_K = 4
 EXIT_HYPOTHESES = 5
 EXIT_VERIFY_FAILED = 6
+# characters that would break a text report's one-key-per-line layout: C0,
+# DEL, C1, and the Unicode line and paragraph separators
+_NAME_CONTROLS = frozenset(map(chr, [*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029]))
 
 
 class CliError(Exception):
@@ -148,6 +151,8 @@ def load_input(path: str, max_points: int) -> tuple[Optional[str], dict, PointCo
             raise CliError(EXIT_PARSE, '"name" must be a string')
         if name and name.encode(errors="ignore").decode() != name:  # a lone surrogate has no UTF-8
             raise CliError(EXIT_PARSE, '"name" must be Unicode text')
+        if name and not _NAME_CONTROLS.isdisjoint(name):
+            raise CliError(EXIT_PARSE, '"name" must not contain control characters')
         for row in rows:
             for x in row:
                 if not _is_json_int(x):

@@ -10,6 +10,12 @@ call).  A chart is validated, and its planes' full row rank certified, once
 per call; each sampled plane is a tuple of rows of integer (numerator,
 denominator) pairs drawn per trial, and is decided by unique factorization
 of its column forms with integer cross-multiplication, never a ``Fraction``.
+Trial ``i`` of every chart reads a prefix of the one stream seeded from
+``seed`` and ``i``, its length set by the chart's parameter count, so the
+draws are memoized per (stream, length) and shared across charts: each
+chart reads exactly the values it would draw from its own generator.  A
+block plane's sides get the same block exponents exactly when the relation
+sums to zero on every block, so that test runs before the characters.
 The tests hold the fast paths to agreement with these.
 """
 
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import random
 import weakref
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Mapping, Sequence
@@ -35,6 +41,7 @@ from .pointconfig import Face, PointConfiguration, Record
 BRUTE_FORCE_MAX_POINTS = 12
 SWEEP_MAX_POINTS = 7  # the verify command's sweep over every set partition
 _SAMPLE_RANGE = 97
+_DRAWS_MEMO_SIZE = 1_024  # trial streams kept per process; bounded for library loops over seeds
 
 
 class RelationBasis(Record):
@@ -117,6 +124,11 @@ def verify_cayley_plane(relations: RelationBasis, pi: CayleyStructure) -> bool:
     """
     if relations.face != pi.face:
         raise ValueError("relation basis belongs to a different face")
+    # the sides' block-exponent vectors agree exactly when the relation sums
+    # to zero on every block, a test far cheaper than the characters
+    position = {idx: pos for pos, idx in enumerate(pi.face.indices)}
+    if not all(_block_sums_to_zero(relations.vectors, position, block) for block in pi.blocks):
+        return False
     for vec in relations.vectors:
         lhs, rhs = _substituted_sides(pi, vec)
         if lhs != rhs:
@@ -143,11 +155,13 @@ def _chart_plane_builder(pi: CayleyStructure, sigma_tilde: Sequence[int], sigma:
     a = pi.config
     s = tuple(sorted(sigma))
     rep_of_block = {pi.block_of[i]: i for i in sorted(sigma_tilde)}
-    columns = []  # (index, representative, offset, its one row or None for every row)
+    # per face point: (index, representative, the offset's nonzero
+    # (coordinate, exponent) pairs, its one row or None for every row)
+    columns = []
     for idx in pi.face.indices:
         rep = rep_of_block[pi.block_of[idx]]
-        offset = tuple(x - y for x, y in zip(a.points[idx], a.points[rep]))
-        columns.append((idx, rep, offset, s.index(rep) if rep in s else None))
+        offset = [(t, x - y) for t, (x, y) in enumerate(zip(a.points[idx], a.points[rep])) if x != y]
+        columns.append((idx, rep, tuple(offset), s.index(rep) if rep in s else None))
     # sigma's own columns give it: each point of sigma represents its block
     if not _diagonal_minor([[row in (r, None) for *_, row in columns] for r in range(len(s))]):
         raise ValueError("chart plane has no diagonal minor")
@@ -156,10 +170,11 @@ def _chart_plane_builder(pi: CayleyStructure, sigma_tilde: Sequence[int], sigma:
         rows = [[(0, 1)] * len(a.points) for _ in s]
         for idx, rep, offset, row in columns:
             num = den = 1  # the character of the offset at t is num / den
-            for (n, d), e in zip(t, offset):
+            for coord, e in offset:
+                n, d = t[coord]
                 if e > 0:
                     num, den = num * n**e, den * d**e
-                elif e < 0:
+                else:
                     num, den = num * d**-e, den * n**-e
             if row is not None:
                 rows[row][idx] = (num, den)
@@ -217,32 +232,43 @@ def relations_vanish_on(
                 )
     ids: dict[tuple, int] = {}  # F_c / lead_c, by its nonzero entries -> its id
     forms = []  # per column: None if zero, else (p, q, id of F_c / lead_c)
-    for col in range(len(a.points)):
-        nonzero = [(r, row[col]) for r, row in enumerate(plane) if row[col][0]]
-        if not nonzero:
-            forms.append(None)
-            continue
-        (first, (p, q)), rest = nonzero[0], nonzero[1:]
-        unit = 1 if p > 0 else -1  # n/d over p/q is (unit n q)/(unit d p), denominator > 0
-        key = [first]
-        for r, (n, d) in rest:
-            g = unit * gcd(n * q, d * p)
-            key.append((r, n * q // g, d * p // g))
-        forms.append((p, q, ids.setdefault(tuple(key), len(ids))))
-
-    def side(vec, sign):
-        num, den, factors = 1, 1, {}
-        for form, mult in zip(forms, vec):
-            if (m := sign * mult) > 0:
-                if form is None:
-                    return 0, 1, {}
-                num, den = num * form[0] ** m, den * form[1] ** m
-                factors[form[2]] = factors.get(form[2], 0) + m
-        return num, den, factors
+    for column in zip(*plane):
+        key = None  # F_c / lead_c's nonzero entries, once the lead p/q is found
+        for r, (n, d) in enumerate(column):
+            if not n:
+                continue
+            if key is None:
+                p, q, key = n, d, [r]
+                unit = 1 if p > 0 else -1  # n/d over p/q is (unit n q)/(unit d p), denominator > 0
+            else:
+                g = unit * gcd(n * q, d * p)
+                key.append((r, n * q // g, d * p // g))
+        forms.append(None if key is None else (p, q, ids.setdefault(tuple(key), len(ids))))
 
     def vanishes(vec) -> bool:
-        (n1, d1, f1), (n2, d2, f2) = side(vec, 1), side(vec, -1)
-        return f1 == f2 and n1 * d2 == n2 * d1
+        # N1 D2 and N2 D1, each side's scalar being N/D, and per normalized
+        # form its exponent on the left minus its exponent on the right
+        lhs = rhs = 1
+        exponents: dict[int, int] = {}
+        zero_left = zero_right = False
+        for form, m in zip(forms, vec):
+            if not m:
+                continue
+            if form is None:
+                if m > 0:
+                    zero_left = True
+                else:
+                    zero_right = True
+                continue
+            p, q, form_id = form
+            if m > 0:
+                lhs, rhs = lhs * p**m, rhs * q**m
+            else:
+                lhs, rhs = lhs * q**-m, rhs * p**-m
+            exponents[form_id] = exponents.get(form_id, 0) + m
+        if zero_left or zero_right:
+            return zero_left and zero_right
+        return lhs == rhs and not any(exponents.values())
 
     return all(map(vanishes, relations.vectors))
 
@@ -261,7 +287,8 @@ def verify_chart_sample(
     and coefficient parameters (numerators and denominators up to 97) and
     checks every relation of ``relations`` (the full configuration's basis)
     vanishes identically on the plane.  Trial ``i`` seeds its own generator
-    from ``seed`` and ``i``, so runs are reproducible and order-independent.
+    from ``seed`` and ``i``, so runs are reproducible and order-independent,
+    and every chart's trial ``i`` reads a prefix of the same memoized draws.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -278,14 +305,18 @@ def verify_chart_sample(
     return True
 
 
-def _sample_draws(seed: int, count: int) -> list[int]:
+@lru_cache(maxsize=_DRAWS_MEMO_SIZE)
+def _sample_draws(seed: int, count: int) -> tuple[int, ...]:
     """The first ``count`` values of ``random.Random(seed).randint(1, _SAMPLE_RANGE)``,
-    by ``_randbelow``'s rule: as many random bits as the range has, redrawn until below it."""
+    by ``_randbelow``'s rule: as many random bits as the range has, redrawn until below it.
+
+    Memoized: every chart's trial ``i`` reads a prefix of the same stream, so
+    the charts of one ``verify`` share their trials' draws."""
     bits, width, draws = random.Random(seed).getrandbits, _SAMPLE_RANGE.bit_length(), []
     while len(draws) < count:
         if (r := bits(width)) < _SAMPLE_RANGE:
             draws.append(1 + r)
-    return draws
+    return tuple(draws)
 
 
 def all_set_partitions(items: Sequence[int]):

@@ -793,6 +793,48 @@ def test_a_name_with_a_lone_surrogate_exits_2_in_both_formats(capsys, tmp_path, 
     assert run(capsys, command, path, "--format", fmt)[0] == EXIT_OK
 
 
+NAME_CONTROLS = {
+    "newline": "\\n",
+    "NUL": "\\u0000",
+    "unit separator": "\\u001f",
+    "DEL": "\\u007f",
+    "next line": "\\u0085",
+    "C1 end": "\\u009f",
+    "line separator": "\\u2028",
+    "paragraph separator": "\\u2029",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["analyze", "verify", "mult"])
+@pytest.mark.parametrize("escape", NAME_CONTROLS.values(), ids=NAME_CONTROLS.keys())
+def test_a_name_with_a_control_character_exits_2_in_both_formats(capsys, tmp_path, command, fmt, escape):
+    # a line break in the name would forge a key of the text report
+    path = tmp_path / "control.json"
+    path.write_text(
+        '{"points": [[0, 0], [1, 0], [0, 1]], "name": "a%sk_reports: forged"}' % escape,
+        encoding="utf-8",
+    )
+    options = ("--sigma", "0,1") if command == "mult" else ()
+    code, out, err = run(capsys, command, path, *options, "--format", fmt)
+    assert (code, out, err) == (EXIT_PARSE, "", 'error: "name" must not contain control characters\n')
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_a_printable_non_ascii_name_is_accepted(capsys, tmp_path, command, fmt):
+    # only controls are refused: a no-break space and a Greek capital are text
+    name = "\u0394(2,5)\u00a0B"
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"points": [[0, 0], [1, 0], [0, 1]], "name": name}), encoding="utf-8")
+    code, out, _ = run(capsys, command, path, "--format", fmt)
+    assert code == EXIT_OK
+    if fmt == "json":
+        assert json.loads(out)["name"] == name
+    else:
+        assert f"name: {name}" in out.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # the JSON writer
 

@@ -14,7 +14,7 @@ from itertools import combinations, product
 import pytest
 import sympy
 
-from toricfano import intlinalg, verify
+from toricfano import cli, intlinalg, verify
 from toricfano.cayley import (
     CayleyStructure,
     enumerate_cayley_structures,
@@ -193,6 +193,45 @@ def test_plane_check_matches_direct_criterion_exhaustively():
                 assert got == expected, (pts, face.indices, part)
 
 
+def seeded_configurations():
+    """Distinct points drawn from small boxes, seven at most, as configurations."""
+    for seed in range(8):
+        rng = random.Random(seed)
+        dim = 2 + seed % 2
+        points = {tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(7)}
+        yield config(sorted(points))
+
+
+def test_plane_check_is_the_comparison_of_substituted_sides():
+    # the block-sum test decides only what the block exponents would: on every
+    # set partition of every face of at most seven points, the verdict is the
+    # side comparison of every basis relation
+    outcomes = Counter()
+    fixtures = [
+        config(json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))["points"])
+        for name in ("birkhoff", "five", "quartic", "square", "triangle")
+    ]
+    for a in [*fixtures, *seeded_configurations()]:
+        for face in a.faces():
+            if not face.indices or len(face.indices) > 7:
+                continue
+            basis = relation_basis(a, face)
+            for part in all_set_partitions(list(face.indices)):
+                pi = CayleyStructure(face, part)
+                expected = all(l == r for l, r in (_substituted_sides(pi, u) for u in basis.vectors))
+                assert verify_cayley_plane(basis, pi) == expected, (a.points, part)
+                outcomes[expected] += 1
+    assert outcomes[True] >= 100 and outcomes[False] >= 1_000, outcomes
+
+
+def test_plane_check_compares_characters_where_the_blocks_balance():
+    # a vector of the basis's shape that is no relation: it sums to zero on
+    # the block of points 0 and 1, so only the characters tell it apart
+    a = config(QUARTIC)
+    not_a_relation = RelationBasis(face=full_face(a), vectors=((1, -1, 0, 0),))
+    assert not verify_cayley_plane(not_a_relation, quartic_vertical(a))
+
+
 def test_side_summaries_additive_beyond_basis():
     # Checking a lattice basis suffices: random integer combinations of
     # basis relations still balance on both sides for valid structures.
@@ -339,6 +378,18 @@ def test_chart_sample_errors_come_before_any_draw(monkeypatch):
         verify_chart_sample(full_basis(a), quartic_vertical(a), (0, 2), (0, 2), trials=0)
 
 
+def test_chart_sample_errors_come_before_any_memoized_draw(monkeypatch):
+    # a draw served from the memo constructs no generator, so watch the memo
+    def no_draw(seed, count):
+        raise AssertionError("read the draws before rejecting the input")
+
+    monkeypatch.setattr(verify, "_sample_draws", no_draw)
+    a = config(QUARTIC)
+    for sigma_tilde, sigma, trials in (((0, 1), (0, 1), 3), ((0, 2), (0, 1), 3), ((0, 2), (0, 2), 0)):
+        with pytest.raises(ValueError):
+            verify_chart_sample(full_basis(a), quartic_vertical(a), sigma_tilde, sigma, trials=trials)
+
+
 def test_chart_sample_planes_are_the_specialized_planes_of_the_draws(monkeypatch):
     # trial i draws Fractions from random.Random(seed * 1_000_003 + i), each
     # numerator before its denominator: the torus first, then (v, w) for v
@@ -400,6 +451,34 @@ def test_chart_sample_validates_the_chart_once_and_ranks_no_plane(monkeypatch):
         assert verify_chart_sample(relations, pi, (1, 2, 3), sigma, trials=25, seed=0)
         counts = (calls["chart_semigroup"], calls["hermite_normal_form"], calls["relations_vanish_on"])
         assert counts == (1, 0, 25)
+
+
+def test_verify_draws_each_trial_stream_once_for_all_charts(monkeypatch):
+    # every chart's trial i reads a prefix of one stream, and the 39 charts of
+    # B_3 need four prefix lengths: 4 x 25 generators, where one per chart and
+    # trial made 975
+    verify._sample_draws.cache_clear()
+    made = Counter()
+
+    class Counted(random.Random):
+        def __init__(self, *args):
+            made["Random"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", Counted)
+    charts = Counter()
+    original = verify.verify_chart_sample
+
+    def counted(*args, **kwargs):
+        charts["charts"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_chart_sample", counted)
+    a = config(birkhoff_points())
+    report = cli.verify_report(a, None, {}, 0, 25)
+    assert report["passed"]
+    assert charts["charts"] == 39
+    assert 0 < made["Random"] <= 100, made
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +618,54 @@ def reference_chart_sample(relations, pi, sigma_tilde, sigma, trials, seed):
     return True
 
 
+def defined_chart_plane(pi, sigma_tilde, sigma, torus, coefficients):
+    """The chart plane by its definition, in ``Fraction``s: the column of a
+    face point carries its offset's character from its block's representative
+    in sigma_tilde, in that representative's row when it lies in sigma and in
+    every row v times the coefficient (v, representative) when it does not;
+    columns off the face are zero."""
+    a, s = pi.config, sorted(sigma)
+    rep = {pi.block_of[w]: w for w in sigma_tilde}
+    rows = [[Fraction(0)] * len(a.points) for _ in s]
+    for idx in pi.face.indices:
+        r = rep[pi.block_of[idx]]
+        char = math.prod(Fraction(x) ** (p - q) for x, p, q in zip(torus, a.points[idx], a.points[r]))
+        for row, v in zip(rows, s):
+            row[idx] = (char if v == r else 0) if r in s else char * coefficients[(v, r)]
+    return tuple(map(tuple, rows))
+
+
+def test_chart_planes_are_the_defined_planes():
+    # the references above build their planes through _chart_plane_builder,
+    # so hold it to the definition: every chart the verify command samples,
+    # and the charts of seeded partitions of each full face, at positive values
+    rng = random.Random(34)
+
+    def value():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 7))
+
+    planes = 0
+    for name in ("birkhoff", "five", "quartic", "square", "triangle"):
+        a = config(json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))["points"])
+        face = full_face(a)
+        charts = [(pi, k + 1) for k in range(1, a.dimension + 1) for pi in maximal_cayley_structures(a, k)]
+        for _ in range(10):
+            labels = [rng.randrange(3) for _ in face.indices]
+            part = [[i for i, b in zip(face.indices, labels) if b == label] for label in range(3)]
+            part = [block for block in part if block]
+            charts.append((CayleyStructure(face, part), rng.randint(1, len(part))))
+        for pi, size in charts:
+            heads = tuple(b[0] for b in pi.blocks)
+            sigma = heads[:size]
+            for _ in range(3):
+                torus = [value() for _ in range(a.ambient_dim)]
+                coefficients = {(v, w): value() for v in sigma for w in heads if w not in sigma}
+                got = specialized_chart_plane(pi, heads, sigma, torus, coefficients)
+                assert as_fractions(got) == defined_chart_plane(pi, heads, sigma, torus, coefficients)
+                planes += 1
+    assert planes >= 100, planes
+
+
 def test_chart_sample_matches_the_expanded_reference_on_the_fixtures():
     # every chart the verify command samples, at three seeds, and the charts
     # of seeded partitions of each full face that are not Cayley structures
@@ -607,7 +734,7 @@ def test_sample_draws_are_the_randint_draws():
         for trial in (0, 24):
             rng = random.Random(seed * 1_000_003 + trial)
             expected = [rng.randint(1, 97) for _ in range(30)]
-            assert verify._sample_draws(seed * 1_000_003 + trial, 30) == expected
+            assert verify._sample_draws(seed * 1_000_003 + trial, 30) == tuple(expected)
 
 
 # ---------------------------------------------------------------------------
