@@ -128,13 +128,19 @@ def _check_expect(expect) -> None:
 def load_input(path: str, max_points: int) -> tuple[Optional[str], dict, PointConfiguration]:
     """Read a configuration file; returns (name, raw object, configuration)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
+    try:  # a leading byte-order mark is ignored (RFC 8259, section 8.1)
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_PARSE, f"cannot read {path}: not UTF-8 at byte offset {exc.start}") from None
     raw: dict = {}
     try:
         parsed = json.loads(text)
+    except RecursionError:
+        raise CliError(EXIT_PARSE, "JSON input nests too deeply") from None
     except ValueError as exc:  # not JSON, or an integer of more digits than CPython reads
         if text.lstrip().startswith("{") and not isinstance(exc, json.JSONDecodeError):
             raise CliError(EXIT_PARSE, f"JSON input has {_too_many_digits()}") from None

@@ -10,7 +10,6 @@ connectivity graph.
 
 from __future__ import annotations
 
-import weakref
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -241,11 +240,6 @@ def chart_generators_reduced(c: ChartSemigroup) -> tuple[IntVector, ...]:
     return tuple(sorted(out))
 
 
-# configuration -> {reduced chart generators: free?}; weak, so it keeps no
-# configuration alive
-_free_charts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def chart_is_smooth(c: ChartSemigroup) -> bool:
     """Whether the affine chart is a smooth (free) semigroup chart.
 
@@ -257,7 +251,7 @@ def chart_is_smooth(c: ChartSemigroup) -> bool:
     configuration.
     """
     gens = chart_generators_reduced(c)
-    known = _free_charts.setdefault(c.pi.config, {})
+    known = c.pi.config.memo("_free_charts", dict)
     if gens not in known:
         known[gens] = is_free_semigroup(gens)
     return known[gens]

@@ -20,7 +20,6 @@ function here, the command line's only route in, reads its stored record.
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Optional, Sequence
 
 from .intlinalg import IntVector, UnsupportedSizeError, integer_solver
@@ -235,11 +234,6 @@ def local_ring_basis(
     return _apex_and_heights(a, sigma)[3]
 
 
-# facet -> (apex, every point's heights, its local ring basis), or None where
-# no apex exists; weak, so it keeps no configuration alive
-_apex_searches: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _apex_and_heights(
     a: PointConfiguration, sigma: "Face | Sequence[int]"
 ) -> tuple[Face, IntVector, Heights, MonomialSet]:
@@ -273,9 +267,7 @@ def _apex_and_heights(
             "sigma must be an empty-simplex face of dimension one less than "
             "the configuration"
         )
-    if face not in _apex_searches:
-        _apex_searches[face] = _apex_search(face)
-    found = _apex_searches[face]
+    found = face.memo("_apex_search", lambda: _apex_search(face))
     if found is None:
         raise HypothesesViolated("configuration is not smooth at sigma")
     return (face, *found)

@@ -42,8 +42,9 @@ class Record:
     """An immutable value whose fields are its class's annotations, in order.
 
     A subclass gets ``__init__`` by position or keyword unless it defines one,
-    and ``__eq__`` within its class and ``__hash__``, both of the field tuple.
-    ``cached_property`` still works.
+    and ``__eq__`` within its class and ``__hash__``, both of the field tuple;
+    the hash is computed once per instance.  ``cached_property`` still works,
+    and ``memo`` is its form for data another module derives from a record.
     """
 
     def __init_subclass__(cls):
@@ -66,8 +67,24 @@ class Record:
             same = other.__class__ is self.__class__
             return key(self) == key(other) if same else NotImplemented
 
+        def __hash__(self):
+            try:
+                return self.__dict__["_hash"]
+            except KeyError:
+                return self.memo("_hash", lambda: hash(key(self)))
+
         cls.__eq__ = __eq__
-        cls.__hash__ = lambda self: hash(key(self))
+        cls.__hash__ = __hash__
+
+    def memo(self, name: str, compute: Callable[[], object]):
+        """``self.<name>``, from ``compute()`` on the first call and stored on
+        the record from then on.  It is no field: ``==``, ``hash`` and
+        ``repr`` ignore it, and it is freed with the record."""
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            value = self.__dict__[name] = compute()
+            return value
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -22,7 +22,6 @@ The tests hold the fast paths to agreement with these.
 from __future__ import annotations
 
 import random
-import weakref
 from functools import cache, lru_cache
 from itertools import combinations
 from math import gcd
@@ -62,11 +61,6 @@ def _diagonal_minor(nonzero: Sequence[Sequence[bool]]) -> bool:
     return len(alone) == len(nonzero)
 
 
-# face -> its relation basis vectors; weak, and holding no face, so it keeps
-# no configuration alive
-_relation_vectors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def relation_basis(a: PointConfiguration, tau: "Face | Sequence[int]") -> RelationBasis:
     """Saturated basis of the affine relation lattice of the face's points.
 
@@ -74,11 +68,11 @@ def relation_basis(a: PointConfiguration, tau: "Face | Sequence[int]") -> Relati
     since ``verify`` asks for every face's basis and ``brute_force_cayley``
     for its face's again."""
     face = a.face(tau)
-    if face not in _relation_vectors:
-        _relation_vectors[face] = (
-            integer_kernel_basis(_homogenized_rows(face.points)) if face.indices else ()
-        )
-    return RelationBasis(face=face, vectors=_relation_vectors[face])
+    vectors = face.memo(
+        "_relation_vectors",
+        lambda: integer_kernel_basis(_homogenized_rows(face.points)) if face.indices else (),
+    )
+    return RelationBasis(face=face, vectors=vectors)
 
 
 def _substituted_sides(

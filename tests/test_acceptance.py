@@ -10,7 +10,6 @@ import pathlib
 import random
 import sys
 import time
-import weakref
 from collections import Counter
 from itertools import combinations, product
 from math import comb
@@ -43,7 +42,7 @@ from toricfano import (
     verify_cayley_plane,
     verify_chart_sample,
 )
-from toricfano import cli, intlinalg, pointconfig
+from toricfano import cli, intlinalg, localscheme, pointconfig
 from toricfano.intlinalg import (
     _kernel,
     hermite_normal_form,
@@ -718,7 +717,6 @@ def test_free_semigroup_takes_one_factorization(monkeypatch):
 
 def test_chart_is_smooth_decides_each_generator_set_once(monkeypatch):
     components_module = sys.modules["toricfano.components"]
-    monkeypatch.setattr(components_module, "_free_charts", weakref.WeakKeyDictionary())
     decided = Counter()
 
     def counted(gens):
@@ -785,10 +783,29 @@ def test_face_arguments_are_resolved_alike(name):
 @pytest.mark.parametrize(
     "points", [QUARTIC, FIVE, list(birkhoff_points())], ids=["quartic", "five", "birkhoff"]
 )
-def test_equal_configurations_give_equal_results(points):
+def test_equal_configurations_give_equal_results(points, monkeypatch):
     first, second = PointConfiguration(points), PointConfiguration(points)
     assert first == second and first is not second
     assert first.cayley_poset is not second.cayley_poset
+    # each keeps its own apex searches, one per facet, on its own faces
+    searches = Counter()
+    search = localscheme._apex_search
+
+    def counted(face):
+        searches["first" if face.config is first else "second"] += 1
+        return search(face)
+
+    monkeypatch.setattr(localscheme, "_apex_search", counted)
+    facets = first.fixed_point_faces(first.dimension - 1)
+    for sigma in facets:
+        answers = []
+        for a in (first, second, first, second):
+            try:
+                answers.append(local_ring_basis(a, sigma.indices))
+            except HypothesesViolated as exc:
+                answers.append(str(exc))
+        assert answers == answers[:1] * 4
+    assert searches == Counter(first=len(facets), second=len(facets))
     for k in range(1, first.dimension + 2):
         assert components(first, k) == components(second, k)
         assert connectivity_graph(components(first, k)) == connectivity_graph(

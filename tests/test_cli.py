@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import time
-import weakref
 from collections import Counter
 
 import pytest
@@ -245,7 +244,6 @@ def test_local_reports_validate_each_facet_and_find_its_apex_once(
         "is_smooth_at",
         counted("is_smooth_at", PointConfiguration.is_smooth_at),
     )
-    monkeypatch.setattr(localscheme, "_apex_searches", weakref.WeakKeyDictionary())
     monkeypatch.setattr(
         localscheme, "_apex_search", counted("apex", localscheme._apex_search)
     )
@@ -273,7 +271,6 @@ def test_mult_builds_the_local_ring_basis_once(capsys, monkeypatch):
         calls["ideal"] += 1
         return original(hc, k)
 
-    monkeypatch.setattr(localscheme, "_apex_searches", weakref.WeakKeyDictionary())
     monkeypatch.setattr(localscheme, "_degree_and_kept", counted)
     code, report, _ = run_json(capsys, "mult", DATA / "five.json", "--sigma", "0,1")
     assert code == EXIT_OK
@@ -594,7 +591,6 @@ def test_dimension_cap_exits_3_for_every_subcommand(capsys, tmp_path, argv):
 def test_local_ring_past_the_walk_cap_exits_3_at_once(capsys, monkeypatch, tmp_path, argv):
     # the walk of tall(80)'s local ring lists the 88,560 monomials below degree 80
     monkeypatch.setattr(localscheme, "MAX_WALK", 1000)
-    monkeypatch.setattr(localscheme, "_apex_searches", weakref.WeakKeyDictionary())
     path = tmp_path / "tall80.txt"
     path.write_text("0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 0 80\n")
     start = time.perf_counter()
@@ -778,6 +774,57 @@ def test_a_sigma_index_too_long_to_convert_exits_2(capsys):
     limit = sys.get_int_max_str_digits()
     message = f"error: --sigma must be comma-separated integers: an integer of more than {limit} digits\n"
     assert (code, out, err) == (EXIT_PARSE, "", message)
+
+
+SUBCOMMANDS = [["analyze"], ["verify"], ["mult", "--sigma", "0,2"]]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda v: v[0])
+@pytest.mark.parametrize(
+    "data, offset",
+    [
+        (b"0 0\n1 0\n0 1\xff\n", 11),
+        (b'{"points": [[0, 0], [1, 0], [0, 1]], "name": "\xe2\x82"}', 46),
+        (b"\xef\xbb\xbf0 0\n\xc0\x80 0\n0 1\n", 7),  # the offset counts the byte-order mark
+    ],
+    ids=["text", "json", "bom"],
+)
+def test_input_that_is_not_utf8_exits_2_naming_the_byte(capsys, tmp_path, argv, data, offset):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out, err) == (EXIT_PARSE, "", f"error: cannot read {path}: not UTF-8 at byte offset {offset}\n")
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda v: v[0])
+@pytest.mark.parametrize(
+    "text",
+    [
+        f'{{"points": {DEEP}}}',
+        DEEP,
+        f'{{"points": [[0, 0], [1, 0], [0, 1]], "expect": {DEEP}}}',
+    ],
+    ids=["points", "array", "expect"],
+)
+def test_json_nested_too_deeply_exits_2(capsys, tmp_path, argv, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out, err) == (EXIT_PARSE, "", "error: JSON input nests too deeply\n")
+
+
+@pytest.mark.parametrize("fixture", ["quartic.json", "quartic.txt"])
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda v: v[0])
+def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, fixture, argv):
+    # some editors write UTF-8 files with one; RFC 8259 lets a JSON parser ignore it
+    path = tmp_path / fixture
+    path.write_bytes(b"\xef\xbb\xbf" + (DATA / fixture).read_bytes())
+    plain = run(capsys, argv[0], DATA / fixture, *argv[1:])
+    assert plain[0] == EXIT_OK
+    assert run(capsys, argv[0], path, *argv[1:]) == plain
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

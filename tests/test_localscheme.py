@@ -14,7 +14,6 @@ import math
 import pathlib
 import random
 import time
-import weakref
 from collections import Counter
 
 import pytest
@@ -254,7 +253,6 @@ def test_height_coordinates_read_the_one_apex_search(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(localscheme, "_apex_searches", weakref.WeakKeyDictionary())
     monkeypatch.setattr(
         localscheme, "_apex_search", counted("search", localscheme._apex_search)
     )

@@ -319,6 +319,34 @@ def test_value_classes_are_immutable_records_of_their_fields(build):
             cls(*args, **kwargs)
 
 
+def test_a_memo_is_stored_on_its_record_and_is_no_field():
+    a, b = PointConfiguration(QUARTIC), PointConfiguration(QUARTIC)
+    before = hash(a), repr(a)
+    computed = []
+    assert a.memo("_seen", lambda: computed.append("a") or "stored") == "stored"
+    assert a.memo("_seen", lambda: computed.append("again") or "again") == "stored"
+    assert computed == ["a"]
+    assert a == b and b == a
+    assert (hash(a), repr(a)) == before == (hash(b), repr(b))
+    # an equal record keeps its own memos
+    assert b.memo("_seen", lambda: "own") == "own"
+
+
+def test_a_record_hashes_its_fields_once():
+    class Counted:
+        calls = 0
+
+        def __hash__(self):
+            self.calls += 1
+            return 7
+
+    field = Counted()
+    pair = type("Pair", (Record,), {"__annotations__": {"left": object, "right": object}})(field, 1)
+    first, second = hash(pair), hash(pair)
+    assert field.calls == 1
+    assert first == second == hash((field, 1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(

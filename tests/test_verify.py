@@ -125,7 +125,6 @@ def test_relation_basis_computes_each_face_kernel_once(monkeypatch):
         kernels[m] += 1
         return kernel(m)
 
-    monkeypatch.setattr(verify, "_relation_vectors", weakref.WeakKeyDictionary())
     monkeypatch.setattr(verify, "integer_kernel_basis", counted)
     a = config(birkhoff_points())
     for face in a.faces():
@@ -133,11 +132,11 @@ def test_relation_basis_computes_each_face_kernel_once(monkeypatch):
         brute_force_cayley(a, face)
         assert relation_basis(a, face.indices) == first
     assert sum(kernels.values()) == sum(1 for face in a.faces() if face.indices)
-    # the memo holds no face, so it keeps no configuration alive
+    # the memo lives on the face, so it is freed with the configuration
     gone = weakref.ref(a)
     del a, face, first
     gc.collect()
-    assert gone() is None and not verify._relation_vectors
+    assert gone() is None
 
 
 # ---------------------------------------------------------------------------
