@@ -55,7 +55,6 @@ from .localscheme import (
 from .pointconfig import Face, PointConfiguration
 from .verify import (
     RelationBasis,
-    all_set_partitions,
     brute_force_cayley,
     relation_basis,
     relations_vanish_on,
@@ -78,7 +77,6 @@ __all__ = [
     "PointConfiguration",
     "RelationBasis",
     "UnsupportedSizeError",
-    "all_set_partitions",
     "brute_force_cayley",
     "chart_generators_reduced",
     "chart_is_smooth",

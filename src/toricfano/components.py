@@ -10,20 +10,14 @@ connectivity graph.
 
 from __future__ import annotations
 
+import sys
+from functools import cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .cayley import CayleyStructure, maximal_cayley_structures
 from .intlinalg import IntVector, is_free_semigroup
 from .pointconfig import Face, PointConfiguration, Record
-
-try:  # CPython's own SHA-256: hashlib would also load OpenSSL's _hashlib
-    from _sha2 import sha256  # 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # 3.10, 3.11
-    except ImportError:
-        from hashlib import sha256
 
 
 class FanoComponent(Record):
@@ -98,10 +92,20 @@ class ConnectivityGraph(Record):
         return len(self.connected_components()) <= 1
 
 
+@cache
+def _sha256():
+    """CPython's own SHA-256, looked up once, by the first command to name a
+    component (hashlib, kept for builds without it, also loads OpenSSL)."""
+    try:
+        return __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:
+        return __import__("hashlib").sha256
+
+
 def component_id(pi: CayleyStructure) -> str:
     """Stable identifier derived from the canonical form of the structure."""
     key = repr((pi.face.indices, pi.blocks)).encode()
-    return sha256(key).hexdigest()[:12]
+    return _sha256()(key).hexdigest()[:12]
 
 
 def component_dimension(pi: CayleyStructure, k: int) -> int:

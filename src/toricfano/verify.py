@@ -1,22 +1,18 @@
 """Independent oracles for the fast paths of the other modules.
 
 Everything here recomputes from first principles: affine relation lattices
-of faces (each face's kernel computed once, the bases passed to the plane,
-vanishing and chart-sample checks), the block-plane parametrization
-substituted into the binomial relations, exact rational sampling of chart
-parametrizations, and a search over set partitions of a face that extends
-only blocks passing the block-sum test (each distinct block tested once per
-call).  A chart is validated, and its planes' full row rank certified, once
-per call; each sampled plane is a tuple of rows of integer (numerator,
-denominator) pairs drawn per trial, and is decided by unique factorization
-of its column forms with integer cross-multiplication, never a ``Fraction``.
-Trial ``i`` of every chart reads a prefix of the one stream seeded from
-``seed`` and ``i``, its length set by the chart's parameter count, so the
-draws are memoized per (stream, length) and shared across charts: each
-chart reads exactly the values it would draw from its own generator.  A
-block plane's sides get the same block exponents exactly when the relation
-sums to zero on every block, so that test runs before the characters.
-The tests hold the fast paths to agreement with these.
+of faces (each face's kernel computed once), planes of chart
+parametrizations sampled at exact rationals, and a search over set
+partitions of a face that extends only blocks passing the block-sum test
+(each distinct block tested once per call).  Both plane checks, of block
+planes and of chart samples, build their planes through one path and test
+each against the relations of its own face, the face its nonzero columns
+span: off that face's torus a lattice basis decides nothing (see
+``relations_vanish_on``).  A chart is validated once per call; its sampled
+planes hold integer (numerator, denominator) pairs, never a ``Fraction``,
+and trial ``i`` of every chart reads a prefix of one memoized stream seeded
+from ``seed`` and ``i``.  The tests hold the fast paths to agreement with
+these.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from .intlinalg import (
 from .pointconfig import Face, PointConfiguration, Record
 
 BRUTE_FORCE_MAX_POINTS = 12
-SWEEP_MAX_POINTS = 7  # the verify command's sweep over every set partition
 _SAMPLE_RANGE = 97
 _DRAWS_MEMO_SIZE = 1_024  # trial streams kept per process; bounded for library loops over seeds
 
@@ -75,59 +70,23 @@ def relation_basis(a: PointConfiguration, tau: "Face | Sequence[int]") -> Relati
     return RelationBasis(face=face, vectors=vectors)
 
 
-def _substituted_sides(
-    pi: CayleyStructure, relation: Sequence[int]
-) -> tuple[tuple, tuple]:
-    """Both sides of the binomial relation after the block substitution.
-
-    Each point variable becomes (character for point - block representative)
-    times the variable of its block; a side is summarized by its total
-    character exponent and its block-exponent vector.
-    """
-    face = pi.face
-    d = face.config.ambient_dim
-    block_of = pi.block_of
-    reps = [face.config.points[b[0]] for b in pi.blocks]
-    sides = []
-    for sign in (1, -1):
-        char = [0] * d
-        block_exp = [0] * len(pi.blocks)
-        for pos, idx in enumerate(face.indices):
-            mult = relation[pos] * sign
-            if mult <= 0:
-                continue
-            b = block_of[idx]
-            p = face.config.points[idx]
-            for t in range(d):
-                char[t] += mult * (p[t] - reps[b][t])
-            block_exp[b] += mult
-        sides.append((tuple(char), tuple(block_exp)))
-    return sides[0], sides[1]
-
-
 def verify_cayley_plane(relations: RelationBasis, pi: CayleyStructure) -> bool:
     """Whether the block plane of the partition lies on the toric variety.
 
-    Substitutes the plane's parametrization into each binomial relation of
-    ``relations``, the partition's face's basis, and demands formal equality.
-    Checking a basis of the face's relation lattice suffices: both side
-    summaries are additive in the relation vector.  Relations of the full
-    configuration with support off the face vanish identically on the
-    plane — the face witness forces every such relation to touch the
-    complement on both sides, where all plane coordinates are zero.
+    The block plane has one row per block, holding each point's character
+    from its block's first point: the chart plane whose transversal and
+    ``sigma`` are the blocks' first points.  It is built at the torus point
+    of trial 0 of seed 0, as ``verify_chart_sample`` draws it, and decided
+    by ``relations_vanish_on`` against ``relations``, the basis of the
+    partition's face.  The point does not change the verdict: the torus
+    moves the block plane at one point onto the block plane at any other
+    (scaling a row changes no plane), and it maps the variety onto itself.
     """
     if relations.face != pi.face:
         raise ValueError("relation basis belongs to a different face")
-    # the sides' block-exponent vectors agree exactly when the relation sums
-    # to zero on every block, a test far cheaper than the characters
-    position = {idx: pos for pos, idx in enumerate(pi.face.indices)}
-    if not all(_block_sums_to_zero(relations.vectors, position, block) for block in pi.blocks):
-        return False
-    for vec in relations.vectors:
-        lhs, rhs = _substituted_sides(pi, vec)
-        if lhs != rhs:
-            return False
-    return True
+    heads = tuple(b[0] for b in pi.blocks)
+    build = _chart_plane_builder(pi, heads, heads)
+    return relations_vanish_on(relations, build(_trial_pairs(0, 0, pi.config.ambient_dim), {}))
 
 
 def _chart_plane_builder(pi: CayleyStructure, sigma_tilde: Sequence[int], sigma: Sequence[int]):
@@ -184,31 +143,41 @@ def _chart_plane_builder(pi: CayleyStructure, sigma_tilde: Sequence[int], sigma:
 def relations_vanish_on(
     relations: RelationBasis, plane: Sequence[Sequence[tuple[int, int]]]
 ) -> bool:
-    """Whether every relation of the full configuration's basis is identically
-    zero on the plane, as a polynomial in the spanning coefficients.
+    """Whether the plane lies on the toric variety with support exactly the
+    face of ``relations``: its nonzero columns are the face's points, and
+    every relation of the face's basis is identically zero on them, as a
+    polynomial in the spanning coefficients.
 
     The plane holds one row per spanning point, and each row one exact entry
     per configuration point, as an integer (numerator, denominator) pair with
     a positive denominator; any other entry, or a row of another length, is a
     ``ValueError`` naming it.
 
-    Column c is a linear form F_c in the row variables y; relation u
-    vanishes when the products of F_c^(u_c) over u_c > 0 and of F_c^(-u_c)
-    over u_c < 0 are equal.  A side with a zero column is zero; any other is
-    (product of lead_c^m) times the product of the F_c / lead_c, lead_c being
-    F_c's first nonzero entry.  Two such sides are equal exactly when their
-    scalars and multisets of normalized forms are: Q[y] is a unique
-    factorization domain, a nonzero linear form is irreducible, two are
-    associates exactly when proportional, and the lead picks one per class.
-    In the plane's integer pairs, with lead p/q, the entry n/d of F_c / lead_c
-    is (n q)/(d p); cut by the gcd to a positive denominator it is the one
-    such pair of its value, so these pairs key the normalized forms.  A side's
-    scalar is a pair N/D with D > 0 (0/1 for a zero side, with no forms), so
-    two scalars are equal exactly when N1 D2 = N2 D1.
+    A point lies on the variety exactly when its support is a face and it
+    satisfies the binomials of that face's relation lattice; the plane does
+    exactly when its generic point, the combination of its rows by
+    variables y, does.  That point's support is the plane's nonzero columns;
+    when these are the face's points, it lies on the face's torus, where a
+    lattice basis suffices: column c of the face is a nonzero linear form
+    F_c in y, a unit of Q(y), and u -> product of F_c^(u_c) is a group
+    homomorphism from the lattice to the units, trivial on the lattice
+    exactly when it is on a basis.  So the verdict does not depend on which
+    basis of the face's lattice is given.  Off the torus a basis decides
+    nothing, which is why the support must be the basis's own face.
+
+    Relation u vanishes when the products of F_c^(u_c) over u_c > 0 and of
+    F_c^(-u_c) over u_c < 0 are equal.  Each side is (product of lead_c^m)
+    times the product of the F_c / lead_c, lead_c being F_c's first nonzero
+    entry.  Two such sides are equal exactly when their scalars and multisets
+    of normalized forms are: Q[y] is a unique factorization domain, a nonzero
+    linear form is irreducible, two are associates exactly when proportional,
+    and the lead picks one per class.  In the plane's integer pairs, with
+    lead p/q, the entry n/d of F_c / lead_c is (n q)/(d p); cut by the gcd to
+    a positive denominator it is the one such pair of its value, so these
+    pairs key the normalized forms.  A side's scalar is a pair N/D with
+    D > 0, so two scalars are equal exactly when N1 D2 = N2 D1.
     """
     a = relations.face.config
-    if len(relations.face.indices) != len(a.points):
-        raise ValueError("relation basis must be the full configuration's")
     for r, row in enumerate(plane):
         if len(row) != len(a.points):
             raise ValueError(f"plane row {r} has {len(row)} entries, not one per point")
@@ -225,8 +194,8 @@ def relations_vanish_on(
                     " with a positive denominator"
                 )
     ids: dict[tuple, int] = {}  # F_c / lead_c, by its nonzero entries -> its id
-    forms = []  # per column: None if zero, else (p, q, id of F_c / lead_c)
-    for column in zip(*plane):
+    forms = {}  # per nonzero column c: (p, q, id of F_c / lead_c)
+    for c, column in enumerate(zip(*plane)):
         key = None  # F_c / lead_c's nonzero entries, once the lead p/q is found
         for r, (n, d) in enumerate(column):
             if not n:
@@ -237,31 +206,24 @@ def relations_vanish_on(
             else:
                 g = unit * gcd(n * q, d * p)
                 key.append((r, n * q // g, d * p // g))
-        forms.append(None if key is None else (p, q, ids.setdefault(tuple(key), len(ids))))
+        if key is not None:
+            forms[c] = (p, q, ids.setdefault(tuple(key), len(ids)))
+    if tuple(forms) != relations.face.indices:  # the support is not the face
+        return False
 
     def vanishes(vec) -> bool:
         # N1 D2 and N2 D1, each side's scalar being N/D, and per normalized
         # form its exponent on the left minus its exponent on the right
         lhs = rhs = 1
         exponents: dict[int, int] = {}
-        zero_left = zero_right = False
-        for form, m in zip(forms, vec):
+        for (p, q, form_id), m in zip(forms.values(), vec):
             if not m:
                 continue
-            if form is None:
-                if m > 0:
-                    zero_left = True
-                else:
-                    zero_right = True
-                continue
-            p, q, form_id = form
             if m > 0:
                 lhs, rhs = lhs * p**m, rhs * q**m
             else:
                 lhs, rhs = lhs * q**-m, rhs * p**-m
             exponents[form_id] = exponents.get(form_id, 0) + m
-        if zero_left or zero_right:
-            return zero_left and zero_right
         return lhs == rhs and not any(exponents.values())
 
     return all(map(vanishes, relations.vectors))
@@ -279,24 +241,31 @@ def verify_chart_sample(
 
     Draws ``trials`` pseudo-random rational specializations of the torus
     and coefficient parameters (numerators and denominators up to 97) and
-    checks every relation of ``relations`` (the full configuration's basis)
-    vanishes identically on the plane.  Trial ``i`` seeds its own generator
-    from ``seed`` and ``i``, so runs are reproducible and order-independent,
-    and every chart's trial ``i`` reads a prefix of the same memoized draws.
+    decides each plane by ``relations_vanish_on`` against ``relations``, the
+    basis of the structure's face, which every chart plane has as its
+    support.  Trial ``i`` seeds its own generator from ``seed`` and ``i``, so
+    runs are reproducible and order-independent, and every chart's trial
+    ``i`` reads a prefix of the same memoized draws.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if relations.face.config != pi.config:
-        raise ValueError("relation basis belongs to a different configuration")
+    if relations.face != pi.face:
+        raise ValueError("relation basis belongs to a different face")
     build = _chart_plane_builder(pi, sigma_tilde, sigma)
     dim, s = pi.config.ambient_dim, tuple(sorted(sigma))
     keys = [(v, w) for v in s for w in sorted(sigma_tilde) if w not in s]
     for trial in range(trials):
-        draws = iter(_sample_draws(seed * 1_000_003 + trial, 2 * (dim + len(keys))))
-        pairs = list(zip(draws, draws))  # numerator, then denominator
+        pairs = _trial_pairs(seed, trial, dim + len(keys))
         if not relations_vanish_on(relations, build(pairs[:dim], dict(zip(keys, pairs[dim:])))):
             return False
     return True
+
+
+def _trial_pairs(seed: int, trial: int, count: int) -> list[tuple[int, int]]:
+    """The first ``count`` (numerator, denominator) pairs of the trial's stream,
+    each numerator drawn before its denominator."""
+    draws = iter(_sample_draws(seed * 1_000_003 + trial, 2 * count))
+    return list(zip(draws, draws))
 
 
 @lru_cache(maxsize=_DRAWS_MEMO_SIZE)
@@ -311,18 +280,6 @@ def _sample_draws(seed: int, count: int) -> tuple[int, ...]:
         if (r := bits(width)) < _SAMPLE_RANGE:
             draws.append(1 + r)
     return tuple(draws)
-
-
-def all_set_partitions(items: Sequence[int]):
-    """Every partition of the items into unordered nonempty blocks."""
-    if not items:
-        yield []
-        return
-    first = items[0]
-    for part in all_set_partitions(items[1:]):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1 :]
-        yield [[first]] + part
 
 
 def brute_force_cayley(

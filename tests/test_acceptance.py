@@ -50,7 +50,7 @@ from toricfano.intlinalg import (
     is_free_semigroup,
     rational_solve,
 )
-from toricfano.verify import BRUTE_FORCE_MAX_POINTS, all_set_partitions, relation_basis
+from toricfano.verify import BRUTE_FORCE_MAX_POINTS, relation_basis
 
 from test_intlinalg import (
     affine_unimodular_equivalent,
@@ -63,6 +63,7 @@ from test_intlinalg import (
 )
 from test_localscheme import FIVE, FOUR, STEEP, oracle_ideal
 from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
+from test_verify import all_set_partitions
 
 TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 SEGMENT = [(0,), (1,), (3,)]
@@ -444,7 +445,6 @@ def test_fano_scheme_properties(points):
                 a, pi1, pi2, k
             )
 
-    full = relation_basis(a, range(len(a.points)))
     for k in range(1, a.dimension + 1):
         smooth_at = {f: a.is_smooth_at(f) for f in a.fixed_point_faces(k)}
         # the pruned search inside is_smooth_at answers as the full search
@@ -457,12 +457,13 @@ def test_fano_scheme_properties(points):
             heads = canonical_transversal(pi)
             # the family of planes lies on the variety: formal check plus
             # random specialization of the chart parametrization
-            assert verify_cayley_plane(relation_basis(a, pi.face), pi)
+            relations = relation_basis(a, pi.face)
+            assert verify_cayley_plane(relations, pi)
             for size in sorted({k + 1, pi.l + 1}):
                 chart = chart_semigroup(pi, heads, heads[:size])
                 expected = pi.face.dim - pi.l + size * (pi.l - size + 1)
                 assert matrix_rank(chart_generators_reduced(chart)) == expected
-                assert verify_chart_sample(full, pi, heads, heads[:size], trials=25, seed=0)
+                assert verify_chart_sample(relations, pi, heads, heads[:size], trials=25, seed=0)
             # fixed-point charts are pointed, have the component's dimension,
             # and are smooth whenever the configuration is smooth at every
             # empty-simplex face

@@ -315,9 +315,9 @@ def test_verify_builds_each_relation_basis_once_per_run(capsys, monkeypatch):
     assert all(n <= 2 for n in bases.values()), bases
 
 
-def test_verify_sweeps_partitions_against_its_own_enumeration(capsys, monkeypatch):
-    # the partition sweep tests each partition's structure against the
-    # structures the run enumerated, not through is_cayley_structure
+def test_verify_asks_no_is_cayley_structure(capsys, monkeypatch):
+    # the oracles build their structures from the run's own enumeration and
+    # the brute-force search, never through is_cayley_structure: 471 for B_3
     calls = Counter()
     init, is_cayley_structure = cayley.CayleyStructure.__init__, cayley.is_cayley_structure
 
@@ -336,7 +336,7 @@ def test_verify_sweeps_partitions_against_its_own_enumeration(capsys, monkeypatc
     code, _, _ = run(capsys, "verify", DATA / "birkhoff.json")
     assert code == EXIT_OK
     assert calls["is_cayley_structure"] == 0
-    assert calls["CayleyStructure"] <= 935, calls
+    assert calls["CayleyStructure"] <= 471, calls
 
 
 def test_verify_samples_each_chart_once(capsys, monkeypatch):
@@ -470,7 +470,6 @@ def test_verify_square_passes(capsys):
         "relation_basis_valid",
         "brute_force_matches_fast",
         "cayley_planes_on_variety",
-        "partition_rejection_sound",
         "chart_samples_on_variety",
     } <= names
     assert all(c["pass"] for c in report["checks"])
@@ -504,16 +503,36 @@ def test_verify_corrupted_expectation_fails(capsys):
     assert "expected 3, found 2" in failing[0]["detail"]
 
 
+def test_verify_names_a_non_cayley_chart_among_the_maximal_structures(capsys, monkeypatch, tmp_path):
+    # a maximality that lets the non-Cayley blocks ((1,), (3, 7)) of r12x5(8)'s
+    # face (1, 3, 7) through: their plane satisfies every relation of the full
+    # configuration's basis, but not its face's, which verify tests it against
+    from test_verify import random_configuration
+
+    path = tmp_path / "r12x5-8.txt"
+    path.write_text("\n".join(" ".join(map(str, p)) for p in random_configuration(12, 5, 8).points))
+    maximal = cli.maximal_cayley_structures
+
+    def leaky(a, k):
+        witness = cayley.CayleyStructure(a.face_from_indices((1, 3, 7)), [(1,), (3, 7)])
+        return maximal(a, k) + ((witness,) if k == 1 else ())
+
+    monkeypatch.setattr(cli, "maximal_cayley_structures", leaky)
+    code, report, _ = run_json(capsys, "verify", path, "--trials", "1")
+    assert code == EXIT_VERIFY_FAILED
+    failing = {c["name"]: c["detail"] for c in report["checks"] if not c["pass"]}
+    assert failing == {"chart_samples_on_variety": "k=1, blocks ((1,), (3, 7)), sigma (1, 3)"}
+
+
 def test_verify_counts_the_faces_a_passing_check_skipped(capsys, tmp_path):
-    # 13 points on a line: the full face exceeds the brute-force cap (12) and
-    # the partition sweep cap (7); every other face is checked by both
+    # 13 points on a line: the full face exceeds the brute-force cap (12);
+    # every other face is checked
     path = tmp_path / "line13.txt"
     path.write_text("\n".join(str(i) for i in range(13)))
     code, report, _ = run_json(capsys, "verify", path, "--trials", "1")
     assert code == EXIT_OK
     details = {c["name"]: c["detail"] for c in report["checks"] if c["pass"]}
     assert details["brute_force_matches_fast"] == "faces of more than 12 points not checked: 1"
-    assert details["partition_rejection_sound"] == "faces of more than 7 points not checked: 1"
     assert details["cayley_planes_on_variety"] is None
     # nothing skipped, nothing said
     code, report, _ = run_json(capsys, "verify", DATA / "five.json", "--trials", "1")
@@ -816,6 +835,48 @@ def test_json_nested_too_deeply_exits_2(capsys, tmp_path, argv, text):
     assert (code, out, err) == (EXIT_PARSE, "", "error: JSON input nests too deeply\n")
 
 
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda v: v[0])
+def test_a_json_array_at_the_top_level_exits_2(capsys, tmp_path, argv):
+    # JSON, so not text rows, and not an object holding "points"
+    path = tmp_path / "array.json"
+    path.write_text("[[0, 0], [1, 0], [0, 1]]")
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out, err) == (EXIT_PARSE, "", 'error: JSON input must be an object with "points"\n')
+
+
+def test_a_bare_integer_is_a_one_point_text_input(capsys, tmp_path):
+    # "7" is also a JSON document, but only an object is read as JSON input
+    path = tmp_path / "one.txt"
+    path.write_text("7\n")
+    code, report, _ = run_json(capsys, "analyze", path)
+    assert code == EXIT_OK
+    assert report["input"]["points"] == [[7]]
+
+
+NESTED_980 = "[" * 980 + "]" * 980  # just inside what json.loads parses
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f'{{"points": [[0, 0], [1, 0], [0, 1]], "expect": {{"dimension": {NESTED_980}}}}}',
+        f'{{"points": [[0, 0], [1, 0], [0, 1]], "expect": {{"{"k" * 5_000}": 1}}}}',
+        f'{{"points": [[0, {NESTED_980}], [1, 0], [0, 1]]}}',
+        f"0 0\n1 {'x' * 5_000}\n0 1\n",
+    ],
+    ids=["expect-value", "expect-key", "coordinate", "text-row"],
+)
+def test_an_error_naming_a_rejected_value_is_one_short_line(tmp_path, text):
+    # in a fresh interpreter, as the command runs: a deep test stack would
+    # stop json.loads at a lower depth
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    child = _child("-m", "toricfano.cli", "verify", str(path), text=True)
+    assert (child.returncode, child.stdout) == (EXIT_PARSE, "")
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+    assert len(child.stderr) <= 120, child.stderr
+
+
 @pytest.mark.parametrize("fixture", ["quartic.json", "quartic.txt"])
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda v: v[0])
 def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, fixture, argv):
@@ -1013,8 +1074,9 @@ def test_importing_the_command_line_loads_no_dataclasses_or_inspect():
 
 
 def test_mult_loads_neither_hashlib_nor_fractions():
-    # only component ids hash, and only the Fraction reference rational_solve
-    # makes a Fraction: verify's sampled planes are integer pairs
+    # only component ids hash, and they import their SHA-256 module when first
+    # called; only the Fraction reference rational_solve makes a Fraction:
+    # verify's sampled planes are integer pairs
     for argv in (
         ["mult", "tests/data/five.json", "--sigma", "0,1"],
         ["verify", "tests/data/five.json"],
@@ -1023,7 +1085,7 @@ def test_mult_loads_neither_hashlib_nor_fractions():
             "import contextlib, io, sys; from toricfano.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = main({argv!r})\n"
-            "print(code, sorted({'hashlib', 'fractions'} & set(sys.modules)))"
+            "print(code, sorted({'hashlib', '_sha2', '_sha256', 'fractions'} & set(sys.modules)))"
         )
         child = _child("-c", code, text=True)
         assert child.returncode == 0, child.stderr

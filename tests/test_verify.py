@@ -30,8 +30,6 @@ from toricfano.verify import (
     relations_vanish_on,
     verify_cayley_plane,
     verify_chart_sample,
-    all_set_partitions,
-    _substituted_sides,
 )
 
 from test_intlinalg import matrix_rank
@@ -57,6 +55,18 @@ def as_fractions(plane):
     """The plane's entries as ``Fraction``s: its pairs are not reduced, so
     two planes are the same exactly when these are equal."""
     return tuple(tuple(Fraction(n, d) for n, d in row) for row in plane)
+
+
+def all_set_partitions(items):
+    """Every partition of the items into unordered nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for part in all_set_partitions(items[1:]):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [first]] + part[i + 1 :]
+        yield [[first]] + part
 
 
 def full_face(a):
@@ -201,10 +211,10 @@ def seeded_configurations():
         yield config(sorted(points))
 
 
-def test_plane_check_is_the_comparison_of_substituted_sides():
-    # the block-sum test decides only what the block exponents would: on every
-    # set partition of every face of at most seven points, the verdict is the
-    # side comparison of every basis relation
+def test_plane_check_is_the_block_sum_test_of_its_face():
+    # on a genuine basis the characters agree once the blocks balance: on every
+    # set partition of every face of at most seven points, the verdict is
+    # whether each block sums to zero in every relation of the face's basis
     outcomes = Counter()
     fixtures = [
         config(json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))["points"])
@@ -215,9 +225,10 @@ def test_plane_check_is_the_comparison_of_substituted_sides():
             if not face.indices or len(face.indices) > 7:
                 continue
             basis = relation_basis(a, face)
+            position = {idx: pos for pos, idx in enumerate(face.indices)}
             for part in all_set_partitions(list(face.indices)):
+                expected = all(verify._block_sums_to_zero(basis.vectors, position, b) for b in part)
                 pi = CayleyStructure(face, part)
-                expected = all(l == r for l, r in (_substituted_sides(pi, u) for u in basis.vectors))
                 assert verify_cayley_plane(basis, pi) == expected, (a.points, part)
                 outcomes[expected] += 1
     assert outcomes[True] >= 100 and outcomes[False] >= 1_000, outcomes
@@ -229,30 +240,6 @@ def test_plane_check_compares_characters_where_the_blocks_balance():
     a = config(QUARTIC)
     not_a_relation = RelationBasis(face=full_face(a), vectors=((1, -1, 0, 0),))
     assert not verify_cayley_plane(not_a_relation, quartic_vertical(a))
-
-
-def test_side_summaries_additive_beyond_basis():
-    # Checking a lattice basis suffices: random integer combinations of
-    # basis relations still balance on both sides for valid structures.
-    rng = random.Random(1729)
-    for pts in (QUARTIC, FIVE, birkhoff_points()):
-        a = config(pts)
-        face = full_face(a)
-        basis = relation_basis(a, face).vectors
-        if not basis:
-            continue
-        structures = enumerate_cayley_structures(face, 1)
-        for _ in range(20):
-            combo = [0] * len(face.indices)
-            while not any(combo):
-                weights = [rng.randint(-3, 3) for _ in basis]
-                combo = [
-                    sum(w * vec[i] for w, vec in zip(weights, basis))
-                    for i in range(len(face.indices))
-                ]
-            for pi in structures:
-                lhs, rhs = _substituted_sides(pi, combo)
-                assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +280,99 @@ def test_chart_sample_torus_translates():
     assert verify_chart_sample(full_basis(b), pi, (0, 2), (0, 2), trials=10, seed=1)
 
 
+def random_configuration(n, d, seed):
+    """``n`` distinct points of {0..3}^d drawn from ``random.Random(seed)``, sorted."""
+    rng, points = random.Random(seed), set()
+    while len(points) < n:
+        points.add(tuple(rng.randint(0, 3) for _ in range(d)))
+    return config(sorted(points))
+
+
+# non-Cayley partitions of a face whose planes satisfy every relation of a
+# basis of the full configuration's lattice: (configuration, face, blocks)
+NON_CAYLEY_WITNESSES = {
+    # a unit square at height 0 under (0,0,1) and (1,1,1), split along its
+    # diagonals; the basis (2,-1,-1,0,-1,1), (1,0,0,-1,-1,1) passes it
+    "six points": (
+        config([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)]),
+        (0, 1, 2, 3),
+        [(0, 3), (1, 2)],
+    ),
+    "r12x5(8)": (random_configuration(12, 5, 8), (1, 3, 7), [(1,), (3, 7)]),
+}
+
+
+@pytest.mark.parametrize("witness", NON_CAYLEY_WITNESSES.values(), ids=NON_CAYLEY_WITNESSES.keys())
+def test_non_cayley_witnesses_fail_against_their_face_basis(witness):
+    # a basis vector of the full configuration that leaves the face on both
+    # sides vanishes on the plane, testing nothing; the face's own basis decides
+    a, indices, blocks = witness
+    face = a.face_from_indices(indices)
+    pi = CayleyStructure(face, blocks)
+    assert not is_cayley_structure(face, blocks)
+    heads = tuple(b[0] for b in pi.blocks)
+    relations = relation_basis(a, face)
+    assert not verify_chart_sample(relations, pi, heads, heads, trials=25, seed=0)
+    assert not verify_cayley_plane(relations, pi)
+
+
+def changed_basis(basis, rng):
+    """The basis under a seeded unimodular change: elementary row additions and sign flips."""
+    rows = [list(v) for v in basis.vectors]
+    for _ in range(3 * len(rows)):
+        if len(rows) > 1:
+            i, j = rng.sample(range(len(rows)), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        k = rng.randrange(len(rows))
+        rows[k] = [-x for x in rows[k]]
+    return RelationBasis(face=basis.face, vectors=tuple(map(tuple, rows)))
+
+
+def test_plane_verdicts_do_not_depend_on_the_face_basis():
+    # every maximal chart of the fixtures and of r12x5(1..8), and every
+    # non-Cayley two-block partition of a proper face of r12x5(s) with
+    # relations, under a unimodular change of its face's basis; a lattice
+    # basis decides membership on the face's torus, and a chart plane's
+    # support is its face
+    rng = random.Random(12)
+    fixtures = [
+        config(json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))["points"])
+        for name in ("birkhoff", "five", "quartic", "square", "triangle")
+    ]
+    samples = [*fixtures, *(random_configuration(12, 5, s) for s in range(1, 9))]
+    outcomes = Counter()
+    for a in samples:
+        charts = []
+        for k in range(1, a.dimension + 1):
+            for pi in maximal_cayley_structures(a, k):
+                heads = tuple(b[0] for b in pi.blocks)
+                charts.append((pi, heads, heads[: k + 1]))
+        for face in a.faces():
+            if len(face.indices) == len(a.points) or not relation_basis(a, face).vectors:
+                continue
+            first, rest = face.indices[0], face.indices[1:]
+            for size in range(len(rest)):
+                for chosen in combinations(rest, size):
+                    part = [(first, *chosen), tuple(i for i in rest if i not in chosen)]
+                    if not is_cayley_structure(face, part):
+                        heads = (first, part[1][0])
+                        charts.append((CayleyStructure(face, part), heads, heads))
+        for pi, sigma_tilde, sigma in charts:
+            basis = relation_basis(a, pi.face)
+            if not basis.vectors:  # the empty basis is the face's only one
+                continue
+            other = changed_basis(basis, rng)
+            verdict = verify_chart_sample(basis, pi, sigma_tilde, sigma, trials=3, seed=0)
+            assert verify_chart_sample(other, pi, sigma_tilde, sigma, trials=3, seed=0) == verdict
+            is_cayley = is_cayley_structure(pi.face, pi.blocks)
+            assert verify_cayley_plane(other, pi) == verify_cayley_plane(basis, pi) == is_cayley
+            outcomes[verdict, pi in a.cayley_poset.maximal] += 1
+    # no maximal chart fails, and every non-Cayley partition does
+    assert set(outcomes) == {(True, True), (False, False)}, outcomes
+    assert outcomes[True, True] >= 50 and outcomes[False, False] >= 1_000, outcomes
+
+
 def test_chart_sample_deterministic_per_seed():
     a = config(QUARTIC)
     pi = quartic_vertical(a)
@@ -313,8 +393,8 @@ def test_specialized_plane_shape_and_rank():
     assert matrix[0][1] == Fraction(5, 7)
     assert matrix[1][3] == Fraction(5, 7) ** 2
     assert relations_vanish_on(relation_basis(a, full_face(a)), plane)
-    with pytest.raises(ValueError):  # the basis of a proper face does not fit
-        relations_vanish_on(relation_basis(a, (0, 1)), plane)
+    # the plane's support is the full face, so it is not a plane of face (0, 1)
+    assert not relations_vanish_on(relation_basis(a, (0, 1)), plane)
 
 
 def test_corrupted_chart_detected():
@@ -350,9 +430,9 @@ def test_chart_sample_rejects_a_foreign_or_partial_basis():
     pi = CayleyStructure(full_face(a), [(0, 3), (1, 4), (2, 5)])
     # the same structure over B_3 with its first coordinate doubled
     doubled = config([(2 * p[0],) + tuple(p[1:]) for p in birkhoff_points()])
-    with pytest.raises(ValueError, match="configuration"):
+    with pytest.raises(ValueError, match="different face"):
         verify_chart_sample(full_basis(doubled), pi, (1, 2, 3), (1, 2, 3), trials=1)
-    with pytest.raises(ValueError, match="full configuration"):
+    with pytest.raises(ValueError, match="different face"):
         verify_chart_sample(relation_basis(a, (0, 1)), pi, (1, 2, 3), (1, 2, 3), trials=1)
 
 
@@ -538,11 +618,15 @@ def _column_form(plane, col: int) -> dict:
 
 
 def expanded_relations_vanish(relations: RelationBasis, plane) -> bool:
-    """Reference for ``relations_vanish_on``: expand both sides of every
-    relation as polynomials in the row variables and compare."""
+    """Reference for ``relations_vanish_on``: the plane's nonzero columns are
+    the face's points, and both sides of every relation, expanded as
+    polynomials in the row variables, are equal."""
     nrows = len(plane)
+    support = tuple(col for col in range(len(plane[0])) if any(row[col][0] for row in plane))
+    if support != relations.face.indices:
+        return False
     one = {(0,) * nrows: Fraction(1)}
-    forms = [_column_form(plane, col) for col in range(len(relations.face.indices))]
+    forms = [_column_form(plane, col) for col in relations.face.indices]
     for vec in relations.vectors:
         lhs, rhs = one, one
         for col, mult in enumerate(vec):
@@ -576,6 +660,35 @@ def random_plane(rng: random.Random, ncols: int):
             columns.append([scale * (r == row) for r in range(nrows)])
         else:
             columns.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nrows)])
+    return as_plane(columns, nrows)
+
+
+def orbit_plane(rng: random.Random, points):
+    """A seeded plane whose column for each point is that point's character at
+    a random torus point times one of a few nonzero shared forms: it lies on
+    the variety when every relation sums to zero over the points sharing a
+    form, unless two forms are proportional; half of the draws then double
+    one column.  None when the draw is rank deficient."""
+    nrows = rng.randint(1, 3)
+    shared, count = [], rng.randint(1, 3)
+    while len(shared) < count:
+        form = [rng.randint(-2, 2) for _ in range(nrows)]
+        if any(form):
+            shared.append(form)
+    torus = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in points[0]]
+    columns = []
+    for p in points:
+        char = math.prod(x**e for x, e in zip(torus, p))
+        columns.append([char * x for x in rng.choice(shared)])
+    if rng.random() < 0.5:
+        col = rng.randrange(len(columns))
+        columns[col] = [2 * x for x in columns[col]]
+    return as_plane(columns, nrows)
+
+
+def as_plane(columns, nrows):
+    """The columns as rows of (numerator, denominator) pairs; None when they
+    span fewer than ``nrows`` dimensions."""
     rows = [[Fraction(x) for x in row] for row in zip(*columns)]
     scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
     if matrix_rank([[int(x * c) for x in row] for row, c in zip(rows, scales)]) < nrows:
@@ -590,12 +703,12 @@ def test_factorization_matches_expansion_on_random_planes():
         a = config(pts)
         relations = full_basis(a)
         for _ in range(400):
-            plane = random_plane(rng, len(a.points))
-            if plane is None:
-                continue
-            expected = expanded_relations_vanish(relations, plane)
-            assert relations_vanish_on(relations, plane) == expected, (pts, plane)
-            outcomes[expected] += 1
+            for plane in (random_plane(rng, len(a.points)), orbit_plane(rng, a.points)):
+                if plane is None:
+                    continue
+                expected = expanded_relations_vanish(relations, plane)
+                assert relations_vanish_on(relations, plane) == expected, (pts, plane)
+                outcomes[expected] += 1
     assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
 
 
@@ -672,7 +785,7 @@ def test_chart_sample_matches_the_expanded_reference_on_the_fixtures():
     outcomes = Counter()
     for name in ("birkhoff", "five", "quartic", "square", "triangle"):
         a = config(json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))["points"])
-        face, relations = full_face(a), full_basis(a)
+        face = full_face(a)
         charts = [
             (pi, k + 1) for k in range(1, a.dimension + 1) for pi in maximal_cayley_structures(a, k)
         ]
@@ -683,7 +796,7 @@ def test_chart_sample_matches_the_expanded_reference_on_the_fixtures():
             if len(part) > 1 and not is_cayley_structure(face, part):
                 charts.append((CayleyStructure(face, part), rng.randint(1, len(part))))
         for pi, size in charts:
-            heads = tuple(b[0] for b in pi.blocks)
+            heads, relations = tuple(b[0] for b in pi.blocks), relation_basis(a, pi.face)
             for seed in (0, 1, 2):
                 expected = reference_chart_sample(relations, pi, heads, heads[:size], 25, seed)
                 got = verify_chart_sample(relations, pi, heads, heads[:size], trials=25, seed=seed)
