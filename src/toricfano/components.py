@@ -13,10 +13,10 @@ from __future__ import annotations
 import sys
 from functools import cache
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cayley import CayleyStructure, maximal_cayley_structures
-from .intlinalg import IntVector, is_free_semigroup
+from .intlinalg import IntVector, _dot, is_free_semigroup
 from .pointconfig import Face, PointConfiguration, Record
 
 
@@ -171,6 +171,24 @@ def components(a: PointConfiguration, k: int) -> tuple[FanoComponent, ...]:
     )
 
 
+def _chart_data(
+    pi: CayleyStructure, sigma_tilde: Iterable[int], sigma: Iterable[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``sigma_tilde`` and ``sigma`` sorted, once they are checked to be chart
+    data of ``pi`` (see ``chart_semigroup``); ValueError otherwise."""
+    st = tuple(sorted(set(sigma_tilde)))
+    s = tuple(sorted(set(sigma)))
+    if not set(st) <= set(pi.face.indices):
+        raise ValueError("sigma_tilde must consist of points of the structure's face")
+    if len(st) != pi.l + 1 or len({pi.block_of[i] for i in st}) != pi.l + 1:
+        raise ValueError("sigma_tilde must pick exactly one point from each block")
+    if not set(s) <= set(st):
+        raise ValueError("sigma must be a subset of sigma_tilde")
+    if not s:
+        raise ValueError("sigma must be nonempty")
+    return st, s
+
+
 def chart_semigroup(
     pi: CayleyStructure, sigma_tilde: Iterable[int], sigma: Iterable[int]
 ) -> ChartSemigroup:
@@ -185,17 +203,7 @@ def chart_semigroup(
     the pair ``(v, lam(u))``.
     """
     config = pi.config
-    st = tuple(sorted(set(sigma_tilde)))
-    s = tuple(sorted(set(sigma)))
-    face_set = set(pi.face.indices)
-    if not set(st) <= face_set:
-        raise ValueError("sigma_tilde must consist of points of the structure's face")
-    if len(st) != pi.l + 1 or len({pi.block_of[i] for i in st}) != pi.l + 1:
-        raise ValueError("sigma_tilde must pick exactly one point from each block")
-    if not set(s) <= set(st):
-        raise ValueError("sigma must be a subset of sigma_tilde")
-    if not s:
-        raise ValueError("sigma must be nonempty")
+    st, s = _chart_data(pi, sigma_tilde, sigma)
     rep_of_block = {pi.block_of[i]: i for i in st}
     outside = tuple(w for w in st if w not in set(s))
     pair_index = {(v, w): n for n, (v, w) in enumerate(product(s, outside))}
@@ -252,13 +260,41 @@ def chart_is_smooth(c: ChartSemigroup) -> bool:
     and generates a direct summand of the ambient lattice.  The answer
     depends only on the reduced generators, and many charts of one
     configuration share them, so each distinct set is decided once per
-    configuration.
+    configuration, graded by ``_chart_grading``.
     """
     gens = chart_generators_reduced(c)
     known = c.pi.config.memo("_free_charts", dict)
     if gens not in known:
-        known[gens] = is_free_semigroup(gens)
+        known[gens] = is_free_semigroup(gens, _chart_grading(c, gens))
     return known[gens]
+
+
+def _chart_grading(c: ChartSemigroup, gens: Sequence[IntVector]) -> Optional[list[int]]:
+    """Degrees of the reduced generators ``gens`` of a chart at a face.
+
+    When ``sigma`` is the index set of a face with witness ``w`` and offset
+    ``t``, ``phi(x, e) = w . x + M * sum(e)`` with ``M = 1 + max_p(w . p) - t``
+    is positive on every nonzero generator of ``chart_semigroup``.  A plain
+    generator ``u - lam(u)`` has ``lam(u)`` in ``sigma``, so its degree
+    ``w . u - t`` is at least 0, and 0 only for ``u`` on the face: then ``u``
+    and ``lam(u)`` are both in ``sigma``, which meets each block once, and
+    the generator is zero.  A twisted one has degree at least
+    ``t - max_p(w . p) + M = 1``.  In the coordinates of
+    ``chart_generators_reduced``, ``phi`` is linear: ``w . b`` for each row
+    ``b`` of the difference basis, then ``M`` for each extra coordinate.
+    None, so that the facets grade, when ``sigma`` is no face or a degree
+    is not positive (a chart record ``chart_semigroup`` did not build).
+    """
+    config = c.pi.config
+    face = config._face_by_indices.get(c.sigma)
+    if face is None or not gens:
+        return None
+    w = face.witness
+    top = 1 + max(_dot(w, p) for p in config.points) - face.offset
+    phi = [_dot(w, b) for b in config.difference_basis]
+    phi += [top] * (len(gens[0]) - len(phi))
+    degrees = [_dot(phi, g) for g in gens]
+    return degrees if min(degrees) > 0 else None
 
 
 def components_intersection(

@@ -8,12 +8,12 @@ The central primitive is a row-style Hermite normal form with a tracked
 unimodular transform; kernel bases, ranks, affine relation lattices, the
 test for saturated lattices (unit pivots in the form of the transposed
 basis) and integer solving against a basis factored once all derive from
-it.  Every cone question comes from one exact double description
-(``_dual_rays``, behind ``cone_facets``).  The free-semigroup test behind
-chart smoothness takes one form and one description: the form of all its
-vectors gives their rank and coordinates in the saturation of their
-lattice, and the facets of the cone over the vectors, in those
-coordinates, certify a basis or rule one out.
+it.  Cone facets come from one exact double description (``_dual_rays``,
+behind ``cone_facets``).  The free-semigroup test behind chart smoothness
+is one form and no description: given a grading positive on its vectors,
+the form of the vectors sorted by degree is free exactly when its pivots
+are 1 and its entries nonnegative.  Only a caller with no grading pays
+for the facets, whose normals sum to one.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def integer_solver(
     return coordinates
 
 
-def is_free_semigroup(vectors: Sequence[IntVector]) -> bool:
+def is_free_semigroup(vectors: Sequence[IntVector], grading: Optional[Sequence[int]] = None) -> bool:
     """Whether distinct nonzero vectors generate a free semigroup on a basis
     of a direct summand of Z^n.
 
@@ -240,34 +240,61 @@ def is_free_semigroup(vectors: Sequence[IntVector]) -> bool:
     semigroup is smooth (Cox-Little-Schenck, *Toric Varieties*, Thm.
     1.3.12).  The empty set is free.
 
-    One factorization ``u * V^T == h`` of all the vectors ``V`` gives their
-    rank ``r`` and coordinates.  The unimodular ``u`` maps the vectors'
-    rational span onto ``Q^r x 0``, hence the integer points of that span,
-    the saturation ``L`` of the vectors' lattice, onto ``Z^r x 0``:
-    ``u[:r]`` is an isomorphism of ``L`` with ``Z^r``.  A subset ``B`` passes
-    iff its images ``u[:r] . b`` are a basis of ``Z^r`` in which every image
-    has nonnegative coordinates.
+    ``grading[i]`` is the degree of ``vectors[i]``: the values of a linear
+    functional, positive on every vector.  Without one, the degrees are
+    those of the sum of the ``cone_facets`` normals.  A vector of degree 0
+    lies on every facet, so its negative lies in the cone too; and a cone
+    with a line has some of the vectors in its lineality space, its
+    smallest face, where every facet normal vanishes.  So some degree is
+    0 exactly when the cone holds a line, and then the answer is False.  A
+    given grading with a degree that is not positive, or that is not the
+    values of a linear functional on the vectors, raises ValueError.
 
-    Let ``Y`` be the primitive inward facet normals of the cone over all the
-    images (``_dual_rays``).  The vectors are free iff every unit vector of
-    ``Z^r`` is ``Y . g`` for some image ``g`` (so ``Y`` has ``r`` rows).  If
-    so, those images form ``G`` with ``Y * G == I``, so ``Y`` and ``G`` are
-    unimodular; every image lies in the cone, so its coordinates ``Y . g`` in
-    the basis ``G`` are nonnegative integers.  Conversely a passing ``B``
-    spans the cone, which is then simplicial with the rows of the inverse of
-    ``B``'s images as its primitive facet normals, so ``Y . b`` runs over the
-    unit vectors.  A cone with a line has facet normals of rank below ``r``
-    and fails.
+    One factorization ``u * V^T == h`` of the vectors ``V`` sorted by degree
+    decides it: free iff every pivot of ``h`` is 1 and no entry of ``h`` is
+    negative.  The unimodular ``u`` maps the vectors' rational span onto
+    ``Q^r x 0``, hence the integer points of that span, the saturation ``L``
+    of the vectors' lattice, onto ``Z^r x 0``.  The pivot columns of ``h``
+    are the greedy basis: each vector not in the span of those before it.
+    If every pivot is 1, the entries above it are reduced to 0, so the pivot
+    vectors map onto the unit vectors of ``Z^r``, a basis of ``L``, and
+    every other column holds its vector's coordinates in that basis; with
+    none negative the semigroup is free on the pivot vectors.  Conversely,
+    let the semigroup be free on a basis ``B`` of ``L`` taken from the
+    vectors.  A vector ``g`` outside ``B`` is a nonnegative integer
+    combination of ``B`` with coefficients summing to at least 2 (``g`` is
+    nonzero and no element of ``B``), so by linearity and positivity each
+    basis element it uses has smaller degree than ``g`` and comes before it:
+    ``g`` is no pivot.  A basis element ``b`` is one: everything before it
+    lies in the span of ``B`` without ``b``.  So the pivot vectors are
+    ``B``, and their columns of ``h``, upper triangular with positive
+    pivots, generate ``Z^r``: every pivot is 1, and the other columns, their
+    coordinates, are nonnegative.
     """
     if not vectors:
         return True
-    # V^T: one row per coordinate, one column per vector
-    h, u = hermite_normal_form(tuple(zip(*vectors)))
-    r = sum(1 for row in h if any(row))
-    images = [tuple(_dot(row, g) for row in u[:r]) for g in vectors]
-    facets = _dual_rays(images, r)
-    coordinates = {tuple(_dot(y, g) for y in facets) for g in images}
-    return all(tuple(int(i == j) for j in range(r)) in coordinates for i in range(r))
+    if grading is None:
+        normal = [sum(column) for column in zip(*cone_facets(vectors))]  # empty for a linear space
+        grading = [_dot(normal, g) for g in vectors]
+        if not all(grading):
+            return False
+    elif len(grading) != len(vectors) or any(d <= 0 for d in grading):
+        raise ValueError("grading must give every vector a positive degree")
+    order = sorted(range(len(vectors)), key=grading.__getitem__)
+    # V^T: one row per coordinate, one column per vector, in degree order
+    h, _ = hermite_normal_form(tuple(zip(*(vectors[i] for i in order))))
+    # the degrees are linear exactly when they lie in the rational row space
+    # of h: eliminating each pivot column from them leaves zero
+    free, residual = True, [grading[i] for i in order]
+    for row in h:
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None:
+            break
+        free = free and row[p] == 1 and min(row) >= 0
+        residual = [row[p] * x - residual[p] * y for x, y in zip(residual, row)]
+    if any(residual):
+        raise ValueError("grading is not linear on the vectors")
+    return free
 
 
 def _homogenized_rows(points: Sequence[IntVector]) -> IntMatrix:

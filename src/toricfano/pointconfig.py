@@ -227,13 +227,17 @@ class PointConfiguration(Record):
         if any(h[i][i] != 1 for i in range(k)):
             return False
         # The images of the other points are nonzero: a point off the face
-        # sigma is off its affine span.
-        images = set()
+        # sigma is off its affine span.  The witness grades them: w . (p - v0)
+        # is positive off sigma and vanishes on the edge lattice, the kernel,
+        # so it is a linear functional of the image.
+        images = {}
         for i in set(range(len(self.points))) - set(idx):
             c = coordinates(i)
-            images.add(tuple(sum(a * b for a, b in zip(row, c)) for row in u[k:]))
+            image = tuple(sum(a * b for a, b in zip(row, c)) for row in u[k:])
+            images[image] = sum(a * b for a, b in zip(face.witness, self.points[i])) - face.offset
         # Rank n-k: the differences generate Z^n and u[k:] maps it onto Z^(n-k).
-        return is_free_semigroup(sorted(images))
+        vectors = sorted(images)
+        return is_free_semigroup(vectors, [images[v] for v in vectors])
 
 
 class Face(Record):
@@ -268,7 +272,9 @@ class Face(Record):
         """Basis of the affine relations among the face's points, each row
         indexed like ``indices``, echelon by last nonzero entry: the rows
         ending before position t span the relations supported on the first
-        t points."""
+        t points.  Empty for affinely independent points (a simplex)."""
+        if len(self.indices) == self.dim + 1:
+            return ()
         return tuple(row[::-1] for row in reversed(affine_relation_lattice(self.points[::-1])))
 
     @cached_property

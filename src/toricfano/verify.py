@@ -24,7 +24,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from .cayley import CayleyStructure
-from .components import chart_semigroup
+from .components import _chart_data
 from .intlinalg import (
     IntVector,
     UnsupportedSizeError,
@@ -104,10 +104,9 @@ def _chart_plane_builder(pi: CayleyStructure, sigma_tilde: Sequence[int], sigma:
     off the face are zero.  Every other entry is nonzero, so the full-row-rank
     certificate is checked once, on the nonzero pattern shared by all planes.
     """
-    chart_semigroup(pi, sigma_tilde, sigma)  # validates the chart data
+    st, s = _chart_data(pi, sigma_tilde, sigma)
     a = pi.config
-    s = tuple(sorted(sigma))
-    rep_of_block = {pi.block_of[i]: i for i in sorted(sigma_tilde)}
+    rep_of_block = {pi.block_of[i]: i for i in st}
     # per face point: (index, representative, the offset's nonzero
     # (coordinate, exponent) pairs, its one row or None for every row)
     columns = []

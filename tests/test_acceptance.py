@@ -15,7 +15,7 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toricfano import (
     HypothesesViolated,
@@ -45,6 +45,7 @@ from toricfano import (
 from toricfano import cli, intlinalg, localscheme, pointconfig
 from toricfano.intlinalg import (
     _kernel,
+    affine_relation_lattice,
     hermite_normal_form,
     identity_matrix,
     is_free_semigroup,
@@ -63,7 +64,7 @@ from test_intlinalg import (
 )
 from test_localscheme import FIVE, FOUR, STEEP, oracle_ideal
 from test_pointconfig import QUARTIC, SQUARE, birkhoff_points
-from test_verify import all_set_partitions
+from test_verify import all_set_partitions, random_configuration
 
 TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 SEGMENT = [(0,), (1,), (3,)]
@@ -447,9 +448,9 @@ def test_fano_scheme_properties(points):
 
     for k in range(1, a.dimension + 1):
         smooth_at = {f: a.is_smooth_at(f) for f in a.fixed_point_faces(k)}
-        # the pruned search inside is_smooth_at answers as the full search
+        # the graded test inside is_smooth_at answers as the full search
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pointconfig, "is_free_semigroup", free_by_subset_search)
+            mp.setattr(pointconfig, "is_free_semigroup", lambda vectors, grading: free_by_subset_search(vectors))
             assert smooth_at == {f: a.is_smooth_at(f) for f in smooth_at}
         smooth_everywhere = all(smooth_at.values())
         for comp in components(a, k):
@@ -688,8 +689,9 @@ def test_is_free_semigroup_on_every_b3_chart_is_invariant():
 
 
 def test_free_semigroup_takes_one_factorization(monkeypatch):
-    # the form of all the vectors, however many r-subsets the candidates
-    # have and whether or not they are independent
+    # the form of all the vectors sorted by a given grading (here the sum
+    # of the entries), however many r-subsets the candidates have and
+    # whether or not they are independent
     factored = []
 
     def counted(m):
@@ -705,24 +707,26 @@ def test_free_semigroup_takes_one_factorization(monkeypatch):
         assert comb(len(candidates_of(vectors)), matrix_rank(vectors)) == comb(8, 4) > 50
         assert free_by_subset_search(vectors) == free
         factored.clear()
-        assert is_free_semigroup(vectors) == free
+        assert is_free_semigroup(vectors, [sum(v) for v in vectors]) == free
         assert len(factored) == 1, vectors
     # independent candidates, dependent vectors
     vectors = e + [tuple(map(sum, zip(e[0], e[1])))]
     assert (len(candidates_of(vectors)), matrix_rank(vectors), len(vectors)) == (4, 4, 5)
     assert free_by_subset_search(vectors)
     factored.clear()
-    assert is_free_semigroup(vectors)
+    assert is_free_semigroup(vectors, [sum(v) for v in vectors])
     assert len(factored) == 1, vectors
 
 
 def test_chart_is_smooth_decides_each_generator_set_once(monkeypatch):
+    # each graded by its fixed point's witness, so no cone is described
     components_module = sys.modules["toricfano.components"]
     decided = Counter()
 
-    def counted(gens):
+    def counted(gens, grading):
         decided[gens] += 1
-        return is_free_semigroup(gens)
+        assert grading is not None or not gens, gens
+        return is_free_semigroup(gens, grading)
 
     monkeypatch.setattr(components_module, "is_free_semigroup", counted)
     charts = birkhoff_charts()
@@ -731,6 +735,75 @@ def test_chart_is_smooth_decides_each_generator_set_once(monkeypatch):
     assert (len(charts), len(set(keys))) == (207, 111)
     assert decided == Counter(set(keys))
     assert answers == [is_free_semigroup(gens) for gens in keys]
+
+
+@st.composite
+def graded_vectors(draw):
+    """The vectors of ``semigroup_vectors`` turned to the positive side of a
+    random functional, those it vanishes on dropped, with its values as
+    their degrees."""
+    vectors = draw(semigroup_vectors())
+    assume(vectors)
+    functional = draw(st.lists(st.integers(-3, 3), min_size=len(vectors[0]), max_size=len(vectors[0])))
+    turned = {g if dot(functional, g) > 0 else tuple(-x for x in g) for g in vectors if dot(functional, g)}
+    assume(turned)
+    vectors = sorted(turned)
+    return vectors, [dot(functional, g) for g in vectors]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_vectors())
+def test_graded_free_semigroup_matches_subset_search(graded):
+    vectors, grading = graded
+    assert is_free_semigroup(vectors, grading) == free_by_subset_search(vectors)
+
+
+def test_witness_gradings_decide_every_fixed_point_as_the_facets_do():
+    # every fixed-point chart, and every is_smooth_at, of the fixtures and
+    # of r12x5(1..8), graded by the fixed point's witness and by none (the
+    # facets, decided once per distinct vector set)
+    components_module = sys.modules["toricfano.components"]
+    samples = [pts for _, pts in FIXTURES] + [random_configuration(12, 5, s).points for s in range(1, 9)]
+    ungraded = {}
+
+    def by_facets(vectors, grading=None):
+        key = tuple(vectors)
+        if key not in ungraded:
+            ungraded[key] = is_free_semigroup(vectors)
+        return ungraded[key]
+
+    outcomes = Counter()
+    for points in samples:
+        a = PointConfiguration(points)
+        for k in range(a.dimension + 1):
+            for face in a.fixed_point_faces(k):
+                smooth = a.is_smooth_at(face)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(pointconfig, "is_free_semigroup", by_facets)
+                    assert a.is_smooth_at(face) == smooth, (points, face)
+                outcomes["is_smooth_at", smooth] += 1
+            for comp in components(a, k) if k else ():
+                for face in comp.fixed_points:
+                    chart = chart_semigroup(comp.pi, extended_transversal(comp.pi, face), face.indices)
+                    gens = chart_generators_reduced(chart)
+                    grading = components_module._chart_grading(chart, gens)
+                    assert grading is not None or not gens, chart
+                    free = is_free_semigroup(gens, grading)
+                    assert free == by_facets(gens) == chart_is_smooth(chart), (points, chart)
+                    outcomes["chart", free] += 1
+    assert min(outcomes.values()) >= 100 and len(outcomes) == 4, outcomes
+
+
+def test_face_relations_are_the_factored_lattice_on_every_face():
+    # a simplex's empty basis comes with no factorization
+    configurations = [pts for _, pts in CASES] + random_configurations(150, seed=7919)
+    simplices = 0
+    for points in configurations:
+        for face in PointConfiguration(points).faces():
+            factored = tuple(row[::-1] for row in reversed(affine_relation_lattice(face.points[::-1])))
+            assert face.relations == factored, (points, face)
+            simplices += len(face.indices) == face.dim + 1
+    assert simplices >= 1000, simplices
 
 
 def test_apex_exists_exactly_at_smooth_codimension_one_facets():

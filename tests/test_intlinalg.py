@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toricfano import intlinalg
 from toricfano.intlinalg import (
     UnsupportedSizeError,
     affine_relation_lattice,
@@ -364,6 +365,37 @@ def test_is_free_semigroup_hand_cases():
     assert is_free_semigroup([(2, 1), (4, 2)])
     assert not is_free_semigroup([(2, 1), (0, 1)])
     assert not is_free_semigroup([(1, 0), (1, 1), (1, 2)])
+
+
+def test_is_free_semigroup_rejects_gradings_that_decide_nothing():
+    free, bent = [(1, 0), (0, 1), (1, 1)], [(1, 0), (1, 1), (1, 2)]
+    assert is_free_semigroup(free, [1, 1, 2]) and is_free_semigroup(free, [2, 3, 5])
+    assert not is_free_semigroup(bent, [1, 2, 3])
+    for vectors, grading in [
+        (free, [0, 0, 0]),  # zero
+        (free, [1, 0, 1]),  # zero on one vector
+        (free, [-1, 2, 1]),  # negative
+        (free, [1, 1, 3]),  # positive but not linear
+        (bent, [1, 2, 4]),  # not linear, where a linear grading says not free
+        (free, [1, 1]),  # one degree short
+    ]:
+        with pytest.raises(ValueError, match="grading"):
+            is_free_semigroup(vectors, grading)
+
+
+def test_graded_free_semigroup_describes_no_cone(monkeypatch):
+    # a given grading replaces the facets: neither the double description
+    # nor cone_facets runs, whatever the answer
+    def forbidden(*args):
+        raise AssertionError("a cone was described")
+
+    monkeypatch.setattr(intlinalg, "_dual_rays", forbidden)
+    monkeypatch.setattr(intlinalg, "cone_facets", forbidden)
+    assert is_free_semigroup([(0, 1), (1, 0), (1, 1), (2, 0)], [1, 1, 2, 2])
+    assert not is_free_semigroup([(1, 1), (1, -1)], [1, 1])
+    assert not is_free_semigroup([(2, 1), (0, 1)], [3, 1])
+    with pytest.raises(AssertionError, match="described"):
+        is_free_semigroup([(2, 1), (0, 1)])
 
 
 def test_affine_equivalence_identity_and_translation():

@@ -522,13 +522,13 @@ def test_chart_sample_validates_the_chart_once_and_ranks_no_plane(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(verify, "chart_semigroup")
+    counted(verify, "_chart_data")
     counted(verify, "relations_vanish_on")
     counted(intlinalg, "hermite_normal_form")
     for sigma in ((1, 2, 3), (1, 2)):
         calls.clear()
         assert verify_chart_sample(relations, pi, (1, 2, 3), sigma, trials=25, seed=0)
-        counts = (calls["chart_semigroup"], calls["hermite_normal_form"], calls["relations_vanish_on"])
+        counts = (calls["_chart_data"], calls["hermite_normal_form"], calls["relations_vanish_on"])
         assert counts == (1, 0, 25)
 
 
