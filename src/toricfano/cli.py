@@ -22,6 +22,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -339,23 +340,33 @@ def _verify_checks(a: PointConfiguration, expect: dict, seed: int, trials: int) 
         checks.append({"name": cname, "pass": bool(ok), "detail": detail})
 
     bases = {face.indices: relation_basis(a, face) for face in a.faces()}
-    rb = bases[tuple(range(len(a.points)))]
-    rel_ok = all(
-        sum(vec) == 0
-        and not any(
-            sum(m * p[i] for m, p in zip(vec, a.points)) for i in range(a.ambient_dim)
-        )
-        for vec in rb.vectors
-    ) and is_saturated(rb.vectors)
-    record("relation_basis_valid", rel_ok)
+    vectors, rank = bases[tuple(range(len(a.points)))].vectors, len(a.points) - a.dimension - 1
+    not_relation = next(
+        (
+            vec
+            for vec in vectors
+            if sum(vec)
+            or any(sum(m * p[i] for m, p in zip(vec, a.points)) for i in range(a.ambient_dim))
+        ),
+        None,
+    )
+    if not_relation is not None:
+        rel_bad = f"vector {not_relation} is not a relation"
+    elif len(vectors) != rank:
+        rel_bad = f"found {len(vectors)} vectors, expected {rank}"
+    else:
+        rel_bad = None if is_saturated(vectors) else "not saturated"
+    record("relation_basis_valid", rel_bad is None, rel_bad)
 
     structures = {face.indices: enumerate_cayley_structures(face, 1) for face in a.faces()}
     mismatch = None
     for face in a.faces():
         if len(face.indices) > BRUTE_FORCE_MAX_POINTS:
             continue
-        if set(brute_force_cayley(a, face, 1)) != set(structures[face.indices]):
-            mismatch = f"face {face.indices}"
+        brute = sorted(brute_force_cayley(a, face, 1), key=lambda pi: pi.blocks)
+        fast = sorted(structures[face.indices], key=lambda pi: pi.blocks)
+        if brute != fast:
+            mismatch = f"face {face.indices}, {_first_difference(brute, fast)}"
             break
     big = sum(len(face.indices) > BRUTE_FORCE_MAX_POINTS for face in a.faces())  # left unchecked
     unchecked = f"faces of more than {BRUTE_FORCE_MAX_POINTS} points not checked: {big}" if big else None
@@ -391,6 +402,18 @@ def _verify_checks(a: PointConfiguration, expect: dict, seed: int, trials: int) 
     if "dimension" in expect:
         compare("expect:dimension", a.dimension, expect["dimension"])
     return checks
+
+
+def _first_difference(brute: Sequence[CayleyStructure], fast: Sequence[CayleyStructure]) -> str:
+    """The first blocks, in sorted order, that brute force and the fast path
+    find a different number of times, and who finds them how often."""
+    by_brute, by_fast = Counter(pi.blocks for pi in brute), Counter(pi.blocks for pi in fast)
+    blocks = min(b for b in by_brute | by_fast if by_brute[b] != by_fast[b])
+    b, f = by_brute[blocks], by_fast[blocks]
+    if not (b and f):
+        return f"blocks {blocks} found only by {'brute force' if b else 'the fast path'}"
+    more, fewer = ("the fast path", "brute force") if f > b else ("brute force", "the fast path")
+    return f"blocks {blocks} found {max(b, f)} times by {more}, {min(b, f)} by {fewer}"
 
 
 def verify_report(

@@ -8,11 +8,12 @@ partitions of a face that extends only blocks passing the block-sum test
 planes and of chart samples, build their planes through one path and test
 each against the relations of its own face, the face its nonzero columns
 span: off that face's torus a lattice basis decides nothing (see
-``relations_vanish_on``).  A chart is validated once per call; its sampled
-planes hold integer (numerator, denominator) pairs, never a ``Fraction``,
-and trial ``i`` of every chart reads a prefix of one memoized stream seeded
-from ``seed`` and ``i``.  The tests hold the fast paths to agreement with
-these.
+``relations_vanish_on``).  A chart is validated once per call; a sampled
+plane is only its nonzero columns, each a tuple of integer (row, numerator,
+denominator) triples, never a ``Fraction``, and ``relations_vanish_on``
+checks and decides it in one pass.  Trial ``i`` of every chart reads a
+prefix of one stream seeded from ``seed`` and ``i``, its pairs memoized.
+The tests hold the fast paths to agreement with these.
 """
 
 from __future__ import annotations
@@ -85,72 +86,74 @@ def verify_cayley_plane(relations: RelationBasis, pi: CayleyStructure) -> bool:
     if relations.face != pi.face:
         raise ValueError("relation basis belongs to a different face")
     heads = tuple(b[0] for b in pi.blocks)
-    build = _chart_plane_builder(pi, heads, heads)
-    return relations_vanish_on(relations, build(_trial_pairs(0, 0, pi.config.ambient_dim), {}))
+    build, width = _chart_plane_builder(pi, heads, heads)
+    return relations_vanish_on(relations, build(_trial_pairs(0, 0, width)))
 
 
 def _chart_plane_builder(pi: CayleyStructure, sigma_tilde: Sequence[int], sigma: Sequence[int]):
-    """Validate the chart data once; the returned function builds the plane
-    of a chart point at a torus point and coefficients, each given as
-    (numerator, denominator) pairs of positive integers.  A plane is a tuple
-    of rows, one per point of ``sigma``, each holding one such pair per
-    configuration point; the pairs are not reduced.
+    """Validate the chart data once; return the function that builds the
+    plane of a chart point, in ``relations_vanish_on``'s form, from pairs of
+    positive integers, and how many it reads: the torus point's coordinates,
+    then the coefficient of each (v, w) for v in ``sigma`` and w in
+    ``sigma_tilde`` outside it, without repeats and sorted.
 
     Rows are indexed by the points of ``sigma``; the column of a face point
     whose block representative lies in ``sigma`` carries the character value
     of its offset in that row only, while a column represented outside
     ``sigma`` spreads the character value across all rows weighted by the
     coefficient attached to the (row point, representative) pair.  Columns
-    off the face are zero.  Every other entry is nonzero, so the full-row-rank
-    certificate is checked once, on the nonzero pattern shared by all planes.
+    off the face are zero, so left out.  Every entry written is nonzero, so the
+    full-row-rank certificate is checked once, on the pattern shared by all planes.
     """
     st, s = _chart_data(pi, sigma_tilde, sigma)
-    a = pi.config
+    a, dim = pi.config, pi.config.ambient_dim
+    outside = [w for w in st if w not in s]
+    width = dim + len(s) * len(outside)
     rep_of_block = {pi.block_of[i]: i for i in st}
-    # per face point: (index, representative, the offset's nonzero
-    # (coordinate, exponent) pairs, its one row or None for every row)
+    # per face point: (index, the offset's nonzero (coordinate, exponent)
+    # pairs, then its one row, or None and the position of its first coefficient)
     columns = []
     for idx in pi.face.indices:
         rep = rep_of_block[pi.block_of[idx]]
         offset = [(t, x - y) for t, (x, y) in enumerate(zip(a.points[idx], a.points[rep])) if x != y]
-        columns.append((idx, rep, tuple(offset), s.index(rep) if rep in s else None))
+        row, at = (s.index(rep), None) if rep in s else (None, dim + outside.index(rep))
+        columns.append((idx, tuple(offset), row, at))
     # sigma's own columns give it: each point of sigma represents its block
-    if not _diagonal_minor([[row in (r, None) for *_, row in columns] for r in range(len(s))]):
+    if not _diagonal_minor([[row in (r, None) for _, _, row, _ in columns] for r in range(len(s))]):
         raise ValueError("chart plane has no diagonal minor")
 
-    def build(t, coefficients):
-        rows = [[(0, 1)] * len(a.points) for _ in s]
-        for idx, rep, offset, row in columns:
-            num = den = 1  # the character of the offset at t is num / den
+    def build(pairs):
+        plane = []
+        for idx, offset, row, at in columns:
+            num = den = 1  # the character of the offset at the torus point is num / den
             for coord, e in offset:
-                n, d = t[coord]
+                n, d = pairs[coord]
                 if e > 0:
                     num, den = num * n**e, den * d**e
                 else:
                     num, den = num * d**-e, den * n**-e
             if row is not None:
-                rows[row][idx] = (num, den)
+                plane.append((idx, ((row, num, den),)))
             else:
-                for entries, v in zip(rows, s):
-                    n, d = coefficients[(v, rep)]
-                    entries[idx] = (num * n, den * d)
-        return tuple(map(tuple, rows))
+                # the coefficients of (v, rep) for the points v of sigma, in order
+                spread = enumerate(pairs[at : width : len(outside)])
+                plane.append((idx, tuple([(r, num * n, den * d) for r, (n, d) in spread])))
+        return tuple(plane)
 
-    return build
+    return build, width
 
 
-def relations_vanish_on(
-    relations: RelationBasis, plane: Sequence[Sequence[tuple[int, int]]]
-) -> bool:
+def relations_vanish_on(relations: RelationBasis, plane) -> bool:
     """Whether the plane lies on the toric variety with support exactly the
     face of ``relations``: its nonzero columns are the face's points, and
     every relation of the face's basis is identically zero on them, as a
     polynomial in the spanning coefficients.
 
-    The plane holds one row per spanning point, and each row one exact entry
-    per configuration point, as an integer (numerator, denominator) pair with
-    a positive denominator; any other entry, or a row of another length, is a
-    ``ValueError`` naming it.
+    The plane is its nonzero columns in increasing point order,
+    ``((point, ((row, numerator, denominator), ...)), ...)``, each column's
+    nonzero entries in increasing row order as int triples, the numerator
+    nonzero and the denominator positive.  Each column and entry is checked
+    as it is read; anything else is a ``ValueError`` naming it.
 
     A point lies on the variety exactly when its support is a face and it
     satisfies the binomials of that face's relation lattice; the plane does
@@ -176,38 +179,32 @@ def relations_vanish_on(
     pairs key the normalized forms.  A side's scalar is a pair N/D with
     D > 0, so two scalars are equal exactly when N1 D2 = N2 D1.
     """
-    a = relations.face.config
-    for r, row in enumerate(plane):
-        if len(row) != len(a.points):
-            raise ValueError(f"plane row {r} has {len(row)} entries, not one per point")
-        for c, entry in enumerate(row):
-            if not (
-                type(entry) is tuple
-                and len(entry) == 2
-                and type(entry[0]) is int
-                and type(entry[1]) is int
-                and entry[1] > 0
-            ):
+    end = len(relations.face.config.points)
+    ids: dict[tuple, int] = {}  # F_c / lead_c, by its rows and entries -> its id
+    support, forms = [-1], []  # -1 and the columns, and per column (p, q, id of F_c / lead_c)
+    for column in plane:
+        point, entries = column if type(column) is tuple and len(column) == 2 else (-1, ())
+        if not (type(point) is int and support[-1] < point < end and type(entries) is tuple and entries):
+            raise ValueError(f"plane column {column!r} is not (point, entries) in order and in range")
+        key, last = None, -1  # F_c / lead_c's rows and entries, once the lead p/q is read
+        for entry in entries:
+            r, n, d = entry if type(entry) is tuple and len(entry) == 3 else (None, None, None)
+            if not (type(r) is type(n) is type(d) is int and last < r and n and d > 0):
                 raise ValueError(
-                    f"plane entry {entry!r} at row {r}, column {c} is not an (int, int) pair"
-                    " with a positive denominator"
+                    f"plane entry {entry!r} in column {point} is not an int triple (row, numerator,"
+                    " denominator) with the row past the column's last, the numerator nonzero"
+                    " and the denominator positive"
                 )
-    ids: dict[tuple, int] = {}  # F_c / lead_c, by its nonzero entries -> its id
-    forms = {}  # per nonzero column c: (p, q, id of F_c / lead_c)
-    for c, column in enumerate(zip(*plane)):
-        key = None  # F_c / lead_c's nonzero entries, once the lead p/q is found
-        for r, (n, d) in enumerate(column):
-            if not n:
-                continue
+            last = r
             if key is None:
                 p, q, key = n, d, [r]
                 unit = 1 if p > 0 else -1  # n/d over p/q is (unit n q)/(unit d p), denominator > 0
             else:
                 g = unit * gcd(n * q, d * p)
                 key.append((r, n * q // g, d * p // g))
-        if key is not None:
-            forms[c] = (p, q, ids.setdefault(tuple(key), len(ids)))
-    if tuple(forms) != relations.face.indices:  # the support is not the face
+        support.append(point)
+        forms.append((p, q, ids.setdefault(tuple(key), len(ids))))
+    if tuple(support[1:]) != relations.face.indices:
         return False
 
     def vanishes(vec) -> bool:
@@ -215,7 +212,7 @@ def relations_vanish_on(
         # form its exponent on the left minus its exponent on the right
         lhs = rhs = 1
         exponents: dict[int, int] = {}
-        for (p, q, form_id), m in zip(forms.values(), vec):
+        for (p, q, form_id), m in zip(forms, vec):
             if not m:
                 continue
             if m > 0:
@@ -244,36 +241,34 @@ def verify_chart_sample(
     basis of the structure's face, which every chart plane has as its
     support.  Trial ``i`` seeds its own generator from ``seed`` and ``i``, so
     runs are reproducible and order-independent, and every chart's trial
-    ``i`` reads a prefix of the same memoized draws.
+    ``i`` reads a prefix of the same memoized draws.  The draws are keyed by
+    the chart data without repeats, so a repeated index changes no plane.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if relations.face != pi.face:
         raise ValueError("relation basis belongs to a different face")
-    build = _chart_plane_builder(pi, sigma_tilde, sigma)
-    dim, s = pi.config.ambient_dim, tuple(sorted(sigma))
-    keys = [(v, w) for v in s for w in sorted(sigma_tilde) if w not in s]
+    build, width = _chart_plane_builder(pi, sigma_tilde, sigma)
     for trial in range(trials):
-        pairs = _trial_pairs(seed, trial, dim + len(keys))
-        if not relations_vanish_on(relations, build(pairs[:dim], dict(zip(keys, pairs[dim:])))):
+        if not relations_vanish_on(relations, build(_trial_pairs(seed, trial, width))):
             return False
     return True
 
 
-def _trial_pairs(seed: int, trial: int, count: int) -> list[tuple[int, int]]:
-    """The first ``count`` (numerator, denominator) pairs of the trial's stream,
-    each numerator drawn before its denominator."""
-    draws = iter(_sample_draws(seed * 1_000_003 + trial, 2 * count))
-    return list(zip(draws, draws))
-
-
 @lru_cache(maxsize=_DRAWS_MEMO_SIZE)
+def _trial_pairs(seed: int, trial: int, count: int) -> tuple[tuple[int, int], ...]:
+    """The first ``count`` (numerator, denominator) pairs of the trial's stream,
+    each numerator drawn before its denominator.
+
+    Memoized: the charts of one ``verify`` read only a few counts, so each
+    trial's stream is drawn a few times per run, not once per chart."""
+    draws = iter(_sample_draws(seed * 1_000_003 + trial, 2 * count))
+    return tuple(zip(draws, draws))
+
+
 def _sample_draws(seed: int, count: int) -> tuple[int, ...]:
     """The first ``count`` values of ``random.Random(seed).randint(1, _SAMPLE_RANGE)``,
-    by ``_randbelow``'s rule: as many random bits as the range has, redrawn until below it.
-
-    Memoized: every chart's trial ``i`` reads a prefix of the same stream, so
-    the charts of one ``verify`` share their trials' draws."""
+    by ``_randbelow``'s rule: as many random bits as the range has, redrawn until below it."""
     bits, width, draws = random.Random(seed).getrandbits, _SAMPLE_RANGE.bit_length(), []
     while len(draws) < count:
         if (r := bits(width)) < _SAMPLE_RANGE:

@@ -524,6 +524,91 @@ def test_verify_names_a_non_cayley_chart_among_the_maximal_structures(capsys, mo
     assert failing == {"chart_samples_on_variety": "k=1, blocks ((1,), (3, 7)), sigma (1, 3)"}
 
 
+def hypersimplex_2_5(tmp_path):
+    """Delta(2, 5), the 0/1 vectors of Z^5 with two ones, as a points file."""
+    path = tmp_path / "delta25.txt"
+    rows = [[int(i in (s, t)) for i in range(5)] for s in range(5) for t in range(s + 1, 5)]
+    path.write_text("\n".join(" ".join(map(str, row)) for row in rows))
+    return path
+
+
+@pytest.mark.parametrize(
+    "change, detail",
+    [
+        (lambda vectors: vectors[:-1], "found 4 vectors, expected 5"),
+        (lambda vectors: (*vectors, vectors[0]), "found 6 vectors, expected 5"),
+        (lambda vectors: ((vectors[0][0] + 1, *vectors[0][1:]), *vectors[1:]), "is not a relation"),
+        (lambda vectors: (tuple(2 * m for m in vectors[0]), *vectors[1:]), "not saturated"),
+    ],
+    ids=["one short", "one over", "not a relation", "not saturated"],
+)
+def test_verify_names_the_witness_against_a_relation_basis(
+    capsys, monkeypatch, tmp_path, change, detail
+):
+    # every basis verify reads, changed: too few or too many vectors, a
+    # vector that is no relation, or a lattice that is not saturated
+    relation_basis = cli.relation_basis
+
+    def changed(a, tau):
+        rb = relation_basis(a, tau)
+        return verify.RelationBasis(face=rb.face, vectors=change(rb.vectors) if rb.vectors else ())
+
+    monkeypatch.setattr(cli, "relation_basis", changed)
+    code, report, _ = run_json(capsys, "verify", hypersimplex_2_5(tmp_path), "--trials", "1")
+    assert code == EXIT_VERIFY_FAILED
+    check = next(c for c in report["checks"] if c["name"] == "relation_basis_valid")
+    assert check["pass"] is False and detail in check["detail"], check
+    if detail == "is not a relation":
+        a = PointConfiguration(tuple(map(tuple, report["input"]["points"])))
+        vec = change(relation_basis(a, tuple(range(10))).vectors)[0]
+        assert check["detail"] == f"vector {vec} is not a relation"
+
+
+@pytest.mark.parametrize(
+    "change, found",
+    [
+        (lambda found: found[:1] + found, "found 2 times by the fast path, 1 by brute force"),
+        (lambda found: found[1:], "found only by brute force"),
+    ],
+    ids=["duplicated", "missing"],
+)
+def test_verify_names_the_structure_brute_force_disputes(capsys, monkeypatch, change, found):
+    # the fast path's structures, changed on every face: the first structure
+    # twice, or left out; brute force finds each once
+    enumerate_cayley_structures = cli.enumerate_cayley_structures
+    monkeypatch.setattr(
+        cli, "enumerate_cayley_structures", lambda face, l: change(enumerate_cayley_structures(face, l))
+    )
+    code, report, _ = run_json(capsys, "verify", DATA / "birkhoff.json", "--trials", "1")
+    assert code == EXIT_VERIFY_FAILED
+    check = next(c for c in report["checks"] if c["name"] == "brute_force_matches_fast")
+    a = PointConfiguration(tuple(map(tuple, report["input"]["points"])))
+    face = next(face for face in a.faces() if enumerate_cayley_structures(face, 1))
+    first = min(pi.blocks for pi in enumerate_cayley_structures(face, 1))
+    assert check == {
+        "name": "brute_force_matches_fast",
+        "pass": False,
+        "detail": f"face {face.indices}, blocks {first} {found}",
+    }
+
+
+def test_verify_names_a_structure_only_the_fast_path_finds(capsys, monkeypatch):
+    # the quartic's horizontal partition is no Cayley structure
+    a = PointConfiguration(tuple(map(tuple, json.loads((DATA / "quartic.json").read_text())["points"])))
+    horizontal = cayley.CayleyStructure(a.face_from_indices((0, 1, 2, 3)), [(0, 2), (1, 3)])
+    enumerate_cayley_structures = cli.enumerate_cayley_structures
+
+    def leaky(face, l):
+        found = enumerate_cayley_structures(face, l)
+        return found + (horizontal,) if face == horizontal.face else found
+
+    monkeypatch.setattr(cli, "enumerate_cayley_structures", leaky)
+    code, report, _ = run_json(capsys, "verify", DATA / "quartic.json", "--trials", "1")
+    assert code == EXIT_VERIFY_FAILED
+    check = next(c for c in report["checks"] if c["name"] == "brute_force_matches_fast")
+    assert check["detail"] == "face (0, 1, 2, 3), blocks ((0, 2), (1, 3)) found only by the fast path"
+
+
 def test_verify_counts_the_faces_a_passing_check_skipped(capsys, tmp_path):
     # 13 points on a line: the full face exceeds the brute-force cap (12);
     # every other face is checked

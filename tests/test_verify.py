@@ -13,6 +13,7 @@ from itertools import combinations, product
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from toricfano import cli, intlinalg, verify
 from toricfano.cayley import (
@@ -44,17 +45,29 @@ def config(points):
 
 
 def specialized_chart_plane(pi, sigma_tilde, sigma, torus, coefficients):
-    """The plane of a chart point at given torus and coefficient values, as
-    rows of (numerator, denominator) pairs."""
-    build = verify._chart_plane_builder(pi, sigma_tilde, sigma)
-    coeffs = {key: Fraction(c).as_integer_ratio() for key, c in coefficients.items()}
-    return build(tuple(Fraction(x).as_integer_ratio() for x in torus), coeffs)
+    """The builder's plane of a chart point at given torus and coefficient
+    values, read as the torus first and then (v, w) for v in sigma and w in
+    sigma_tilde outside it, both sorted."""
+    build, width = verify._chart_plane_builder(pi, sigma_tilde, sigma)
+    outside = [w for w in sorted(set(sigma_tilde)) if w not in sigma]
+    values = [*torus, *(coefficients[v, w] for v in sorted(set(sigma)) for w in outside)]
+    assert len(values) == width
+    return build(tuple(Fraction(x).as_integer_ratio() for x in values))
+
+
+def sparse_plane(rows):
+    """A plane given as rows of (numerator, denominator) pairs, one per
+    point, in ``relations_vanish_on``'s form: its nonzero columns, each its
+    nonzero entries as (row, numerator, denominator) triples."""
+    columns = (tuple((r, n, d) for r, (n, d) in enumerate(col) if n) for col in zip(*rows))
+    return tuple((c, entries) for c, entries in enumerate(columns) if entries)
 
 
 def as_fractions(plane):
-    """The plane's entries as ``Fraction``s: its pairs are not reduced, so
-    two planes are the same exactly when these are equal."""
-    return tuple(tuple(Fraction(n, d) for n, d in row) for row in plane)
+    """The plane's entries as ``Fraction``s by (row, point), in the plane's
+    order: its pairs are not reduced, so two planes are the same exactly
+    when these are equal."""
+    return [((r, point), Fraction(n, d)) for point, entries in plane for r, n, d in entries]
 
 
 def all_set_partitions(items):
@@ -384,14 +397,14 @@ def test_chart_sample_deterministic_per_seed():
 def test_specialized_plane_shape_and_rank():
     a = config(QUARTIC)
     plane = quartic_chart_plane(a)
-    matrix = as_fractions(plane)
-    assert len(matrix) == 2
-    assert all(len(row) == 4 for row in matrix)
-    # identity on the sigma columns, character values elsewhere on the face
-    assert matrix[0][0] == 1 and matrix[1][2] == 1
-    assert matrix[0][2] == 0 and matrix[1][0] == 0
-    assert matrix[0][1] == Fraction(5, 7)
-    assert matrix[1][3] == Fraction(5, 7) ** 2
+    # identity on the sigma columns, character values elsewhere on the face,
+    # and every other entry zero, so left out
+    assert as_fractions(plane) == [
+        ((0, 0), 1),
+        ((0, 1), Fraction(5, 7)),
+        ((1, 2), 1),
+        ((1, 3), Fraction(5, 7) ** 2),
+    ]
     assert relations_vanish_on(relation_basis(a, full_face(a)), plane)
     # the plane's support is the full face, so it is not a plane of face (0, 1)
     assert not relations_vanish_on(relation_basis(a, (0, 1)), plane)
@@ -400,10 +413,9 @@ def test_specialized_plane_shape_and_rank():
 def test_corrupted_chart_detected():
     a = config(QUARTIC)
     plane = quartic_chart_plane(a)
-    rows = [list(row) for row in plane]
-    n, d = rows[1][3]
-    rows[1][3] = (3 * n, d)  # perturb one character exponent's worth of value
-    corrupted = tuple(map(tuple, rows))
+    (_, ((row, n, d),)) = plane[3]
+    # perturb one character exponent's worth of value
+    corrupted = (*plane[:3], (3, ((row, 3 * n, d),)))
     assert not relations_vanish_on(relation_basis(a, full_face(a)), corrupted)
 
 
@@ -459,10 +471,10 @@ def test_chart_sample_errors_come_before_any_draw(monkeypatch):
 
 def test_chart_sample_errors_come_before_any_memoized_draw(monkeypatch):
     # a draw served from the memo constructs no generator, so watch the memo
-    def no_draw(seed, count):
+    def no_draw(seed, trial, count):
         raise AssertionError("read the draws before rejecting the input")
 
-    monkeypatch.setattr(verify, "_sample_draws", no_draw)
+    monkeypatch.setattr(verify, "_trial_pairs", no_draw)
     a = config(QUARTIC)
     for sigma_tilde, sigma, trials in (((0, 1), (0, 1), 3), ((0, 2), (0, 1), 3), ((0, 2), (0, 2), 0)):
         with pytest.raises(ValueError):
@@ -500,8 +512,25 @@ def test_chart_sample_planes_are_the_specialized_planes_of_the_draws(monkeypatch
             coefficients = {(v, w): draw() for v in sigma for w in outside}
             expected.append(specialized_chart_plane(pi, (1, 2, 3), sigma, torus, coefficients))
         assert list(map(as_fractions, sampled)) == list(map(as_fractions, expected))
-        pairs = [entry for p in sampled for row in p for entry in row]
-        assert all(type(n) is int and type(d) is int and d > 0 for n, d in pairs)
+        entries = [entry for p in sampled for _, column in p for entry in column]
+        assert all(type(n) is int and type(d) is int and n and d > 0 for _, n, d in entries)
+
+
+def test_a_repeated_index_changes_no_sampled_plane(monkeypatch):
+    # the draws are keyed by the chart data without repeats
+    a = config(birkhoff_points())
+    pi = CayleyStructure(full_face(a), [(0, 3), (1, 4), (2, 5)])
+    sampled = []
+    original = verify.relations_vanish_on
+
+    def recorded(rels, plane):
+        sampled.append(plane)
+        return original(rels, plane)
+
+    monkeypatch.setattr(verify, "relations_vanish_on", recorded)
+    for sigma_tilde, sigma in (((0, 1, 2), (0, 1)), ((0, 1, 2), (0, 1, 0)), ((2, 0, 1, 0), (1, 0))):
+        assert verify_chart_sample(full_basis(a), pi, sigma_tilde, sigma, trials=1)
+    assert len(sampled) == 3 and sampled[0] == sampled[1] == sampled[2]
 
 
 def test_chart_sample_validates_the_chart_once_and_ranks_no_plane(monkeypatch):
@@ -536,7 +565,7 @@ def test_verify_draws_each_trial_stream_once_for_all_charts(monkeypatch):
     # every chart's trial i reads a prefix of one stream, and the 39 charts of
     # B_3 need four prefix lengths: 4 x 25 generators, where one per chart and
     # trial made 975
-    verify._sample_draws.cache_clear()
+    verify._trial_pairs.cache_clear()
     made = Counter()
 
     class Counted(random.Random):
@@ -707,27 +736,41 @@ def test_factorization_matches_expansion_on_random_planes():
                 if plane is None:
                     continue
                 expected = expanded_relations_vanish(relations, plane)
-                assert relations_vanish_on(relations, plane) == expected, (pts, plane)
+                assert relations_vanish_on(relations, sparse_plane(plane)) == expected, (pts, plane)
                 outcomes[expected] += 1
     assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
 
 
 def reference_chart_sample(relations, pi, sigma_tilde, sigma, trials, seed):
     """``verify_chart_sample`` by its definition: each trial's plane built
-    from its draws by ``specialized_chart_plane`` and decided by expansion."""
-    outside = [w for w in sorted(sigma_tilde) if w not in sigma]
+    from its draws by ``defined_chart_plane`` and decided by expansion."""
     for trial in range(trials):
-        rng = random.Random(seed * 1_000_003 + trial)
-
-        def draw():
-            return Fraction(rng.randint(1, 97), rng.randint(1, 97))
-
-        torus = [draw() for _ in range(pi.config.ambient_dim)]
-        coefficients = {(v, w): draw() for v in sorted(sigma) for w in outside}
-        plane = specialized_chart_plane(pi, sigma_tilde, sigma, torus, coefficients)
-        if not expanded_relations_vanish(relations, plane):
+        torus, coefficients = trial_draws(pi, sigma_tilde, sigma, seed, trial)
+        rows = defined_rows(pi, sigma_tilde, sigma, torus, coefficients)
+        if not expanded_relations_vanish(relations, rows):
             return False
     return True
+
+
+def trial_draws(pi, sigma_tilde, sigma, seed, trial):
+    """The trial's torus point and coefficients as ``Fraction``s, drawn from
+    ``random.Random(seed * 1_000_003 + trial)``, each numerator before its
+    denominator: the torus first, then (v, w) for v in sigma and w in
+    sigma_tilde outside it, both sorted."""
+    rng = random.Random(seed * 1_000_003 + trial)
+
+    def draw():
+        return Fraction(rng.randint(1, 97), rng.randint(1, 97))
+
+    torus = [draw() for _ in range(pi.config.ambient_dim)]
+    outside = [w for w in sorted(set(sigma_tilde)) if w not in sigma]
+    return torus, {(v, w): draw() for v in sorted(set(sigma)) for w in outside}
+
+
+def defined_rows(pi, sigma_tilde, sigma, torus, coefficients):
+    """``defined_chart_plane`` as rows of (numerator, denominator) pairs."""
+    plane = defined_chart_plane(pi, sigma_tilde, sigma, torus, coefficients)
+    return tuple(tuple(x.as_integer_ratio() for x in row) for row in plane)
 
 
 def defined_chart_plane(pi, sigma_tilde, sigma, torus, coefficients):
@@ -773,9 +816,49 @@ def test_chart_planes_are_the_defined_planes():
                 torus = [value() for _ in range(a.ambient_dim)]
                 coefficients = {(v, w): value() for v in sigma for w in heads if w not in sigma}
                 got = specialized_chart_plane(pi, heads, sigma, torus, coefficients)
-                assert as_fractions(got) == defined_chart_plane(pi, heads, sigma, torus, coefficients)
+                defined = defined_rows(pi, heads, sigma, torus, coefficients)
+                assert as_fractions(got) == as_fractions(sparse_plane(defined))
                 planes += 1
     assert planes >= 100, planes
+
+
+def test_defined_chart_planes_keep_their_verdict_in_the_sparse_form():
+    # every maximal chart of the fixtures and of r12x5(1..8), and every
+    # non-Cayley two-block partition of a proper face with relations, at two
+    # trials' draws: the defined plane in rows, decided by expansion and,
+    # through sparse_plane, by relations_vanish_on, and the builder's plane
+    fixtures = [
+        config(json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))["points"])
+        for name in ("birkhoff", "five", "quartic", "square", "triangle")
+    ]
+    outcomes = Counter()
+    for a in [*fixtures, *(random_configuration(12, 5, s) for s in range(1, 9))]:
+        charts = []
+        for k in range(1, a.dimension + 1):
+            for pi in maximal_cayley_structures(a, k):
+                heads = tuple(b[0] for b in pi.blocks)
+                charts.append((pi, heads, heads[: k + 1]))
+        for face in a.faces():
+            if len(face.indices) == len(a.points) or not relation_basis(a, face).vectors:
+                continue
+            first, rest = face.indices[0], face.indices[1:]
+            for size in range(len(rest)):
+                for chosen in combinations(rest, size):
+                    part = [(first, *chosen), tuple(i for i in rest if i not in chosen)]
+                    if not is_cayley_structure(face, part):
+                        heads = (first, part[1][0])
+                        charts.append((CayleyStructure(face, part), heads, heads[:1]))
+        for pi, sigma_tilde, sigma in charts:
+            relations = relation_basis(a, pi.face)
+            for trial in range(2):
+                torus, coefficients = trial_draws(pi, sigma_tilde, sigma, 0, trial)
+                rows = defined_rows(pi, sigma_tilde, sigma, torus, coefficients)
+                built = specialized_chart_plane(pi, sigma_tilde, sigma, torus, coefficients)
+                verdict = relations_vanish_on(relations, sparse_plane(rows))
+                assert relations_vanish_on(relations, built) == verdict
+                assert expanded_relations_vanish(relations, rows) == verdict, (a.points, pi.blocks)
+                outcomes[verdict] += 1
+    assert outcomes[True] >= 100 and outcomes[False] >= 1_000, outcomes
 
 
 def test_chart_sample_matches_the_expanded_reference_on_the_fixtures():
@@ -805,40 +888,103 @@ def test_chart_sample_matches_the_expanded_reference_on_the_fixtures():
     assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
 
 
+# a column's entries in place of ((1, 25, 49),), the first of them bad
 NOT_INT_PAIRS = {
-    "float": 0.5,
-    "float numerator": (0.5, 1),
-    "bool": True,
-    "bool numerator": (True, 1),
-    "bool denominator": (1, False),
-    "zero denominator": (1, 0),
-    "negative denominator": (1, -7),
-    "Fraction": Fraction(1, 2),
-    "triple": (1, 2, 3),
-    "None": None,
-    "string": "1/3",
-    "complex": 2 + 0j,
+    "float": (0.5,),
+    "float numerator": ((1, 0.5, 1),),
+    "bool": (True,),
+    "bool numerator": ((1, True, 1),),
+    "bool denominator": ((1, 1, False),),
+    "zero denominator": ((1, 1, 0),),
+    "negative denominator": ((1, 1, -7),),
+    "Fraction": (Fraction(1, 2),),
+    "triple": (1, 25, 49),  # a bare triple, not a tuple of them
+    "None": (None,),
+    "string": ("1/3",),
+    "complex": (2 + 0j,),
+    "pair": ((25, 49),),  # no row
+    "quadruple": ((1, 25, 49, 1),),
+    "list": ([1, 25, 49],),
+    "bool row": ((True, 25, 49),),
+    "float row": ((1.0, 25, 49),),
+    "negative row": ((-1, 25, 49),),
+    "zero numerator": ((1, 0, 49),),
 }
 
 
-@pytest.mark.parametrize("entry", NOT_INT_PAIRS.values(), ids=NOT_INT_PAIRS.keys())
-def test_relations_vanish_on_rejects_entries_that_are_not_int_pairs(entry):
+@pytest.mark.parametrize("entries", NOT_INT_PAIRS.values(), ids=NOT_INT_PAIRS.keys())
+def test_relations_vanish_on_rejects_entries_that_are_not_int_pairs(entries):
+    # an entry is a (row, numerator, denominator) triple of ints, its
+    # numerator nonzero and its denominator positive
     a = config(QUARTIC)
-    rows = [list(row) for row in quartic_chart_plane(a)]
-    assert relations_vanish_on(full_basis(a), tuple(map(tuple, rows)))
-    rows[1][3] = entry
-    named = re.escape(f"plane entry {entry!r} at row 1, column 3")
+    plane = quartic_chart_plane(a)
+    assert relations_vanish_on(full_basis(a), plane)
+    assert as_fractions(plane[3:]) == [((1, 3), Fraction(25, 49))]
+    named = re.escape(f"plane entry {entries[0]!r} in column 3 ")
     with pytest.raises(ValueError, match=named):
-        relations_vanish_on(full_basis(a), tuple(map(tuple, rows)))
+        relations_vanish_on(full_basis(a), (*plane[:3], (3, entries)))
+
+
+@pytest.mark.parametrize(
+    "entries, bad",
+    [
+        (((0, 5, 7), (0, 1, 1)), (0, 1, 1)),  # repeated
+        (((1, 5, 7), (0, 1, 1)), (0, 1, 1)),  # descending
+        (((0, 5, 7), (1, 2, 3), (1, 5, 7)), (1, 5, 7)),
+    ],
+    ids=["repeated", "descending", "repeated last"],
+)
+def test_relations_vanish_on_rejects_a_row_repeated_within_a_column(entries, bad):
+    # each column lists its rows in increasing order, so no row twice
+    a = config(QUARTIC)
+    plane = quartic_chart_plane(a)
+    with pytest.raises(ValueError, match=re.escape(f"plane entry {bad!r} in column 1 ")):
+        relations_vanish_on(full_basis(a), (plane[0], (1, entries), *plane[2:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    order=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+    extra=st.sampled_from([None, -1, 4, 9, True, 1.0, "1"]),
+    malformed=st.sampled_from([None, "list", "no entries"]),
+    at=st.integers(0, 5),
+)
+def test_relations_vanish_on_rejects_columns_out_of_order_or_range(order, extra, malformed, at):
+    # the columns are (point, entries) pairs in strictly increasing point
+    # order, each point one of the configuration's; the first column that is
+    # not is named, and no column before it is
+    a = config(QUARTIC)
+    plane = quartic_chart_plane(a)
+    columns = [plane[i] for i in order]
+    if extra is not None:
+        columns.insert(min(at, len(columns)), (extra, ((0, 1, 1),)))
+    if malformed is not None:
+        point, entries = columns[min(at, len(columns) - 1)]
+        columns[min(at, len(columns) - 1)] = {
+            "list": [point, entries],
+            "no entries": (point, ()),
+        }[malformed]
+    previous = -1
+    for column in columns:
+        point = column[0] if type(column) is tuple and len(column) == 2 else None
+        if not (type(point) is int and previous < point < 4 and type(column[1]) is tuple and column[1]):
+            break
+        previous = point
+    else:
+        assume(False)  # every column in order and in range: a plane, checked elsewhere
+    with pytest.raises(ValueError, match=re.escape(f"plane column {column!r} is not")):
+        relations_vanish_on(full_basis(a), tuple(columns))
 
 
 @pytest.mark.parametrize("length", [3, 5])
 def test_relations_vanish_on_rejects_a_row_of_the_wrong_length(length):
+    # a dense row of (numerator, denominator) pairs, one per point or not,
+    # is not a column: it is named, after the column before it is read
     a = config(QUARTIC)
-    rows = list(quartic_chart_plane(a))
-    rows[1] = (rows[1] + ((0, 1),))[:length]
-    with pytest.raises(ValueError, match=f"plane row 1 has {length} entries"):
-        relations_vanish_on(full_basis(a), tuple(rows))
+    plane = quartic_chart_plane(a)
+    row = ((0, 1), (5, 7), (0, 1), (25, 49), (0, 1))[:length]
+    with pytest.raises(ValueError, match=re.escape(f"plane column {row!r} is not")):
+        relations_vanish_on(full_basis(a), (plane[0], row, *plane[2:]))
 
 
 def test_sample_draws_are_the_randint_draws():
