@@ -340,22 +340,32 @@ def _verify_checks(a: PointConfiguration, expect: dict, seed: int, trials: int) 
         checks.append({"name": cname, "pass": bool(ok), "detail": detail})
 
     bases = {face.indices: relation_basis(a, face) for face in a.faces()}
-    vectors, rank = bases[tuple(range(len(a.points)))].vectors, len(a.points) - a.dimension - 1
-    not_relation = next(
-        (
-            vec
-            for vec in vectors
-            if sum(vec)
-            or any(sum(m * p[i] for m, p in zip(vec, a.points)) for i in range(a.ambient_dim))
-        ),
-        None,
-    )
-    if not_relation is not None:
-        rel_bad = f"vector {not_relation} is not a relation"
-    elif len(vectors) != rank:
-        rel_bad = f"found {len(vectors)} vectors, expected {rank}"
-    else:
-        rel_bad = None if is_saturated(vectors) else "not saturated"
+    rel_bad = None
+    # every face's basis holds relations of that face, as many as its lattice's
+    # rank; the full face comes first, and only its basis is tested for
+    # saturation, which takes a Hermite normal form
+    for face in reversed(a.faces()):
+        points, full = face.points, len(face.indices) == len(a.points)
+        vectors, rank = bases[face.indices].vectors, len(points) - face.dim - 1
+        not_relation = next(
+            (
+                vec
+                for vec in vectors
+                if len(vec) != len(points)
+                or sum(vec)
+                or any(sum(m * p[i] for m, p in zip(vec, points)) for i in range(a.ambient_dim))
+            ),
+            None,
+        )
+        if not_relation is not None:
+            rel_bad = f"vector {not_relation} is not a relation"
+        elif len(vectors) != rank:
+            rel_bad = f"found {len(vectors)} vectors, expected {rank}"
+        elif full and not is_saturated(vectors):
+            rel_bad = "not saturated"
+        if rel_bad:
+            rel_bad = rel_bad if full else f"face {face.indices}: {rel_bad}"
+            break
     record("relation_basis_valid", rel_bad is None, rel_bad)
 
     structures = {face.indices: enumerate_cayley_structures(face, 1) for face in a.faces()}

@@ -171,56 +171,53 @@ def components(a: PointConfiguration, k: int) -> tuple[FanoComponent, ...]:
     )
 
 
-def _chart_data(
-    pi: CayleyStructure, sigma_tilde: Iterable[int], sigma: Iterable[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``sigma_tilde`` and ``sigma`` sorted, once they are checked to be chart
-    data of ``pi`` (see ``chart_semigroup``); ValueError otherwise."""
-    st = tuple(sorted(set(sigma_tilde)))
-    s = tuple(sorted(set(sigma)))
-    if not set(st) <= set(pi.face.indices):
-        raise ValueError("sigma_tilde must consist of points of the structure's face")
-    if len(st) != pi.l + 1 or len({pi.block_of[i] for i in st}) != pi.l + 1:
-        raise ValueError("sigma_tilde must pick exactly one point from each block")
-    if not set(s) <= set(st):
-        raise ValueError("sigma must be a subset of sigma_tilde")
-    if not s:
-        raise ValueError("sigma must be nonempty")
-    return st, s
-
-
 def chart_semigroup(
     pi: CayleyStructure, sigma_tilde: Iterable[int], sigma: Iterable[int]
 ) -> ChartSemigroup:
     """Semigroup of the chart of the component at the data (sigma_tilde, sigma).
 
     ``sigma_tilde`` must pick exactly one point from each block of ``pi`` and
-    ``sigma`` must be a subset of it of size ``k + 1``.  For every point ``u``
-    of the structure's face let ``lam(u)`` be the transversal point sharing
-    its block.  The generators are ``u - lam(u)`` (padded with zeros) when
+    ``sigma`` must be a nonempty subset of it, of size ``k + 1`` for a chart
+    of the component of k-planes.  For every point ``u`` of the structure's
+    face let ``lam(u)`` be the transversal point sharing its block.  The
+    generators are ``u - lam(u)`` (padded with zeros) when
     ``lam(u)`` lies in ``sigma``, and otherwise, for each ``v`` in ``sigma``,
     ``u - lam(u)`` plus the unit vector of the extra coordinate indexed by
-    the pair ``(v, lam(u))``.
+    the pair ``(v, lam(u))``.  The extra coordinates follow the point
+    coordinates in the order of ``product(sigma, outside)``, ``outside``
+    being the transversal points not in ``sigma``.  The generators run over
+    the face's points in order, a twisted point's over ``sigma`` in order;
+    ``verify`` samples the chart's planes from exactly these.  Both inputs
+    are read without repeats and sorted; ValueError when they are no chart
+    data of ``pi``.
     """
-    config = pi.config
-    st, s = _chart_data(pi, sigma_tilde, sigma)
-    rep_of_block = {pi.block_of[i]: i for i in st}
-    outside = tuple(w for w in st if w not in set(s))
-    pair_index = {(v, w): n for n, (v, w) in enumerate(product(s, outside))}
-    e = len(pair_index)
+    config, block_of = pi.config, pi.block_of
+    st = tuple(sorted(set(sigma_tilde)))
+    s = tuple(sorted(set(sigma)))
+    if not set(st) <= set(pi.face.indices):
+        raise ValueError("sigma_tilde must consist of points of the structure's face")
+    if len(st) != pi.l + 1 or len({block_of[i] for i in st}) != pi.l + 1:
+        raise ValueError("sigma_tilde must pick exactly one point from each block")
+    if not set(s) <= set(st):
+        raise ValueError("sigma must be a subset of sigma_tilde")
+    if not s:
+        raise ValueError("sigma must be nonempty")
+    rep_of_block = {block_of[i]: i for i in st}
+    outside = tuple(w for w in st if w not in s)
+    e = len(s) * len(outside)
+    unit = {pair: tuple([int(m == n) for m in range(e)]) for n, pair in enumerate(product(s, outside))}
+    zeros, points = (0,) * e, config.points
     gens: list[IntVector] = []
     labels: list[tuple] = []
     for u in pi.face.indices:
-        lam = rep_of_block[pi.block_of[u]]
-        diff = tuple(x - y for x, y in zip(config.points[u], config.points[lam]))
+        lam = rep_of_block[block_of[u]]
+        diff = tuple([x - y for x, y in zip(points[u], points[lam])])
         if lam in s:
-            gens.append(diff + (0,) * e)
+            gens.append(diff + zeros)
             labels.append(("gamma", u))
         else:
             for v in s:
-                extra = [0] * e
-                extra[pair_index[(v, lam)]] = 1
-                gens.append(diff + tuple(extra))
+                gens.append(diff + unit[v, lam])
                 labels.append(("gamma2", v, u))
     return ChartSemigroup(
         pi=pi,

@@ -8,8 +8,10 @@ partitions of a face that extends only blocks passing the block-sum test
 planes and of chart samples, build their planes through one path and test
 each against the relations of its own face, the face its nonzero columns
 span: off that face's torus a lattice basis decides nothing (see
-``relations_vanish_on``).  A chart is validated once per call; a sampled
-plane is only its nonzero columns, each a tuple of integer (row, numerator,
+``relations_vanish_on``).  That path samples the generators of
+``chart_semigroup``, built once per call, so the chart checked is the one
+the package reports, not a second derivation of it.  A sampled plane is
+only its nonzero columns, each a tuple of integer (row, numerator,
 denominator) triples, never a ``Fraction``, and ``relations_vanish_on``
 checks and decides it in one pass.  Trial ``i`` of every chart reads a
 prefix of one stream seeded from ``seed`` and ``i``, its pairs memoized.
@@ -25,7 +27,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from .cayley import CayleyStructure
-from .components import _chart_data
+from .components import chart_semigroup
 from .intlinalg import (
     IntVector,
     UnsupportedSizeError,
@@ -49,12 +51,6 @@ class RelationBasis(Record):
 
     face: Face
     vectors: tuple[IntVector, ...]
-
-
-def _diagonal_minor(nonzero: Sequence[Sequence[bool]]) -> bool:
-    """Whether every row of the nonzero pattern is alone nonzero in some column."""
-    alone = {col.index(True) for col in zip(*nonzero, strict=True) if sum(col) == 1}
-    return len(alone) == len(nonzero)
 
 
 def relation_basis(a: PointConfiguration, tau: "Face | Sequence[int]") -> RelationBasis:
@@ -91,56 +87,45 @@ def verify_cayley_plane(relations: RelationBasis, pi: CayleyStructure) -> bool:
 
 
 def _chart_plane_builder(pi: CayleyStructure, sigma_tilde: Sequence[int], sigma: Sequence[int]):
-    """Validate the chart data once; return the function that builds the
-    plane of a chart point, in ``relations_vanish_on``'s form, from pairs of
-    positive integers, and how many it reads: the torus point's coordinates,
-    then the coefficient of each (v, w) for v in ``sigma`` and w in
-    ``sigma_tilde`` outside it, without repeats and sorted.
+    """Build ``chart_semigroup``'s chart once; return the function that builds
+    the plane of a chart point, in ``relations_vanish_on``'s form, from pairs
+    of positive integers, one per coordinate of the generators, and how many
+    it reads.
 
-    Rows are indexed by the points of ``sigma``; the column of a face point
-    whose block representative lies in ``sigma`` carries the character value
-    of its offset in that row only, while a column represented outside
-    ``sigma`` spreads the character value across all rows weighted by the
-    coefficient attached to the (row point, representative) pair.  Columns
-    off the face are zero, so left out.  Every entry written is nonzero, so the
-    full-row-rank certificate is checked once, on the pattern shared by all planes.
+    Rows are indexed by the points of ``sigma``.  Each generator gives one
+    entry, its monomial at the pairs: ``("gamma2", v, u)`` in row ``v`` of
+    column ``u``, ``("gamma", u)`` in the row of the point of ``sigma`` in
+    ``u``'s block.  Columns off the face are zero, so left out.  Every plane
+    has full row rank: a point ``v`` of ``sigma`` represents its block, so its
+    one generator ``("gamma", v)`` is zero and column ``v`` is 1 in row ``v``
+    alone, and ``sigma``'s columns are the identity.
     """
-    st, s = _chart_data(pi, sigma_tilde, sigma)
-    a, dim = pi.config, pi.config.ambient_dim
-    outside = [w for w in st if w not in s]
-    width = dim + len(s) * len(outside)
-    rep_of_block = {pi.block_of[i]: i for i in st}
-    # per face point: (index, the offset's nonzero (coordinate, exponent)
-    # pairs, then its one row, or None and the position of its first coefficient)
-    columns = []
-    for idx in pi.face.indices:
-        rep = rep_of_block[pi.block_of[idx]]
-        offset = [(t, x - y) for t, (x, y) in enumerate(zip(a.points[idx], a.points[rep])) if x != y]
-        row, at = (s.index(rep), None) if rep in s else (None, dim + outside.index(rep))
-        columns.append((idx, tuple(offset), row, at))
-    # sigma's own columns give it: each point of sigma represents its block
-    if not _diagonal_minor([[row in (r, None) for _, _, row, _ in columns] for r in range(len(s))]):
-        raise ValueError("chart plane has no diagonal minor")
+    chart = chart_semigroup(pi, sigma_tilde, sigma)
+    row_of = {v: r for r, v in enumerate(chart.sigma)}
+    row_of_block = {pi.block_of[v]: r for v, r in row_of.items()}
+    # per face point, in order: its entries' rows and monomials' nonzero (coordinate, exponent) pairs
+    columns: dict[int, list] = {}
+    for label, gen in zip(chart.labels, chart.generators):
+        row = row_of[label[1]] if label[0] == "gamma2" else row_of_block[pi.block_of[label[1]]]
+        columns.setdefault(label[-1], []).append((row, [(t, e) for t, e in enumerate(gen) if e]))
 
     def build(pairs):
         plane = []
-        for idx, offset, row, at in columns:
-            num = den = 1  # the character of the offset at the torus point is num / den
-            for coord, e in offset:
-                n, d = pairs[coord]
-                if e > 0:
-                    num, den = num * n**e, den * d**e
-                else:
-                    num, den = num * d**-e, den * n**-e
-            if row is not None:
-                plane.append((idx, ((row, num, den),)))
-            else:
-                # the coefficients of (v, rep) for the points v of sigma, in order
-                spread = enumerate(pairs[at : width : len(outside)])
-                plane.append((idx, tuple([(r, num * n, den * d) for r, (n, d) in spread])))
+        for point, entries in columns.items():
+            column = []
+            for row, monomial in entries:
+                num = den = 1  # the monomial at the pairs is num / den
+                for t, e in monomial:
+                    n, d = pairs[t]
+                    if e > 0:
+                        num, den = num * n**e, den * d**e
+                    else:
+                        num, den = num * d**-e, den * n**-e
+                column.append((row, num, den))
+            plane.append((point, tuple(column)))
         return tuple(plane)
 
-    return build, width
+    return build, len(chart.generators[0])
 
 
 def relations_vanish_on(relations: RelationBasis, plane) -> bool:
@@ -153,7 +138,8 @@ def relations_vanish_on(relations: RelationBasis, plane) -> bool:
     ``((point, ((row, numerator, denominator), ...)), ...)``, each column's
     nonzero entries in increasing row order as int triples, the numerator
     nonzero and the denominator positive.  Each column and entry is checked
-    as it is read; anything else is a ``ValueError`` naming it.
+    as it is read, and each relation vector must have one entry per point of
+    the face; anything else is a ``ValueError`` naming it.
 
     A point lies on the variety exactly when its support is a face and it
     satisfies the binomials of that face's relation lattice; the plane does
@@ -179,6 +165,10 @@ def relations_vanish_on(relations: RelationBasis, plane) -> bool:
     pairs key the normalized forms.  A side's scalar is a pair N/D with
     D > 0, so two scalars are equal exactly when N1 D2 = N2 D1.
     """
+    size = len(relations.face.indices)
+    for vec in relations.vectors:
+        if len(vec) != size:
+            raise ValueError(f"relation vector {vec!r} has {len(vec)} entries, not the face's {size}")
     end = len(relations.face.config.points)
     ids: dict[tuple, int] = {}  # F_c / lead_c, by its rows and entries -> its id
     support, forms = [-1], []  # -1 and the columns, and per column (p, q, id of F_c / lead_c)

@@ -565,6 +565,42 @@ def test_verify_names_the_witness_against_a_relation_basis(
 
 
 @pytest.mark.parametrize(
+    "change, problem",
+    [
+        (lambda vectors: vectors[:-1], "found {short} vectors, expected {rank}"),
+        (lambda vectors: ((vectors[0][0] + 1, *vectors[0][1:]), *vectors[1:]), "vector {first} is not a relation"),
+    ],
+    ids=["one short", "not a relation"],
+)
+def test_verify_checks_the_relation_basis_of_every_face(capsys, monkeypatch, tmp_path, change, problem):
+    # the full face's basis kept, and each proper face's with more than one
+    # vector changed (5 faces of Delta(2,5)): the plane checks read these
+    # bases, so the largest such face is named
+    relation_basis = cli.relation_basis
+
+    def changed(a, tau):
+        rb = relation_basis(a, tau)
+        if len(rb.face.indices) == len(a.points) or len(rb.vectors) < 2:
+            return rb
+        return verify.RelationBasis(face=rb.face, vectors=change(rb.vectors))
+
+    monkeypatch.setattr(cli, "relation_basis", changed)
+    code, report, _ = run_json(capsys, "verify", hypersimplex_2_5(tmp_path), "--trials", "1")
+    assert code == EXIT_VERIFY_FAILED
+    a = PointConfiguration(tuple(map(tuple, report["input"]["points"])))
+    proper = [f for f in a.faces() if len(f.indices) < len(a.points) and len(relation_basis(a, f).vectors) > 1]
+    assert len(proper) == 5
+    vectors = relation_basis(a, proper[-1]).vectors
+    wanted = problem.format(short=len(vectors) - 1, rank=len(vectors), first=change(vectors)[0])
+    check = next(c for c in report["checks"] if c["name"] == "relation_basis_valid")
+    assert check == {
+        "name": "relation_basis_valid",
+        "pass": False,
+        "detail": f"face {proper[-1].indices}: {wanted}",
+    }
+
+
+@pytest.mark.parametrize(
     "change, found",
     [
         (lambda found: found[:1] + found, "found 2 times by the fast path, 1 by brute force"),

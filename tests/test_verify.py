@@ -15,7 +15,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from toricfano import cli, intlinalg, verify
+from toricfano import chart_semigroup, cli, intlinalg, verify
 from toricfano.cayley import (
     CayleyStructure,
     enumerate_cayley_structures,
@@ -46,12 +46,19 @@ def config(points):
 
 def specialized_chart_plane(pi, sigma_tilde, sigma, torus, coefficients):
     """The builder's plane of a chart point at given torus and coefficient
-    values, read as the torus first and then (v, w) for v in sigma and w in
-    sigma_tilde outside it, both sorted."""
+    values: the torus first, then the coefficient of (v, w), for v in sigma
+    and w in sigma_tilde outside it, at the extra coordinate of
+    ``chart_semigroup``'s generators labelled ("gamma2", v, u), u in w's block."""
+    chart = chart_semigroup(pi, sigma_tilde, sigma)
     build, width = verify._chart_plane_builder(pi, sigma_tilde, sigma)
-    outside = [w for w in sorted(set(sigma_tilde)) if w not in sigma]
-    values = [*torus, *(coefficients[v, w] for v in sorted(set(sigma)) for w in outside)]
-    assert len(values) == width
+    dim = pi.config.ambient_dim
+    rep = {pi.block_of[w]: w for w in chart.sigma_tilde}
+    values = [*torus, *[None] * (width - dim)]
+    for label, gen in zip(chart.labels, chart.generators):
+        if label[0] == "gamma2":
+            _, v, u = label
+            values[dim + gen[dim:].index(1)] = coefficients[v, rep[pi.block_of[u]]]
+    assert None not in values
     return build(tuple(Fraction(x).as_integer_ratio() for x in values))
 
 
@@ -419,16 +426,26 @@ def test_corrupted_chart_detected():
     assert not relations_vanish_on(relation_basis(a, full_face(a)), corrupted)
 
 
-@pytest.mark.parametrize(
-    "matrix",
-    [
-        # some rows are alone nonzero in a column, but not every row is
-        ((1, 0, 0), (0, 1, 2), (0, 2, 4)),
-        ((0, 0), (1, 1)),
-    ],
-)
-def test_diagonal_minor_rejects_partial_certificates(matrix):
-    assert not verify._diagonal_minor([[x != 0 for x in row] for row in matrix])
+def test_sigma_columns_are_unit_columns_in_their_own_rows():
+    # the full-row-rank certificate every chart plane carries: each point of
+    # sigma has the zero generator, so its column is 1 in its own row alone,
+    # on every maximal chart of the fixtures and of r12x5(1..8) at two trials
+    fixtures = [
+        config(json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))["points"])
+        for name in ("birkhoff", "five", "quartic", "square", "triangle")
+    ]
+    charts = 0
+    for a in [*fixtures, *(random_configuration(12, 5, s) for s in range(1, 9))]:
+        for k in range(1, a.dimension + 1):
+            for pi in maximal_cayley_structures(a, k):
+                heads = tuple(b[0] for b in pi.blocks)
+                build, width = verify._chart_plane_builder(pi, heads, heads[: k + 1])
+                for trial in range(2):
+                    columns = dict(build(verify._trial_pairs(0, trial, width)))
+                    for row, v in enumerate(heads[: k + 1]):
+                        assert columns[v] == ((row, 1, 1),), (a.points, pi.blocks, v)
+                charts += 1
+    assert charts >= 50, charts
 
 
 def test_chart_sample_respects_chart_validation():
@@ -551,13 +568,13 @@ def test_chart_sample_validates_the_chart_once_and_ranks_no_plane(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(verify, "_chart_data")
+    counted(verify, "chart_semigroup")
     counted(verify, "relations_vanish_on")
     counted(intlinalg, "hermite_normal_form")
     for sigma in ((1, 2, 3), (1, 2)):
         calls.clear()
         assert verify_chart_sample(relations, pi, (1, 2, 3), sigma, trials=25, seed=0)
-        counts = (calls["_chart_data"], calls["hermite_normal_form"], calls["relations_vanish_on"])
+        counts = (calls["chart_semigroup"], calls["hermite_normal_form"], calls["relations_vanish_on"])
         assert counts == (1, 0, 25)
 
 
@@ -587,6 +604,37 @@ def test_verify_draws_each_trial_stream_once_for_all_charts(monkeypatch):
     assert report["passed"]
     assert charts["charts"] == 39
     assert 0 < made["Random"] <= 100, made
+
+
+def delta_2_5():
+    """Delta(2, 5), the 0/1 vectors of Z^5 with two ones."""
+    return config([tuple(int(i in pair) for i in range(5)) for pair in combinations(range(5), 2)])
+
+
+@pytest.mark.parametrize("make", [lambda: config(birkhoff_points()), delta_2_5], ids=["B_3", "Delta(2,5)"])
+def test_both_plane_checks_sample_the_reported_chart(monkeypatch, make):
+    # the plane checks read chart_semigroup's own generators: shift the last
+    # point's generators by the first unit vector, and both checks fail, each
+    # naming a witness, while the checks that build no plane still pass
+    a = make()
+    moved, original = len(a.points) - 1, verify.chart_semigroup
+
+    def shifted(pi, sigma_tilde, sigma):
+        chart = original(pi, sigma_tilde, sigma)
+        gens = [
+            (g[0] + 1, *g[1:]) if label[-1] == moved else g for label, g in zip(chart.labels, chart.generators)
+        ]
+        fields = {name: getattr(chart, name) for name in chart._fields}
+        return type(chart)(**{**fields, "generators": tuple(gens)})
+
+    assert cli.verify_report(a, None, {}, 0, 25)["passed"]
+    monkeypatch.setattr(verify, "chart_semigroup", shifted)
+    report = cli.verify_report(a, None, {}, 0, 25)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert report["passed"] is False
+    assert checks["relation_basis_valid"]["pass"] and checks["brute_force_matches_fast"]["pass"]
+    for name in ("cayley_planes_on_variety", "chart_samples_on_variety"):
+        assert checks[name]["pass"] is False and "blocks" in checks[name]["detail"], checks[name]
 
 
 # ---------------------------------------------------------------------------
@@ -985,6 +1033,28 @@ def test_relations_vanish_on_rejects_a_row_of_the_wrong_length(length):
     row = ((0, 1), (5, 7), (0, 1), (25, 49), (0, 1))[:length]
     with pytest.raises(ValueError, match=re.escape(f"plane column {row!r} is not")):
         relations_vanish_on(full_basis(a), (plane[0], row, *plane[2:]))
+
+
+@pytest.mark.parametrize(
+    "vectors, blocks",
+    [
+        (lambda vec: ((*vec, 1),), [(0, 3), (1, 4), (2, 5)]),
+        (lambda vec: ((0, 0, 0, 0),), [(0, 1), (2, 3), (4, 5)]),
+    ],
+    ids=["a 7th entry", "all zero, 4 entries"],
+)
+def test_relations_vanish_on_rejects_a_relation_vector_of_the_wrong_length(vectors, blocks):
+    # each relation vector has one entry per point of the face: zipped with
+    # the plane's columns, a longer one was cut short and a shorter one read
+    # only a prefix, so B_3's basis with a 7th entry passed the row
+    # projection, and one all-zero 4-entry vector a non-Cayley partition
+    a = config(birkhoff_points())
+    face = full_face(a)
+    pi = CayleyStructure(face, blocks)
+    changed = RelationBasis(face=face, vectors=vectors(relation_basis(a, face).vectors[0]))
+    assert verify_cayley_plane(relation_basis(a, face), pi) == is_cayley_structure(face, blocks)
+    with pytest.raises(ValueError, match=re.escape(f"relation vector {changed.vectors[0]!r} has ")):
+        verify_cayley_plane(changed, pi)
 
 
 def test_sample_draws_are_the_randint_draws():
