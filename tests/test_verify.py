@@ -426,6 +426,39 @@ def test_corrupted_chart_detected():
     assert not relations_vanish_on(relation_basis(a, full_face(a)), corrupted)
 
 
+def sigma_columns_are_identity(plane, sigma):
+    """Whether the plane's column of the r-th point of sigma is 1 in row r alone."""
+    columns = dict(plane)
+    return all(columns.get(v) == ((row, 1, 1),) for row, v in enumerate(sigma))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        # some rows are alone nonzero in a column, but not every row is
+        ((1, 0, 0), (0, 1, 2), (0, 2, 4)),
+        ((0, 0), (1, 1)),
+    ],
+)
+def test_diagonal_minor_rejects_partial_certificates(matrix):
+    # the unit-column check that stands for the diagonal-minor certificate
+    # rejects a chart plane of B_3 whose sigma columns are such a pattern
+    a = config(birkhoff_points())
+    k = len(matrix) - 1
+    pi = maximal_cayley_structures(a, k)[0]
+    heads = tuple(b[0] for b in pi.blocks)
+    sigma = heads[: k + 1]
+    build, width = verify._chart_plane_builder(pi, heads, sigma)
+    plane = build(verify._trial_pairs(0, 0, width))
+    assert sigma_columns_are_identity(plane, sigma)
+    patch = {
+        v: tuple((row, x, 1) for row, x in enumerate(col) if x)
+        for v, col in zip(sigma, zip(*matrix, strict=True), strict=True)
+    }
+    patched = tuple((point, patch.get(point, column)) for point, column in plane)
+    assert not sigma_columns_are_identity(patched, sigma)
+
+
 def test_sigma_columns_are_unit_columns_in_their_own_rows():
     # the full-row-rank certificate every chart plane carries: each point of
     # sigma has the zero generator, so its column is 1 in its own row alone,
@@ -441,9 +474,8 @@ def test_sigma_columns_are_unit_columns_in_their_own_rows():
                 heads = tuple(b[0] for b in pi.blocks)
                 build, width = verify._chart_plane_builder(pi, heads, heads[: k + 1])
                 for trial in range(2):
-                    columns = dict(build(verify._trial_pairs(0, trial, width)))
-                    for row, v in enumerate(heads[: k + 1]):
-                        assert columns[v] == ((row, 1, 1),), (a.points, pi.blocks, v)
+                    plane = build(verify._trial_pairs(0, trial, width))
+                    assert sigma_columns_are_identity(plane, heads[: k + 1]), (a.points, pi.blocks, trial)
                 charts += 1
     assert charts >= 50, charts
 
